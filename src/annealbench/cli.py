@@ -15,101 +15,44 @@ from . import harness as hz
 from . import instance_gen as ig
 from . import oracles as oc
 from .errors import AnnealBenchError
-from .schedules import parse_schedule
 
 
-def _parse_params(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs or []:
-        key, _, value = pair.partition("=")
-        if not value:
-            raise SystemExit(f"--param expects key=value, got {pair!r}")
-        out[key] = value
-    return out
+def _key_value(pair: str) -> tuple[str, str]:
+    key, _, value = pair.partition("=")
+    if not value:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {pair!r}")
+    return key, value
 
 
 def _cmd_gen(args) -> int:
-    params = _parse_params(args.param)
-    fam = args.family
-    seed = args.seed
-    alpha = None
-    if fam == "star-tree":
-        g = ig.gen_star_tree(int(params["k"]))
-        alpha = ig.formula_alpha(fam, k=int(params["k"]))
-    elif fam == "hard-tree":
-        k, copies = int(params["k"]), int(params["copies"])
-        apex = params.get("apex", "true").lower() in ("1", "true", "yes")
-        g = ig.gen_hard_tree(k, copies, apex=apex)
-        alpha = ig.formula_alpha(fam, k=k, copies=copies)
-    elif fam == "anchor":
-        n = int(params["n"])
-        g = ig.gen_appendix_anchor(n)
-        alpha = ig.formula_alpha(fam, n=n)
-    elif fam == "multicopy":
-        n, eps = int(params["n"]), float(params["eps"])
-        g = ig.gen_appendix_multicopy(n, eps)
-        alpha = ig.formula_alpha(fam, n=n, eps=eps)
-    elif fam == "base-bipartite":
-        g = ig.gen_base_bipartite(
-            int(params["n"]), int(params["k"]), float(params["p"]), seed=seed
-        )
-    elif fam == "balanced-bipartite":
-        g = ig.gen_random_balanced_bipartite(
-            int(params["n"]), float(params["d"]), seed=seed
-        )
-        for note in ig.balanced_bipartite_flags(int(params["n"]), float(params["d"])):
-            print(f"note: {note}", file=sys.stderr)
-    elif fam == "clique-blowup":
-        bp = ig.BlowupParams(
-            n=int(params["n"]),
-            k=int(params["k"]),
-            ell=int(params["ell"]),
-            p=float(params["p"]),
-            seed=seed,
-        )
-        for note in ig.validate_relations(bp).messages:
-            print(f"note: {note}", file=sys.stderr)
-        g = ig.gen_clique_blowup(bp)
-    elif fam == "bipartite-blowup":
-        base = ig.gen_base_bipartite(
-            int(params["base_n"]), int(params["base_k"]), float(params["base_p"]),
-            seed=seed,
-        )
-        g, _ = ig.gen_bipartite_blowup(
-            base, int(params["cloud_size"]), int(params["copies"])
-        )
-        alpha = ig.formula_alpha(
-            "bipartite-blowup",
-            alpha_base=gc.alpha_bipartite(base).alpha,
-            cloud_size=int(params["cloud_size"]),
-            copies=int(params["copies"]),
-        )
-    else:
-        raise SystemExit(f"unknown family {fam!r}")
+    params = dict(args.param or [])
+    family = ig.family(args.family)
+    inst = family.build(family.parse(params), args.seed)
+    for note in inst.notes:
+        print(f"note: {note}", file=sys.stderr)
+    # A graph file holds the explicit graph, also of an implicit clique blowup.
+    g = inst.graph if inst.blowup is None else ig.gen_clique_blowup(inst.blowup, base=inst.graph)
+    alpha = inst.alpha() if family.alpha_method == ig.CLOSED_FORM else None
     gc.write_graph_file(g, args.out)
-    meta = ig.sidecar_text(fam, params, seed, alpha)
-    Path(args.out + ".meta").write_text(meta)
+    Path(args.out + ".meta").write_text(ig.sidecar_text(args.family, params, args.seed, alpha))
     print(f"wrote {args.out} ({g.n} vertices, {g.num_edges} edges)")
     return 0
 
 
+# Exact alpha oracles by --method name; "auto" tries them in this order.
+ORACLES = {"tree": gc.alpha_tree, "bipartite": gc.alpha_bipartite, "brute": gc.alpha_bruteforce}
+
+
 def _cmd_alpha(args) -> int:
     g = gc.read_graph_file(args.graph)
-    method = args.method
-    if method == "auto":
+    names = list(ORACLES) if args.method == "auto" else [args.method]
+    for name in names:
         try:
-            cert = gc.alpha_tree(g)
+            cert = ORACLES[name](g)
+            break
         except AnnealBenchError:
-            try:
-                cert = gc.alpha_bipartite(g)
-            except AnnealBenchError:
-                cert = gc.alpha_bruteforce(g)
-    elif method == "tree":
-        cert = gc.alpha_tree(g)
-    elif method == "bipartite":
-        cert = gc.alpha_bipartite(g)
-    else:
-        cert = gc.alpha_bruteforce(g)
+            if name == names[-1]:
+                raise
     print(f"alpha = {cert.alpha} ({cert.method})")
     if args.witness and cert.witness is not None:
         print("witness =", " ".join(str(v) for v in sorted(cert.witness)))
@@ -117,41 +60,20 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    g = gc.read_graph_file(args.graph)
-    alpha = args.alpha
-    rows = []
-    thresholds = tuple(int(x) for x in (args.thresholds or "").split(",") if x)
-    for i in range(args.trials):
-        seed = hz.trial_seed(args.seed, i)
-        if args.algorithm == "greedy":
-            chosen, rec = dy.run_randomized_greedy(g, seed)
-        elif args.algorithm == "degree-greedy":
-            chosen = dy.run_degree_greedy(g)
-            rec = dy.TrialRecord(
-                seed=seed,
-                steps=g.n,
-                max_size=len(chosen),
-                step_of_max=len(chosen),
-                final_size=len(chosen),
-            )
-        else:
-            sched = parse_schedule(args.schedule)
-            rec = dy.run_ump(
-                g,
-                sched,
-                args.steps,
-                seed,
-                recorder=dy.RecorderConfig(
-                    thresholds=thresholds,
-                    early_stop_size=args.early_stop,
-                    watch=tuple(int(v) for v in (args.watch or "").split(",") if v),
-                ),
-            )
-        row = {"trial_id": i, "seed": seed, "schedule": args.schedule}
-        row.update(hz._record_fields(rec))
-        row["alpha"] = alpha if alpha is not None else ""
-        row["ratio"] = f"{rec.max_size / alpha:.6f}" if alpha else ""
-        rows.append(row)
+    cfg = hz.ExperimentConfig(
+        name="run",
+        family="",
+        instance={},
+        schedules=[args.schedule],
+        algorithm=args.algorithm,
+        steps=args.steps,
+        trials=args.trials,
+        seed=args.seed,
+        thresholds=args.thresholds,
+        early_stop_size=args.early_stop,
+    )
+    bundle = hz.InstanceBundle(gc.read_graph_file(args.graph), args.alpha, watch=args.watch)
+    rows = [hz.run_one_trial(cfg, bundle, i) for i in range(args.trials)]
     hz._write_csv(Path(args.out), hz.RUN_CSV_COLUMNS, rows)
     print(f"wrote {args.out} ({len(rows)} trials)")
     return 0
@@ -164,21 +86,26 @@ def _cmd_experiment(args) -> int:
     manifest = hz.run_experiment(cfg, workers=args.workers)
     print(f"ran {len(manifest.rows)} trials in {manifest.wall_clock:.1f}s")
     print(f"config hash {manifest.config_hash}")
+    return _judge(cfg, manifest.rows, Path(cfg.out_dir))
+
+
+def _judge(cfg: hz.ExperimentConfig, rows: list[dict], out: Path | None = None) -> int:
+    """Print the verdicts of the config's [acceptance] checks (also into
+    ``out`` if given); 0 iff all pass or none are configured."""
     if not cfg.acceptance:
         return 0
-    report = hz.verdict(cfg, manifest.rows)
-    out = Path(cfg.out_dir)
-    (out / "verdict.csv").write_text(report.to_csv_text())
-    (out / "verdict.txt").write_text(report.to_text())
+    report = hz.verdict(cfg, rows)
+    if out is not None:
+        (out / "verdict.csv").write_text(report.to_csv_text())
+        (out / "verdict.txt").write_text(report.to_text())
     print(report.to_text(), end="")
     return 0 if report.all_passed else 1
 
 
 def _cmd_report(args) -> int:
-    run_rows = hz.read_run_csv(args.run)
-    rows = run_rows
+    rows = hz.read_csv(args.run)
     if args.stats:
-        rows = hz.merge_run_and_stats(run_rows, hz.read_stats_csv(args.stats))
+        rows = hz.merge_run_and_stats(rows, hz.read_csv(args.stats))
     records = [
         dy.TrialRecord(
             seed=int(r["seed"]),
@@ -210,14 +137,7 @@ def _cmd_report(args) -> int:
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
-    exit_code = 0
-    if args.config:
-        cfg = hz.load_config(args.config)
-        if cfg.acceptance:
-            report = hz.verdict(cfg, rows)
-            print(report.to_text(), end="")
-            exit_code = 0 if report.all_passed else 1
-    return exit_code
+    return _judge(hz.load_config(args.config), rows) if args.config else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -228,17 +148,15 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("--family", required=True)
+    p_gen.add_argument("--family", required=True, choices=sorted(ig.FAMILIES))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--param", action="append", metavar="KEY=VALUE")
+    p_gen.add_argument("--param", action="append", type=_key_value, metavar="KEY=VALUE")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_alpha = sub.add_parser("alpha", help="exact independence number")
     p_alpha.add_argument("--graph", required=True)
-    p_alpha.add_argument(
-        "--method", choices=("auto", "brute", "bipartite", "tree"), default="auto"
-    )
+    p_alpha.add_argument("--method", choices=("auto", *ORACLES), default="auto")
     p_alpha.add_argument("--witness", action="store_true")
     p_alpha.set_defaults(func=_cmd_alpha)
 
@@ -252,9 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--trials", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--alpha", type=int)
-    p_run.add_argument("--thresholds")
+    p_run.add_argument("--thresholds", type=ig.int_list, default=())
     p_run.add_argument("--early-stop", type=int, dest="early_stop")
-    p_run.add_argument("--watch")
+    p_run.add_argument("--watch", type=ig.int_list, default=())
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
 

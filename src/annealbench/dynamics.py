@@ -35,7 +35,7 @@ from .errors import (
     NotIndependent,
 )
 from .graph_core import SIDE_L, Graph, IndependentSetState, is_independent
-from .instance_gen import BlowupParams, CloudMeta
+from .instance_gen import BlowupParams
 from .schedules import FugacitySchedule, HistoryDigest
 
 _CHUNK = 1 << 15
@@ -852,28 +852,3 @@ def run_greedy_chain(
     return GreedyChainResult(
         n=n, p=p, left=left, right=right, residual=m_val, trajectory=traj
     )
-
-
-# ---------------------------------------------------------------------------
-# Cloud bookkeeping
-
-
-def track_clouds(
-    g: Graph,
-    meta: CloudMeta,
-    sched: FugacitySchedule,
-    steps: int,
-    seed: int,
-    recorder: RecorderConfig | None = None,
-) -> TrialRecord:
-    """Run the discrete chain with per-cloud load accounting.
-
-    A cloud "deloads" when its load returns to zero after having been
-    occupied; the count is over clouds, so it is non-decreasing in time.
-    """
-    if g.group is None:
-        raise InvalidRate("cloud tracking needs group ids")
-    from dataclasses import replace
-
-    rec = replace(recorder or RecorderConfig(), track_clouds=True)
-    return run_ump(g, sched, steps, seed, rec)

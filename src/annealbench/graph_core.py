@@ -34,7 +34,6 @@ BIPARTITE_KINDS = frozenset(
 METHOD_BRUTE_FORCE = "brute_force"
 METHOD_BIPARTITE_MATCHING = "bipartite_matching"
 METHOD_TREE_DP = "tree_dp"
-METHOD_LOWER_BOUND = "lower_bound_only"
 
 BRUTE_FORCE_CAP = 32
 
@@ -74,11 +73,6 @@ class Graph:
         offs = self.adj_offsets
         targets = self.adj_targets.tolist()
         return [targets[offs[v] : offs[v + 1]] for v in range(self.n)]
-
-    def side_vertices(self, side: int) -> np.ndarray:
-        if self.side is None:
-            raise NotBipartite("graph has no side labels")
-        return np.flatnonzero(self.side == side)
 
     def edge_set(self) -> set[tuple[int, int]]:
         out: set[tuple[int, int]] = set()
@@ -466,11 +460,6 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
     if len(witness) != alpha:
         raise AssertionError("tree DP witness size mismatch")
     return cert
-
-
-def alpha_lower_bound(value: int) -> AlphaCertificate:
-    """Certificate wrapping a known lower bound (no witness)."""
-    return AlphaCertificate(int(value), None, METHOD_LOWER_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ worker pool, and writes:
 * ``stats.csv``    per-trial extras (schedule, side counts, probes,
                    hitting steps, chain discrepancies);
 * ``manifest.txt`` config hash, tool version, per-trial seeds, wall clock,
-                   output files.
+                   output files, and the alpha with where it came from.
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
-worker count.  Workers share the parent's instance memory via fork.
+worker count and any multiprocessing start method.  Pool workers receive
+the config and the built instance once, through the pool initializer.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import configparser
 import csv
 import hashlib
 import io
+import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass, field
@@ -65,6 +67,23 @@ STATS_CSV_COLUMNS = (
 _ALGORITHMS = ("ump", "ct", "greedy", "degree-greedy", "chain")
 
 
+def _horizon(text: str) -> str:
+    if text != "burn":
+        float(text)
+    return text
+
+
+# [run] key -> type; a key left unset keeps the ExperimentConfig default.
+# The order is part of config_hash.
+_RUN_TYPES = {
+    "algorithm": str, "steps": int, "events": int, "horizon": _horizon, "trials": int,
+    "seed": int, "thresholds": ig.int_list, "early_stop_size": int, "snapshot_every": int,
+    "watch_root": ig.parse_bool, "probe_step": int, "track_touched": ig.parse_bool,
+    "alpha": int,
+}
+_RUN_FIELDS = {"alpha": "alpha_override"}  # [run] keys named otherwise in ExperimentConfig
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -90,6 +109,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.alpha_override is not None and self.alpha_override < 1:
+            raise ConfigError("alpha must be >= 1")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "ump" and not self.steps:
@@ -100,6 +121,12 @@ class ExperimentConfig:
             raise ConfigError("no schedules configured")
         for spec in self.schedules:
             parse_schedule(spec)
+        family = ig.family(self.family)
+        family.parse(self.instance)
+        if self.algorithm == "chain" and family.chain is None:
+            raise ConfigError(f"family {self.family} has no chain abstraction")
+        for name, spec in self.acceptance:
+            _parse_check(name, spec)
 
     @property
     def schedule_count(self) -> int:
@@ -113,64 +140,36 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return _config_from_parser(parser)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}") from exc
+    return loads_config(text)
 
 
 def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read_string(text)
-    return _config_from_parser(parser)
-
-
-def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     try:
         exp = parser["experiment"]
         inst = dict(parser["instance"])
-        run = parser["run"] if parser.has_section("run") else {}
+        run = dict(parser["run"]) if parser.has_section("run") else {}
     except KeyError as exc:
         raise ConfigError(f"missing config section: {exc}") from exc
     family = inst.pop("family", None)
     if family is None:
         raise ConfigError("[instance] must set family")
-    schedules: list[str] = []
-    if parser.has_section("schedules"):
-        raw = parser["schedules"].get("specs", "")
-        schedules = [s.strip() for s in raw.split(",") if s.strip()]
-    acceptance: list[tuple[str, str]] = []
-    if parser.has_section("acceptance"):
-        acceptance = sorted(parser["acceptance"].items())
-
-    def _opt_int(section, key):
-        val = section.get(key)
-        return int(float(val)) if val not in (None, "") else None
-
+    specs = parser["schedules"].get("specs", "") if parser.has_section("schedules") else ""
+    run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, run, "[run]")
+    run = {_RUN_FIELDS.get(k, k): v for k, v in run.items() if v is not None}
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         family=family,
         instance=inst,
-        schedules=schedules,
-        algorithm=run.get("algorithm", "ump"),
-        steps=_opt_int(run, "steps"),
-        events=_opt_int(run, "events"),
-        horizon=run.get("horizon") or None,
-        trials=_opt_int(run, "trials") or 1,
-        seed=_opt_int(run, "seed") or 0,
+        schedules=[s.strip() for s in specs.split(",") if s.strip()],
         out_dir=exp.get("out_dir", "out"),
-        thresholds=tuple(
-            int(float(x)) for x in run.get("thresholds", "").split(",") if x.strip()
-        ),
-        early_stop_size=_opt_int(run, "early_stop_size"),
-        snapshot_every=_opt_int(run, "snapshot_every"),
-        watch_root=str(run.get("watch_root", "false")).lower() in ("1", "true", "yes"),
-        probe_step=_opt_int(run, "probe_step"),
-        track_touched=str(run.get("track_touched", "false")).lower()
-        in ("1", "true", "yes"),
-        alpha_override=_opt_int(run, "alpha"),
-        acceptance=acceptance,
+        acceptance=sorted(parser["acceptance"].items()) if parser.has_section("acceptance") else [],
+        **run,
     )
     cfg.validate()
     return cfg
@@ -178,33 +177,15 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the semantic fields only: formatting and comments drop out."""
-    h = hashlib.sha256()
     parts = [
         ("experiment.name", cfg.name),
         ("instance.family", cfg.family),
         *[(f"instance.{k}", str(v)) for k, v in sorted(cfg.instance.items())],
         *[(f"schedules.{i}", s) for i, s in enumerate(cfg.schedules)],
-        ("run.algorithm", cfg.algorithm),
-        ("run.steps", str(cfg.steps)),
-        ("run.events", str(cfg.events)),
-        ("run.horizon", str(cfg.horizon)),
-        ("run.trials", str(cfg.trials)),
-        ("run.seed", str(cfg.seed)),
-        ("run.thresholds", str(cfg.thresholds)),
-        ("run.early_stop_size", str(cfg.early_stop_size)),
-        ("run.snapshot_every", str(cfg.snapshot_every)),
-        ("run.watch_root", str(cfg.watch_root)),
-        ("run.probe_step", str(cfg.probe_step)),
-        ("run.track_touched", str(cfg.track_touched)),
-        ("run.alpha", str(cfg.alpha_override)),
+        *[(f"run.{k}", str(getattr(cfg, _RUN_FIELDS.get(k, k)))) for k in _RUN_TYPES],
         *[(f"acceptance.{k}", v) for k, v in cfg.acceptance],
     ]
-    for key, value in parts:
-        h.update(key.encode())
-        h.update(b"=")
-        h.update(value.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    return hashlib.sha256("".join(f"{k}={v}\n" for k, v in parts).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -213,117 +194,47 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class InstanceBundle:
-    family: str
     graph: gc.Graph | None
     alpha: int | None
+    alpha_method: str | None = None  # a family table source, or "override"
     watch: tuple[int, ...] = ()
     probe_vertices: tuple[int, ...] = ()
-    ct_template: dict | None = None  # rates/multipliers/horizon-or-events
+    track_clouds: bool = False
+    ct_template: dict | None = None  # clique size and horizon-or-events of an implicit blowup
     chain_params: tuple[int, float] | None = None  # (n, p) for chain runs
-    burn_params: ig.BlowupParams | None = None
 
 
 def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
-    fam = cfg.family
-    p = cfg.instance
-
-    def need(*keys):
-        missing = [k for k in keys if k not in p]
-        if missing:
-            raise ConfigError(f"family {fam} needs instance keys {missing}")
-
-    if fam == "star-tree":
-        need("k")
-        k = int(p["k"])
-        g = ig.gen_star_tree(k)
-        _, mids, _ = ig.star_tree_regions(k)
-        return InstanceBundle(
-            family=fam,
-            graph=g,
-            alpha=cfg.alpha_override or ig.formula_alpha("star-tree", k=k),
-            watch=(0,) if cfg.watch_root else (),
-            probe_vertices=tuple(int(v) for v in mids),
-        )
-    if fam == "hard-tree":
-        need("k", "copies")
-        k, copies = int(p["k"]), int(p["copies"])
-        g = ig.gen_hard_tree(k, copies)
-        roots = tuple(c * (2 * k + 1) for c in range(copies))
-        return InstanceBundle(
-            family=fam,
-            graph=g,
-            alpha=cfg.alpha_override or ig.formula_alpha("hard-tree", k=k, copies=copies),
-            watch=roots if cfg.watch_root else (),
-        )
-    if fam == "anchor":
-        need("n")
-        n = int(p["n"])
-        return InstanceBundle(
-            family=fam,
-            graph=ig.gen_appendix_anchor(n),
-            alpha=cfg.alpha_override or ig.formula_alpha("anchor", n=n),
-        )
-    if fam == "multicopy":
-        need("n", "eps")
-        n, eps = int(p["n"]), float(p["eps"])
-        return InstanceBundle(
-            family=fam,
-            graph=ig.gen_appendix_multicopy(n, eps),
-            alpha=cfg.alpha_override or ig.formula_alpha("multicopy", n=n, eps=eps),
-        )
-    if fam == "clique-blowup":
-        need("n", "k", "p", "ell")
-        params = ig.BlowupParams(
-            n=int(p["n"]), k=int(p["k"]), ell=int(p["ell"]), p=float(p["p"]),
-            seed=cfg.seed,
-        )
-        mode = p.get("mode", "implicit")
-        base = ig.gen_base_bipartite(params.n, params.k, params.p, seed=cfg.seed)
-        alpha = cfg.alpha_override or params.k * params.n  # certified lower bound
-        if mode == "explicit":
-            g = ig.gen_clique_blowup(params, base=base)
-            return InstanceBundle(family=fam, graph=g, alpha=alpha)
+    """Build the configured instance through the family table."""
+    family = ig.family(cfg.family)
+    params = family.parse(cfg.instance)
+    if cfg.algorithm == "chain":
+        return InstanceBundle(graph=None, alpha=None, chain_params=family.chain(params))
+    inst = family.build(params, cfg.seed)
+    if cfg.alpha_override is not None:
+        alpha, method = cfg.alpha_override, "override"
+    else:
+        alpha, method = inst.alpha(), family.alpha_method
+    template = None
+    if inst.blowup is not None:
         horizon = None
         if cfg.horizon == "burn":
-            horizon = oc.burn_in_time(params)
+            horizon = oc.burn_in_time(inst.blowup)
         elif cfg.horizon:
             horizon = float(cfg.horizon)
-        template = {
-            "ell": params.ell,
-            "events": cfg.events if horizon is None else None,
-            "horizon": horizon,
-        }
-        return InstanceBundle(
-            family=fam,
-            graph=base,
-            alpha=alpha,
-            ct_template=template,
-            burn_params=params,
-        )
-    if fam == "balanced-bipartite":
-        need("n", "d")
-        n, d = int(p["n"]), float(p["d"])
-        if cfg.algorithm == "chain":
-            return InstanceBundle(
-                family=fam, graph=None, alpha=None, chain_params=(n, d / n)
-            )
-        g = ig.gen_random_balanced_bipartite(n, d, seed=cfg.seed)
-        alpha = cfg.alpha_override or gc.alpha_bipartite(g).alpha
-        return InstanceBundle(family=fam, graph=g, alpha=alpha)
-    if fam == "bipartite-blowup":
-        need("base_n", "base_k", "base_p", "cloud_size", "copies")
-        base = ig.gen_base_bipartite(
-            int(p["base_n"]), int(p["base_k"]), float(p["base_p"]), seed=cfg.seed
-        )
-        g, meta = ig.gen_bipartite_blowup(base, int(p["cloud_size"]), int(p["copies"]))
-        alpha = cfg.alpha_override or ig.formula_alpha(
-            "bipartite-blowup",
-            alpha_base=gc.alpha_bipartite(base).alpha,
-            cloud_size=meta.cloud_size,
-            copies=meta.copies,
-        )
-        return InstanceBundle(family=fam, graph=g, alpha=alpha)
-    raise ConfigError(f"unknown instance family {fam!r}")
+        events = cfg.events if horizon is None else None
+        template = {"ell": inst.blowup.ell, "events": events, "horizon": horizon}
+    elif cfg.algorithm == "ct":
+        raise ConfigError("ct runs need an implicit clique-blowup instance")
+    return InstanceBundle(
+        graph=inst.graph,
+        alpha=alpha,
+        alpha_method=method,
+        watch=inst.watch if cfg.watch_root else (),
+        probe_vertices=inst.probe,
+        track_clouds=family.track_clouds,
+        ct_template=template,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +254,20 @@ def _recorder_for(cfg: ExperimentConfig, bundle: InstanceBundle) -> dy.RecorderC
         probe_vertices=bundle.probe_vertices if cfg.probe_step else (),
         early_stop_size=cfg.early_stop_size,
         track_touched=cfg.track_touched,
-        track_clouds=bundle.graph is not None and bundle.graph.group is not None
-        and cfg.family == "bipartite-blowup",
+        track_clouds=bundle.track_clouds,
     )
 
 
 def run_one_trial(
     cfg: ExperimentConfig, bundle: InstanceBundle, trial_id: int
 ) -> dict:
-    """Execute one trial and flatten it into a CSV row dict."""
+    """Execute one trial and flatten it into a CSV row dict.
+
+    Columns the algorithm does not measure are left out; the CSV writer
+    writes them empty.
+    """
     seed = trial_seed(cfg.seed, trial_id)
-    sched_idx = trial_id // cfg.trials if cfg.schedule_count > 1 else 0
-    row: dict[str, object] = {
-        "trial_id": trial_id,
-        "seed": seed,
-        "schedule": "",
-        "discrepancy": "",
-        "residual": "",
-    }
+    row: dict[str, object] = {"trial_id": trial_id, "seed": seed}
     if cfg.algorithm == "chain":
         n, prob = bundle.chain_params
         res = dy.run_greedy_chain(n, prob, seed)
@@ -371,54 +278,27 @@ def run_one_trial(
             final_size=res.total,
             final_left=res.left,
             final_right=res.right,
-            right_touched="",
-            probe_count="",
-            hits="",
-            root_added="",
-            deload_final="",
             discrepancy=res.discrepancy,
             residual=f"{res.residual:.6f}",
         )
     elif cfg.algorithm == "greedy":
-        chosen, rec = dy.run_randomized_greedy(bundle.graph, seed)
+        _, rec = dy.run_randomized_greedy(bundle.graph, seed)
         row.update(_record_fields(rec))
     elif cfg.algorithm == "degree-greedy":
-        chosen = dy.run_degree_greedy(bundle.graph)
-        row.update(
-            steps=bundle.graph.n,
-            max_size=len(chosen),
-            step_of_max=len(chosen),
-            final_size=len(chosen),
-            final_left="",
-            final_right="",
-            right_touched="",
-            probe_count="",
-            hits="",
-            root_added="",
-            deload_final="",
-        )
-    elif cfg.algorithm == "ct":
-        sched = parse_schedule(cfg.schedules[sched_idx])
-        row["schedule"] = cfg.schedules[sched_idx]
-        tpl = bundle.ct_template
-        ct_cfg = dy.WeightedCTConfig.blowup_implicit(
-            bundle.graph, tpl["ell"], horizon=tpl["horizon"], events=tpl["events"]
-        )
-        rec = dy.run_ct_ump(
-            bundle.graph, ct_cfg, sched, seed, recorder=_recorder_for(cfg, bundle)
-        )
-        row.update(_record_fields(rec))
-    else:  # ump
-        sched = parse_schedule(cfg.schedules[sched_idx])
-        row["schedule"] = cfg.schedules[sched_idx]
-        rec = dy.run_ump(
-            bundle.graph,
-            sched,
-            cfg.steps,
-            seed,
-            recorder=_recorder_for(cfg, bundle),
-        )
-        row.update(_record_fields(rec))
+        size = len(dy.run_degree_greedy(bundle.graph))
+        row.update(steps=bundle.graph.n, max_size=size, step_of_max=size, final_size=size)
+    else:
+        spec = cfg.schedules[trial_id // cfg.trials if cfg.schedule_count > 1 else 0]
+        sched, recorder = parse_schedule(spec), _recorder_for(cfg, bundle)
+        if cfg.algorithm == "ct":
+            tpl = bundle.ct_template
+            ct_cfg = dy.WeightedCTConfig.blowup_implicit(
+                bundle.graph, tpl["ell"], horizon=tpl["horizon"], events=tpl["events"]
+            )
+            rec = dy.run_ct_ump(bundle.graph, ct_cfg, sched, seed, recorder=recorder)
+        else:
+            rec = dy.run_ump(bundle.graph, sched, cfg.steps, seed, recorder=recorder)
+        row.update(schedule=spec, **_record_fields(rec))
 
     alpha = bundle.alpha
     row["alpha"] = alpha if alpha is not None else ""
@@ -443,12 +323,17 @@ def _record_fields(rec: dy.TrialRecord) -> dict:
     )
 
 
-# Worker context shared through fork(); set just before the pool starts.
-_WORKER_CTX: dict = {}
+# (cfg, bundle) of a pool worker process, set once by the pool initializer.
+_worker_args: tuple = ()
+
+
+def _init_worker(cfg: ExperimentConfig, bundle: InstanceBundle) -> None:
+    global _worker_args
+    _worker_args = (cfg, bundle)
 
 
 def _pool_trial(trial_id: int) -> dict:
-    return run_one_trial(_WORKER_CTX["cfg"], _WORKER_CTX["bundle"], trial_id)
+    return run_one_trial(*_worker_args, trial_id)
 
 
 def worker_count(default: int | None = None) -> int:
@@ -465,6 +350,8 @@ class ExperimentManifest:
     config_hash: str
     version: str
     master_seed: int
+    alpha: int | None
+    alpha_method: str | None
     trial_seeds: list[int]
     wall_clock: float
     files: list[str]
@@ -479,23 +366,15 @@ def run_experiment(
     started = time.time()
     bundle = build_instance(cfg)
     if bundle.graph is not None:
-        bundle.graph.neighbor_lists  # build once, shared with forked workers
+        bundle.graph.neighbor_lists  # build once, handed to every worker
 
     ids = list(range(cfg.total_trials))
     nworkers = worker_count(workers)
     if nworkers > 1 and len(ids) > 1:
-        import multiprocessing as mp
-
-        _WORKER_CTX["cfg"] = cfg
-        _WORKER_CTX["bundle"] = bundle
-        try:
-            with mp.Pool(min(nworkers, len(ids))) as pool:
-                rows = pool.map(_pool_trial, ids, chunksize=1)
-        finally:
-            _WORKER_CTX.clear()
+        with mp.Pool(min(nworkers, len(ids)), _init_worker, (cfg, bundle)) as pool:
+            rows = pool.map(_pool_trial, ids, chunksize=1)
     else:
         rows = [run_one_trial(cfg, bundle, i) for i in ids]
-    rows.sort(key=lambda r: r["trial_id"])
 
     out = Path(cfg.out_dir)
     try:
@@ -512,6 +391,8 @@ def run_experiment(
         config_hash=config_hash(cfg),
         version=__version__,
         master_seed=cfg.seed,
+        alpha=bundle.alpha,
+        alpha_method=bundle.alpha_method,
         trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
         wall_clock=time.time() - started,
         files=[str(run_path), str(stats_path)],
@@ -536,9 +417,10 @@ def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
         f"master_seed = {manifest.master_seed}",
         f"wall_clock_s = {manifest.wall_clock:.3f}",
         f"files = {','.join(manifest.files)}",
-        "trial_seeds:",
     ]
-    lines += [f"  {i} {s}" for i, s in enumerate(manifest.trial_seeds)]
+    if manifest.alpha is not None:
+        lines += [f"alpha = {manifest.alpha}", f"alpha_method = {manifest.alpha_method}"]
+    lines += ["trial_seeds:", *[f"  {i} {s}" for i, s in enumerate(manifest.trial_seeds)]]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -599,71 +481,70 @@ def parse_verdict_csv(text: str) -> VerdictReport:
     return VerdictReport(rows)
 
 
-def _fraction(rows: list[dict], predicate) -> float:
-    return sum(1 for r in rows if predicate(r)) / len(rows)
+def _frac(col: str, test):
+    """Fraction of the rows whose recorded ``col`` passes ``test(value, *args)``."""
+    return lambda rows, *args: sum(
+        1 for r in rows if r.get(col, "") != "" and test(float(r[col]), *args)
+    ) / len(rows)
+
+
+def _mean(col: str):
+    """Mean of the recorded values of ``col``; None when none is recorded."""
+
+    def mean(rows: list[dict]) -> float | None:
+        values = [float(r[col]) for r in rows if r.get(col, "") != ""]
+        return sum(values) / len(values) if values else None
+
+    return mean
+
+
+# Acceptance checks, one per config line ``NAME = KIND ARGS...``; the last
+# argument is the target.  kind -> (argument count, observed statistic of the
+# rows and the other arguments, True if it passes iff observed <= target, False
+# for >=).  So ``frac_max_le X F`` asks that the share of trials with
+# max_size <= X be >= F, and ``frac_discrepancy_gt_le X F`` that the share
+# with |L-R| > X be <= F.
+_CHECKS = {
+    "frac_max_le": (2, _frac("max_size", lambda v, x: v <= x), False),
+    "frac_max_ge": (2, _frac("max_size", lambda v, x: v >= x), False),
+    "frac_root_added_le": (1, _frac("root_added", lambda v: v == 1), True),
+    "frac_probe_ge": (2, _frac("probe_count", lambda v, x: v >= x), False),
+    "frac_discrepancy_gt_le": (2, _frac("discrepancy", lambda v, x: v > x), True),
+    "mean_ratio_le": (1, _mean("ratio"), True),
+    "mean_max_le": (1, _mean("max_size"), True),
+}
+
+
+def _parse_check(name: str, spec: str) -> tuple[str, list[float]]:
+    kind, *args = spec.split() or [""]
+    if kind not in _CHECKS:
+        raise ConfigError(f"check {name}: unknown acceptance check kind {kind!r}")
+    try:
+        values = [float(x) for x in args]
+    except ValueError:
+        raise ConfigError(f"check {name}: non-numeric argument in {spec!r}") from None
+    if len(values) != _CHECKS[kind][0]:
+        raise ConfigError(f"check {name}: {kind} takes {_CHECKS[kind][0]} arguments")
+    return kind, values
 
 
 def verdict(cfg: ExperimentConfig, rows: list[dict]) -> VerdictReport:
-    """Evaluate the [acceptance] checks of a config against trial rows.
-
-    Check grammar (one per line): ``NAME = KIND ARGS...`` with kinds
-      frac_max_le X F    fraction of trials with max_size <= X is >= F
-      frac_max_ge X F    fraction of trials with max_size >= X is >= F
-      frac_root_added_le F
-      frac_probe_ge X F  fraction with probe_count >= X is >= F
-      frac_discrepancy_gt_le X F   fraction with |L-R| > X is <= F
-      mean_ratio_le R
-      mean_max_le X
-    """
+    """Evaluate the [acceptance] checks of a config (see ``_CHECKS``) against trial rows."""
     if not rows:
         raise IncompleteRun("no trial rows to judge")
     out: list[VerdictRow] = []
     for name, spec in cfg.acceptance:
-        parts = spec.split()
-        kind = parts[0]
-        args = [float(x) for x in parts[1:]]
-        if kind == "frac_max_le":
-            x, f = args
-            obs = _fraction(rows, lambda r: float(r["max_size"]) <= x)
-            out.append(VerdictRow(name, kind, obs, f, obs >= f))
-        elif kind == "frac_max_ge":
-            x, f = args
-            obs = _fraction(rows, lambda r: float(r["max_size"]) >= x)
-            out.append(VerdictRow(name, kind, obs, f, obs >= f))
-        elif kind == "frac_root_added_le":
-            (f,) = args
-            obs = _fraction(rows, lambda r: str(r["root_added"]) in ("1", "True"))
-            out.append(VerdictRow(name, kind, obs, f, obs <= f))
-        elif kind == "frac_probe_ge":
-            x, f = args
-            obs = _fraction(rows, lambda r: r["probe_count"] != "" and float(r["probe_count"]) >= x)
-            out.append(VerdictRow(name, kind, obs, f, obs >= f))
-        elif kind == "frac_discrepancy_gt_le":
-            x, f = args
-            obs = _fraction(rows, lambda r: r["discrepancy"] != "" and float(r["discrepancy"]) > x)
-            out.append(VerdictRow(name, kind, obs, f, obs <= f))
-        elif kind == "mean_ratio_le":
-            (r_target,) = args
-            ratios = [float(r["ratio"]) for r in rows if r["ratio"] != ""]
-            if not ratios:
-                raise IncompleteRun(f"check {name}: no ratios recorded")
-            obs = sum(ratios) / len(ratios)
-            out.append(VerdictRow(name, kind, obs, r_target, obs <= r_target))
-        elif kind == "mean_max_le":
-            (x,) = args
-            obs = sum(float(r["max_size"]) for r in rows) / len(rows)
-            out.append(VerdictRow(name, kind, obs, x, obs <= x))
-        else:
-            raise ConfigError(f"unknown acceptance check kind {kind!r}")
+        kind, (*args, target) = _parse_check(name, spec)
+        _, observe, upper = _CHECKS[kind]
+        obs = observe(rows, *args)
+        if obs is None:
+            raise IncompleteRun(f"check {name}: no values recorded")
+        out.append(VerdictRow(name, kind, obs, target, obs <= target if upper else obs >= target))
     return VerdictReport(out)
 
 
-def read_run_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def read_stats_csv(path: str | Path) -> list[dict]:
+def read_csv(path: str | Path) -> list[dict]:
+    """Rows of a ``run.csv`` or ``stats.csv`` file, as dicts of strings."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 

@@ -1,21 +1,28 @@
-"""Seeded generators for every benchmark instance family.
+"""Seeded generators for every benchmark instance family, and the family table.
 
 All generators are pure functions of their parameters and seed: identical
 inputs give byte-identical graph files.  Randomness comes from
 counter-based sub-streams of the master seed, so adding a generator call
 never perturbs any other stream.  Bernoulli edge sets are sampled with
 geometric gap skipping, which costs O(edges) rather than O(pairs).
+
+``FAMILIES`` is the one place a family is defined: its typed parameters,
+the function that builds it, where its alpha comes from, and what the
+recorder watches.  ``annealbench gen`` and ``harness.build_instance``
+both read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
+from . import graph_core as gc
 from . import rng as rngmod
-from .errors import InvalidDenseParams, NotBipartite
+from .errors import ConfigError, InvalidDenseParams, NotBipartite
 from .graph_core import (
     NO_GROUP,
     SIDE_L,
@@ -121,12 +128,6 @@ class CloudMeta:
     def members(self, cloud: int) -> range:
         start = cloud * self.cloud_size
         return range(start, start + self.cloud_size)
-
-    def cloud_of(self, vertex: int) -> int:
-        return vertex // self.cloud_size
-
-    def copy_and_base(self, cloud: int) -> tuple[int, int]:
-        return divmod(cloud, self.base_n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +298,6 @@ def gen_star_tree(k: int) -> Graph:
     return build_graph(2 * k + 1, edges, kind="star-tree")
 
 
-def star_tree_regions(k: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(root, mid vertices, leaf vertices) of :func:`gen_star_tree`."""
-    return 0, np.arange(1, k + 1), np.arange(k + 1, 2 * k + 1)
-
-
 def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
     """Disjoint spiders, optionally joined into one tree by an apex vertex.
 
@@ -395,22 +391,161 @@ def multicopy_block_size(n: int, eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form alphas and sidecar metadata
+# Typed parameters
 
 
-def formula_alpha(family: str, **kw) -> int | None:
-    """Known closed-form alpha for a family, or None."""
-    if family == "star-tree":
-        return kw["k"] + 1
-    if family == "hard-tree":
-        return kw["copies"] * (kw["k"] + 1)
-    if family == "anchor":
-        return kw["n"]
-    if family == "multicopy":
-        return kw["n"] * multicopy_block_size(kw["n"], kw["eps"])
-    if family == "bipartite-blowup":
-        return kw["alpha_base"] * kw["cloud_size"] * kw["copies"]
-    return None
+def parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return low in ("1", "true", "yes")
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def parse_params(schema: dict, raw: Mapping[str, object], where: str) -> dict:
+    """Typed values of ``raw`` under ``schema`` (key -> type, or (type,
+    default) when optional).  Each value is parsed from its text, so ``int``
+    rejects ``4.7`` and keeps every digit of a large seed; an empty value
+    counts as missing.  An unknown key, a missing required key or a value
+    its type rejects raises :class:`ConfigError` naming the key.
+    """
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    out = {}
+    for key, spec in schema.items():
+        kind, default = spec if isinstance(spec, tuple) else (spec, None)
+        text = str(raw.get(key, "")).strip()
+        if not text and not isinstance(spec, tuple):
+            raise ConfigError(f"{where} needs key {key!r}")
+        try:
+            out[key] = kind(text) if text else default
+        except ValueError:
+            kind_name = kind.__name__.lstrip("_")
+            raise ConfigError(f"{where}: {key} = {text!r} is not a valid {kind_name}") from None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Family table
+
+CLOSED_FORM = "closed_form"
+MATCHING = gc.METHOD_BIPARTITE_MATCHING  # exact, Koenig via Hopcroft-Karp
+LOWER_BOUND = "lower_bound"
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A built family member: the graph the engines run on, its alpha, and
+    the vertices the recorder watches (``watch_root``) and probes."""
+
+    graph: Graph
+    alpha: Callable[[], int]  # called only when no override is configured
+    watch: tuple[int, ...] = ()
+    probe: tuple[int, ...] = ()
+    blowup: BlowupParams | None = None  # set when ``graph`` is an implicit clique blowup's base
+    notes: tuple[str, ...] = ()  # parameter regime warnings
+
+
+@dataclass(frozen=True)
+class Family:
+    name: str
+    schema: dict
+    build: Callable[[dict, int], Instance]  # (typed params, seed)
+    alpha_method: str  # CLOSED_FORM, MATCHING or LOWER_BOUND
+    chain: Callable[[dict], tuple[int, float]] | None = None  # (n, p) of the greedy chain
+    track_clouds: bool = False
+
+    def parse(self, raw: Mapping[str, object]) -> dict:
+        return parse_params(self.schema, raw, f"family {self.name}")
+
+
+def family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown instance family {name!r}")
+    return FAMILIES[name]
+
+
+# Build functions look generators up in this module's globals at call time, so
+# wrappers installed on the module (the benchmark's tracing) see each call.
+
+
+def _spider(p: dict, seed: int) -> Instance:
+    k = p["k"]
+    return Instance(gen_star_tree(k), lambda: k + 1, watch=(0,), probe=tuple(range(1, k + 1)))
+
+
+def _spider_forest(p: dict, seed: int) -> Instance:
+    # Copy roots plus all leaves stay maximum with or without the apex.
+    k, copies = p["k"], p["copies"]
+    roots = tuple(range(0, copies * (2 * k + 1), 2 * k + 1))
+    g = gen_hard_tree(k, copies, apex=p["apex"])
+    return Instance(g, lambda: copies * (k + 1), watch=roots)
+
+
+def _multicopy(p: dict, seed: int) -> Instance:
+    n, eps = p["n"], p["eps"]
+    return Instance(gen_appendix_multicopy(n, eps), lambda: n * multicopy_block_size(n, eps))
+
+
+def _matched(g: Graph, notes: tuple[str, ...] = ()) -> Instance:
+    return Instance(g, lambda: gc.alpha_bipartite(g).alpha, notes=notes)
+
+
+def _clique_blowup(p: dict, seed: int) -> Instance:
+    params = BlowupParams(n=p["n"], k=p["k"], ell=p["ell"], p=p["p"], seed=seed)
+    base = gen_base_bipartite(params.n, params.k, params.p, seed=seed)
+    explicit = p["mode"] == "explicit"
+    graph = gen_clique_blowup(params, base=base) if explicit else base
+    # The k*n right vertices are independent: a certified lower bound.
+    return Instance(
+        graph,
+        lambda: params.k * params.n,
+        blowup=None if explicit else params,
+        notes=validate_relations(params).messages,
+    )
+
+
+def _cloud_blowup(p: dict, seed: int) -> Instance:
+    base = gen_base_bipartite(p["base_n"], p["base_k"], p["base_p"], seed=seed)
+    g, meta = gen_bipartite_blowup(base, p["cloud_size"], p["copies"])
+    return Instance(g, lambda: gc.alpha_bipartite(base).alpha * meta.cloud_size * meta.copies)
+
+
+def _blowup_mode(text: str) -> str:
+    if text not in ("implicit", "explicit"):
+        raise ValueError(text)
+    return text
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("star-tree", {"k": int}, _spider, CLOSED_FORM),
+    Family("hard-tree", {"k": int, "copies": int, "apex": (parse_bool, True)}, _spider_forest,
+           CLOSED_FORM),
+    Family("anchor", {"n": int},
+           lambda p, seed: Instance(gen_appendix_anchor(p["n"]), lambda: p["n"]), CLOSED_FORM),
+    Family("multicopy", {"n": int, "eps": float}, _multicopy, CLOSED_FORM),
+    Family("base-bipartite", {"n": int, "k": int, "p": float},
+           lambda p, seed: _matched(gen_base_bipartite(p["n"], p["k"], p["p"], seed=seed)),
+           MATCHING),
+    Family("balanced-bipartite", {"n": int, "d": float},
+           lambda p, seed: _matched(gen_random_balanced_bipartite(p["n"], p["d"], seed=seed),
+                                    balanced_bipartite_flags(p["n"], p["d"])),
+           MATCHING, chain=lambda p: (p["n"], p["d"] / p["n"])),
+    Family("clique-blowup",
+           {"n": int, "k": int, "p": float, "ell": int, "mode": (_blowup_mode, "implicit")},
+           _clique_blowup, LOWER_BOUND),
+    Family("bipartite-blowup",
+           {"base_n": int, "base_k": int, "base_p": float, "cloud_size": int, "copies": int},
+           _cloud_blowup, CLOSED_FORM, track_clouds=True),
+)}
+
+
+# ---------------------------------------------------------------------------
+# Sidecar metadata
 
 
 def sidecar_text(family: str, params: dict, seed: int | None, alpha: int | None) -> str:

@@ -88,10 +88,6 @@ class FugacitySchedule:
         return FugacitySchedule(kind="infinite", lam=INF)
 
     @staticmethod
-    def greedy() -> "FugacitySchedule":
-        return FugacitySchedule.infinite()
-
-    @staticmethod
     def sequence(values) -> "FugacitySchedule":
         vals = tuple(_check_lambda(v) for v in values)
         if not vals:
@@ -115,10 +111,6 @@ class FugacitySchedule:
         if rule not in ADAPTIVE_RULES:
             raise InvalidFugacity(f"unknown adaptive rule {rule!r}")
         return FugacitySchedule(kind="adaptive", rule=rule)
-
-    @property
-    def is_adaptive(self) -> bool:
-        return self.kind == "adaptive"
 
     def segment(self, t: int, digest: HistoryDigest | None = None) -> tuple[float, int]:
         """Fugacity at 0-based step ``t`` and how many steps it holds.
@@ -151,18 +143,6 @@ class FugacitySchedule:
             lam, hold = ADAPTIVE_RULES[self.rule](t, digest)
             return _check_lambda(lam), max(1, int(hold))
         raise InvalidFugacity(f"unknown schedule kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{self.lam:g}"
-        if self.kind == "infinite":
-            return "greedy"
-        if self.kind == "sequence":
-            return f"seq[{len(self.values)}]"
-        if self.kind == "geometric":
-            cap = "" if math.isinf(self.cap) else f":{self.cap:g}"
-            return f"geometric:{self.start:g}:{self.factor:g}:{self.block}{cap}"
-        return f"adaptive:{self.rule}"
 
 
 def parse_schedule(text: str) -> FugacitySchedule:

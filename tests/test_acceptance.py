@@ -274,7 +274,8 @@ def tree_approx_run(outroot):
 
 def test_criterion_5_tree_approximation(tree_approx_run):
     cfg, manifest, elapsed = tree_approx_run
-    alpha = ig.formula_alpha("hard-tree", k=50, copies=20)
+    forest = ig.family("hard-tree")
+    alpha = forest.build(forest.parse({"k": 50, "copies": 20}), 0).alpha()
     assert alpha == 1020
     n_vertices = 20 * 101 + 1
     lam = 4.0 ** (1 / 0.2 + math.log2(n_vertices) / (0.2 * n_vertices))

@@ -35,7 +35,7 @@ def test_gen_alpha_run_report_pipeline(tmp_path, capsys):
         )
         == 0
     )
-    rows = hz.read_run_csv(run_csv)
+    rows = hz.read_csv(run_csv)
     assert len(rows) == 3
     assert all(r["alpha"] == "6" for r in rows)
 
@@ -122,5 +122,5 @@ def test_run_greedy_algorithm(tmp_path):
         )
         == 0
     )
-    rows = hz.read_run_csv(out_csv)
+    rows = hz.read_csv(out_csv)
     assert rows[0]["max_size"] == "2"

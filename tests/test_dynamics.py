@@ -530,8 +530,8 @@ def test_greedy_chain_checkpoints_monotone():
 
 def test_clouds_never_deload_under_greedy():
     base = ig.gen_base_bipartite(3, 1, 0.5, seed=21)
-    g, meta = ig.gen_bipartite_blowup(base, cloud_size=3, copies=2)
-    rec = dy.track_clouds(g, meta, GREEDY, 5000, seed=13)
+    g, _ = ig.gen_bipartite_blowup(base, cloud_size=3, copies=2)
+    rec = dy.run_ump(g, GREEDY, 5000, seed=13, recorder=dy.RecorderConfig(track_clouds=True))
     assert rec.deload_final == 0
 
 

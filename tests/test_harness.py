@@ -158,8 +158,8 @@ def test_read_and_merge_csvs(tmp_path):
     cfg = _cfg(tmp_path)
     hz.run_experiment(cfg, workers=1)
     out = Path(cfg.out_dir)
-    run_rows = hz.read_run_csv(out / "run.csv")
-    stats_rows = hz.read_stats_csv(out / "stats.csv")
+    run_rows = hz.read_csv(out / "run.csv")
+    stats_rows = hz.read_csv(out / "stats.csv")
     merged = hz.merge_run_and_stats(run_rows, stats_rows)
     assert len(merged) == cfg.total_trials
     assert "schedule" in merged[0] and "max_size" in merged[0]
@@ -203,3 +203,94 @@ def test_bundled_configs_parse():
     for name in names:
         cfg = hz.loads_config((cfg_dir / name).read_text())
         assert cfg.total_trials >= 1
+
+
+# -- strict [run] parsing ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("trials = 3", "trials = 0", "trials"),
+        ("thresholds = 2,3", "thresholds = 4.7", "thresholds"),
+        ("steps = 400", "steps = 400\nsteps_per_trial = 9", "steps_per_trial"),
+        ("seed = 99", "seed = 99\nalpha = 0", "alpha"),
+        ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_max_ge 2", "reach2"),
+        ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_max_ge 2 0.9 7", "reach2"),
+        ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_flux_capacitor 1 2", "frac_flux_capacitor"),
+    ],
+)
+def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, match):
+    with pytest.raises(ConfigError, match=match):
+        _cfg(tmp_path, TINY_CFG.replace(old, new))
+
+
+def test_large_seed_is_kept_exactly(tmp_path):
+    cfg = _cfg(tmp_path, TINY_CFG.replace("seed = 99", "seed = 12345678901234567891"))
+    assert cfg.seed == 12345678901234567891
+
+
+# -- alpha provenance ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "instance,extra,alpha,method",
+    [
+        ("family = star-tree\nk = 3", "", 4, "closed_form"),
+        ("family = star-tree\nk = 3", "alpha = 7", 7, "override"),
+        ("family = balanced-bipartite\nn = 30\nd = 3", "", None, "bipartite_matching"),
+        ("family = clique-blowup\nn = 5\nk = 2\np = 0.1\nell = 3", "", 10, "lower_bound"),
+    ],
+)
+def test_manifest_records_alpha_and_its_source(tmp_path, instance, extra, alpha, method):
+    text = TINY_CFG.replace("family = star-tree\nk = 3", instance).replace(
+        "watch_root = true", extra
+    )
+    cfg = _cfg(tmp_path, text)
+    cfg.acceptance = []
+    manifest = hz.run_experiment(cfg, workers=1)
+    lines = (Path(cfg.out_dir) / "manifest.txt").read_text().splitlines()
+    assert f"alpha = {manifest.alpha}" in lines
+    assert f"alpha_method = {method}" in lines
+    assert manifest.alpha_method == method
+    if alpha is not None:
+        assert manifest.alpha == alpha
+    header = (Path(cfg.out_dir) / "run.csv").read_text().splitlines()[0]
+    assert header == ",".join(hz.RUN_CSV_COLUMNS)
+
+
+# -- pool start methods -------------------------------------------------------
+
+SPAWN_SCRIPT = """
+import multiprocessing, sys
+from annealbench import harness as hz
+multiprocessing.set_start_method("spawn")
+cfg = hz.loads_config(sys.argv[1])
+hz.run_experiment(cfg, workers=2)
+"""
+
+
+def test_pool_under_spawn_matches_serial(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    serial = _cfg(tmp_path)
+    serial.out_dir = str(tmp_path / "serial")
+    hz.run_experiment(serial, workers=1)
+    text = TINY_CFG.format(out=tmp_path / "spawn")
+    env = {k: v for k, v in os.environ.items() if k != "ANNEALBENCH_WORKERS"}
+    src = str(Path(hz.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT, text],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("run.csv", "stats.csv"):
+        assert (tmp_path / "spawn" / name).read_bytes() == (
+            tmp_path / "serial" / name
+        ).read_bytes()

@@ -12,6 +12,12 @@ from annealbench import instance_gen as ig
 from annealbench.errors import InvalidDenseParams
 
 
+def _table_alpha(name, seed=0, **params):
+    """Alpha of a family member as the family table gives it."""
+    fam = ig.family(name)
+    return fam.build(fam.parse(params), seed).alpha()
+
+
 # -- base bipartite ----------------------------------------------------------
 
 
@@ -275,7 +281,7 @@ def test_multicopy_counts_and_alpha():
     assert g.n == 15
     assert ig.multicopy_block_size(3, eps) == 2
     assert gc.alpha_bruteforce(g).alpha == 6
-    assert ig.formula_alpha("multicopy", n=3, eps=eps) == 6
+    assert _table_alpha("multicopy", n=3, eps=eps) == 6
 
 
 def test_multicopy_each_block_independent():
@@ -296,14 +302,14 @@ def test_multicopy_each_block_independent():
 @given(st.integers(1, 5))
 def test_formula_alpha_star_tree(k):
     g = ig.gen_star_tree(k)
-    assert gc.alpha_tree(g).alpha == ig.formula_alpha("star-tree", k=k)
+    assert gc.alpha_tree(g).alpha == _table_alpha("star-tree", k=k)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3))
 def test_formula_alpha_hard_tree(k, copies):
     g = ig.gen_hard_tree(k, copies)
-    assert gc.alpha_tree(g).alpha == ig.formula_alpha("hard-tree", k=k, copies=copies)
+    assert gc.alpha_tree(g).alpha == _table_alpha("hard-tree", k=k, copies=copies)
 
 
 @settings(max_examples=20, deadline=None)
@@ -312,9 +318,10 @@ def test_formula_alpha_bipartite_blowup(seed, base_n, K, M):
     base = ig.gen_base_bipartite(base_n, 1, 0.4, seed=seed)
     alpha_base = gc.alpha_bipartite(base).alpha
     g, _ = ig.gen_bipartite_blowup(base, K, M)
-    expect = ig.formula_alpha(
-        "bipartite-blowup", alpha_base=alpha_base, cloud_size=K, copies=M
+    expect = _table_alpha(
+        "bipartite-blowup", base_n=base_n, base_k=1, base_p=0.4, cloud_size=K, copies=M, seed=seed
     )
+    assert expect == alpha_base * K * M
     assert gc.alpha_bipartite(g).alpha == expect
 
 
