@@ -71,7 +71,9 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         thresholds=args.thresholds,
         early_stop_size=args.early_stop,
+        alpha_override=args.alpha,
     )
+    cfg.validate_run()
     bundle = hz.InstanceBundle(gc.read_graph_file(args.graph), args.alpha, watch=args.watch)
     rows = [hz.run_one_trial(cfg, bundle, i) for i in range(args.trials)]
     hz._write_csv(Path(args.out), hz.RUN_CSV_COLUMNS, rows)

@@ -8,7 +8,7 @@ occupied vertex is removed when the step's uniform draw falls below
 * :func:`run_ump`          discrete chain, uniform vertex proposals;
 * :func:`run_ct_ump`       continuous-time chain with per-vertex rates and
                            per-vertex fugacity multipliers, simulated as its
-                           embedded jump chain;
+                           embedded jump chain by a rejection-free engine;
 * :func:`run_randomized_greedy` / :func:`run_degree_greedy` greedy baselines;
 * :func:`run_coupled_monotone`  two coupled chains whose order is checked
                            after every event;
@@ -19,12 +19,25 @@ Hot loops consume pre-sampled chunks from a counter-based stream, maintain
 per-vertex blocked counters (updated only when a vertex flips), and keep
 all per-step bookkeeping O(1), so one trial with 10^7 events is practical
 in pure Python.
+
+Two engines share the recorder contract (steps, maxima, hitting steps,
+snapshots and probes all count proposals).  The step engine
+(:func:`_simulate`) draws every proposal; it runs the discrete chain and is
+its byte reference.  The rejection-free engine (:func:`_simulate_jump`,
+the n-fold way of Bortz, Kalos & Lebowitz 1975; Gillespie 1977) runs the
+weighted chain: it keeps the free and the occupied vertices of each
+(rate, multiplier) class in swap-remove lists, skips the Geometric(p) run
+of proposals that would change nothing, and applies the next state change
+directly.  It is exact in law, not byte-equal, to stepping; only a recorder
+that tracks touched vertices, which must see every proposal, sends the
+weighted chain to the step engine (:func:`ct_engine`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,11 +136,11 @@ class TrialRecord:
 
 
 # ---------------------------------------------------------------------------
-# Shared engine
+# Step engine
 #
-# `thr_per_vertex` is None for the uniform-fugacity discrete chain (scalar
+# `multipliers` is None for the uniform-fugacity discrete chain (scalar
 # threshold per schedule segment) or a vector of per-vertex multipliers for
-# the weighted chain.  Proposal vertices come from `draw_vertices(m)`.
+# the weighted chain, whose proposals are drawn through `rate_cdf`.
 
 
 def _simulate(
@@ -176,18 +189,8 @@ def _simulate(
 
     touched = bytearray(n) if rec.track_touched else None
 
-    snap_every = rec.snapshot_every
-    if snap_every is None:
-        snap_every = max(1, math.ceil(steps / 1000))
-    snapshots: list[tuple[int, int, int, int]] = []
-
-    probe_step = rec.probe_step if rec.probe_step is not None else _NEVER
-    probe_count = None
-    check_every = rec.check_every if rec.check_every else _NEVER
-
-    next_snap = snap_every
-    next_check = check_every
-    next_mark = min(next_snap, probe_step, next_check)
+    marks = _Marks(g, rec, steps)
+    next_mark = marks.next
 
     argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
 
@@ -197,13 +200,6 @@ def _simulate(
     thr = 0.0
 
     digest = HistoryDigest(occupied=occ)
-
-    def current_digest(t: int) -> HistoryDigest:
-        digest.t = t
-        digest.size = size
-        digest.max_size = max_size
-        digest.step_of_max = step_of_max
-        return digest
 
     t = 0
     seg_end = 0
@@ -218,7 +214,9 @@ def _simulate(
         for idx in range(m):
             t += 1
             if t > seg_end:
-                lam, hold = sched.segment(t - 1, current_digest(t - 1))
+                lam, hold = sched.segment(
+                    t - 1, _digest_at(digest, t - 1, size, max_size, step_of_max)
+                )
                 if per_vertex:
                     if math.isinf(lam):
                         thr_list = [0.0] * n
@@ -279,15 +277,7 @@ def _simulate(
                         running = False
                         break
             if t == next_mark:
-                if t == next_snap:
-                    snapshots.append((t, size, lsize, rsize))
-                    next_snap += snap_every
-                if t == probe_step:
-                    probe_count = sum(occ[u] for u in rec.probe_vertices)
-                if t == next_check:
-                    _debug_check(g, occ, size)
-                    next_check += check_every
-                next_mark = min(next_snap, probe_step if probe_step > t else _NEVER, next_check)
+                next_mark = marks.visit(t, size, lsize, rsize, occ)
 
     record = TrialRecord(
         seed=seed_label,
@@ -296,11 +286,11 @@ def _simulate(
         step_of_max=step_of_max,
         final_size=size,
         hitting_steps=hits,
-        snapshots=snapshots,
+        snapshots=marks.snapshots,
         final_left=lsize if side_list is not None else -1,
         final_right=rsize if side_list is not None else -1,
         root_added=root_added,
-        probe_count=probe_count,
+        probe_count=marks.probe_count,
     )
     if grp_list is not None:
         record.deload_final = deload_count
@@ -315,12 +305,265 @@ def _simulate(
     return record
 
 
+class _Marks:
+    """The recorder's step marks, the same for both engines: a snapshot
+    every ``snapshot_every`` steps, the probe step and debug checks.  An
+    engine calls :meth:`visit` when step ``next`` is done; it returns the
+    step of the next mark."""
+
+    def __init__(self, g: Graph, rec: RecorderConfig, steps: int):
+        self.g = g
+        self.probe_vertices = rec.probe_vertices
+        snap_every = rec.snapshot_every
+        if snap_every is None:
+            snap_every = max(1, math.ceil(steps / 1000))
+        self.snap_every = self.next_snap = snap_every
+        self.snapshots: list[tuple[int, int, int, int]] = []
+        self.probe_step = rec.probe_step if rec.probe_step is not None else _NEVER
+        self.probe_count: int | None = None
+        self.check_every = self.next_check = rec.check_every if rec.check_every else _NEVER
+        self.next = min(self.next_snap, self.probe_step, self.next_check)
+
+    def visit(self, t: int, size: int, lsize: int, rsize: int, occ: bytearray) -> int:
+        if t == self.next_snap:
+            self.snapshots.append((t, size, lsize, rsize))
+            self.next_snap += self.snap_every
+        if t == self.probe_step:
+            self.probe_count = sum(occ[u] for u in self.probe_vertices)
+        if t == self.next_check:
+            _debug_check(self.g, occ, size)
+            self.next_check += self.check_every
+        self.next = min(
+            self.next_snap, self.probe_step if self.probe_step > t else _NEVER, self.next_check
+        )
+        return self.next
+
+
+def _digest_at(
+    digest: HistoryDigest, t: int, size: int, max_size: int, step_of_max: int
+) -> HistoryDigest:
+    digest.t = t
+    digest.size = size
+    digest.max_size = max_size
+    digest.step_of_max = step_of_max
+    return digest
+
+
 def _debug_check(g: Graph, occ: bytearray, size: int) -> None:
     chosen = [v for v in range(g.n) if occ[v]]
     if len(chosen) != size:
         raise AssertionError("size counter out of sync")
     if not is_independent(g, chosen):
         raise NotIndependent("occupied set spans an edge")
+
+
+# ---------------------------------------------------------------------------
+# Rejection-free engine (n-fold way)
+#
+# Equal in law to `_simulate` with per-vertex multipliers and rate-weighted
+# proposals, but it never draws a proposal that changes nothing.  Vertices
+# fall into classes of equal (rate, multiplier); each class keeps its free
+# vertices (unoccupied, no occupied neighbor) and its occupied vertices in
+# swap-remove lists sharing one position array.  A proposal changes the
+# state with probability
+#     p = (sum_c r_c |free_c| + sum_c r_c |occ_c| / (m_c lambda)) / R,
+# so the no-ops before the next event are Geometric(p); the skip is cut at
+# the next segment end, recorder mark or step budget and redrawn there,
+# which is exact because the geometric law is memoryless.  The event then
+# picks a (class, free-or-occupied) bucket by weight and a uniform member.
+
+
+def _reals(gen: np.random.Generator, chunk: int):
+    """The stream's uniform reals one at a time, drawn in blocks that double
+    up to ``chunk`` (short runs stay cheap); the sequence does not depend on
+    ``chunk``."""
+    size = min(64, chunk)
+    while True:
+        yield from gen.random(size).tolist()
+        size = min(2 * size, chunk)
+
+
+def _simulate_jump(
+    g: Graph,
+    sched: FugacitySchedule,
+    steps: int,
+    gen: np.random.Generator,
+    rec: RecorderConfig,
+    seed_label: int,
+    classes: RateClasses,
+    chunk: int = _CHUNK,
+) -> TrialRecord:
+    n = g.n
+    adj = g.neighbor_lists
+    occ = bytearray(n)
+    blocked = [0] * n
+    side_list = g.side.tolist() if g.side is not None else None
+    grp_list = g.group.tolist() if (rec.track_clouds and g.group is not None) else None
+
+    cls, crate, cmult = classes.of, classes.rates, classes.multipliers
+    free = [list(m) for m in classes.members]  # everything is free in the empty set
+    held: list[list[int]] = [[] for _ in crate]
+    pos = list(classes.index)  # index of v in the one list (free or held) that holds it
+    total_rate = sum(r * len(lst) for r, lst in zip(crate, free))
+    cthr = [0.0] * len(crate)
+
+    size = 0
+    lsize = 0
+    rsize = 0
+    max_size = 0
+    step_of_max = 0
+    root_added = False
+
+    thr_sorted = sorted(set(int(x) for x in rec.thresholds))
+    hits: dict[int, int] = {}
+    ti = 0
+    nthr = len(thr_sorted)
+
+    early = rec.early_stop_size if rec.early_stop_size is not None else _NEVER
+
+    watch_arr = None
+    if rec.watch:
+        watch_arr = bytearray(n)
+        for v in rec.watch:
+            watch_arr[v] = 1
+
+    loads = None
+    deload_count = 0
+    if grp_list is not None:
+        loads = [0] * (int(max(grp_list)) + 1)
+        deloaded = bytearray(len(loads))
+
+    marks = _Marks(g, rec, steps)
+    next_mark = marks.next
+
+    argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
+
+    digest = HistoryDigest(occupied=occ)
+    draw = _reals(gen, chunk).__next__
+
+    t = 0
+    seg_end = 0
+    stale = True
+    while t < steps:
+        if t >= seg_end:
+            lam, hold = sched.segment(t, _digest_at(digest, t, size, max_size, step_of_max))
+            seg_end = t + hold
+            cthr = [0.0 if math.isinf(lam) else 1.0 / (m * lam) for m in cmult]
+            stale = True
+        if stale:
+            # (bucket weight, members, adds?) for every bucket that can fire
+            buckets = [(r * len(f), f, True) for r, f in zip(crate, free) if f]
+            buckets += [
+                (r * q * len(h), h, False) for r, q, h in zip(crate, cthr, held) if h and q
+            ]
+            weight = sum(b[0] for b in buckets)
+            p = weight / total_rate
+            log_stay = math.log1p(-p) if p < 1.0 else -math.inf
+            stale = False
+        cut = min(seg_end, next_mark, steps)
+        skip = math.log(1.0 - draw()) / log_stay if weight else math.inf
+        if skip >= cut - t:
+            t = cut  # no event before the cut
+        else:
+            t += int(skip) + 1
+            stale = True
+            x = draw() * weight
+            for bw, members, adding in buckets:
+                if x < bw:
+                    break
+                x -= bw
+            v = members[int(draw() * len(members))]
+            # move v out of its list (swap-remove) and into the other one
+            i = pos[v]
+            last = members.pop()
+            if last != v:
+                members[i] = last
+                pos[last] = i
+            other = held[cls[v]] if adding else free[cls[v]]
+            pos[v] = len(other)
+            other.append(v)
+            if adding:
+                occ[v] = 1
+                size += 1
+                for w in adj[v]:
+                    b = blocked[w]
+                    if not b:
+                        f = free[cls[w]]
+                        i = pos[w]
+                        last = f.pop()
+                        if last != w:
+                            f[i] = last
+                            pos[last] = i
+                    blocked[w] = b + 1
+                if side_list is not None:
+                    s = side_list[v]
+                    if s == 0:
+                        lsize += 1
+                    elif s == 1:
+                        rsize += 1
+                if grp_list is not None:
+                    gid = grp_list[v]
+                    if gid >= 0:
+                        loads[gid] += 1
+                if watch_arr is not None and watch_arr[v]:
+                    root_added = True
+                if size > max_size:
+                    max_size = size
+                    step_of_max = t
+                    if argmax_bytes is not None:
+                        argmax_bytes = bytes(occ)
+                    while ti < nthr and size >= thr_sorted[ti]:
+                        hits[thr_sorted[ti]] = t
+                        ti += 1
+                    if size >= early:
+                        break
+            else:
+                occ[v] = 0
+                size -= 1
+                for w in adj[v]:
+                    b = blocked[w] - 1
+                    blocked[w] = b
+                    if not b:
+                        f = free[cls[w]]
+                        pos[w] = len(f)
+                        f.append(w)
+                if side_list is not None:
+                    s = side_list[v]
+                    if s == 0:
+                        lsize -= 1
+                    elif s == 1:
+                        rsize -= 1
+                if grp_list is not None:
+                    gid = grp_list[v]
+                    if gid >= 0:
+                        newload = loads[gid] - 1
+                        loads[gid] = newload
+                        if newload == 0 and not deloaded[gid]:
+                            deloaded[gid] = 1
+                            deload_count += 1
+        if t == next_mark:
+            next_mark = marks.visit(t, size, lsize, rsize, occ)
+
+    record = TrialRecord(
+        seed=seed_label,
+        steps=t,
+        max_size=max_size,
+        step_of_max=step_of_max,
+        final_size=size,
+        hitting_steps=hits,
+        snapshots=marks.snapshots,
+        final_left=lsize if side_list is not None else -1,
+        final_right=rsize if side_list is not None else -1,
+        root_added=root_added,
+        probe_count=marks.probe_count,
+    )
+    if grp_list is not None:
+        record.deload_final = deload_count
+    if rec.keep_final_state:
+        record.final_state = frozenset(v for v in range(n) if occ[v])
+    if argmax_bytes is not None:
+        record.argmax_state = frozenset(v for v in range(n) if argmax_bytes[v])
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +704,22 @@ def hardcore_distribution(g: Graph, lam: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class RateClasses:
+    """Vertices grouped by equal (rate, multiplier), classes in sorted order.
+
+    ``of[v]`` is the class of ``v``, ``members[c]`` the vertices of class
+    ``c`` in increasing order, and ``index[v]`` the position of ``v`` in
+    ``members[of[v]]``.
+    """
+
+    of: list[int]
+    rates: list[float]
+    multipliers: list[float]
+    members: list[list[int]]
+    index: list[int]
+
+
+@dataclass(frozen=True)
 class WeightedCTConfig:
     """Per-vertex update rates and fugacity multipliers, plus a horizon.
 
@@ -491,6 +750,22 @@ class WeightedCTConfig:
     @property
     def total_rate(self) -> float:
         return float(np.sum(self.rates))
+
+    @cached_property
+    def classes(self) -> RateClasses:
+        # complex numbers sort by real part, then imaginary part
+        keys, of = np.unique(self.rates + 1j * self.multipliers, return_inverse=True)
+        members = [np.flatnonzero(of == c) for c in range(len(keys))]
+        index = np.empty(len(of), dtype=np.int64)
+        for m in members:
+            index[m] = np.arange(len(m))
+        return RateClasses(
+            of.tolist(),
+            keys.real.tolist(),
+            keys.imag.tolist(),
+            [m.tolist() for m in members],
+            index.tolist(),
+        )
 
     @staticmethod
     def for_sides(
@@ -526,6 +801,15 @@ class WeightedCTConfig:
         )
 
 
+def ct_engine(recorder: RecorderConfig | None) -> str:
+    """The engine :func:`run_ct_ump` uses with ``recorder``.
+
+    ``"jump"`` (rejection-free) unless the recorder tracks touched vertices,
+    which needs every proposal; then ``"step"``, one proposal at a time.
+    """
+    return "step" if recorder is not None and recorder.track_touched else "jump"
+
+
 def run_ct_ump(
     base: Graph,
     cfg: WeightedCTConfig,
@@ -539,7 +823,9 @@ def run_ct_ump(
     Inter-event times are exponential in the total rate, so only the jump
     chain is simulated: the event count is drawn Poisson for a time horizon
     (or given directly), each event lands on a vertex with probability
-    proportional to its rate, and recorder steps count events.
+    proportional to its rate, and recorder steps count events.  The
+    rejection-free engine skips the events that change nothing in law
+    (see :func:`ct_engine`); the record still counts them.
     """
     if base.side is None:
         raise InvalidRate("continuous-time chain expects a labeled base graph")
@@ -549,19 +835,9 @@ def run_ct_ump(
         n_events = int(cfg.events)
     else:
         n_events = int(gen.poisson(cfg.total_rate * cfg.horizon))
+    if ct_engine(rec) == "jump":
+        return _simulate_jump(base, sched, n_events, gen, rec, seed, cfg.classes, chunk)
     cdf = np.cumsum(cfg.rates)
-    cdf = cdf / cdf[-1]
-    if n_events < 1:
-        empty = TrialRecord(
-            seed=seed, steps=0, max_size=0, step_of_max=0, final_size=0
-        )
-        empty.final_left = 0
-        empty.final_right = 0
-        if rec.track_touched:
-            empty.right_touched = 0
-        if rec.keep_final_state:
-            empty.final_state = frozenset()
-        return empty
     return _simulate(
         base,
         sched,
@@ -570,7 +846,7 @@ def run_ct_ump(
         rec,
         seed_label=seed,
         multipliers=cfg.multipliers,
-        rate_cdf=cdf,
+        rate_cdf=cdf / cdf[-1],
         chunk=chunk,
     )
 

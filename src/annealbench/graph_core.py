@@ -375,34 +375,43 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> list[int]:
                     queue.append(mate)
         return goal != INF
 
-    def dfs(u: int) -> bool:
-        for w in g.neighbors(u):
-            w = int(w)
-            mate = match[w]
-            if mate == -1:
-                if goal == dist[u] + 1:
-                    match[u] = w
-                    match[w] = u
-                    return True
-            elif dist[mate] == dist[u] + 1:
-                if dfs(mate):
-                    match[u] = w
-                    match[w] = u
-                    return True
-        dist[u] = INF
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from ``root`` along
+        the BFS layers, with an explicit stack: a frame is a vertex, its
+        neighbours and the index of the next one to try.  A dead end drops
+        out of the layers (dist = INF), as in the recursive form."""
+        stack = [[root, g.neighbors(root).tolist(), 0]]
+        path: list[int] = []  # path[i]: the right vertex taken from stack[i]
+        while stack:
+            frame = stack[-1]
+            u, nbrs, i = frame
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                mate = match[w]
+                if mate == -1:
+                    if goal == dist[u] + 1:
+                        path.append(w)
+                        for (x, _, _), y in zip(stack, path):
+                            match[x] = y
+                            match[y] = x
+                        return True
+                elif dist[mate] == dist[u] + 1:
+                    frame[2] = i
+                    path.append(w)
+                    stack.append([mate, g.neighbors(mate).tolist(), 0])
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 100))
-    try:
-        while bfs():
-            for u in left:
-                if match[u] == -1:
-                    dfs(u)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    while bfs():
+        for u in left:
+            if match[u] == -1:
+                augment(u)
     return match
 
 

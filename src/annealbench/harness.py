@@ -10,7 +10,8 @@ worker pool, and writes:
 * ``stats.csv``    per-trial extras (schedule, side counts, probes,
                    hitting steps, chain discrepancies);
 * ``manifest.txt`` config hash, tool version, per-trial seeds, wall clock,
-                   output files, and the alpha with where it came from.
+                   output files, the alpha with where it came from, and
+                   the engine of a chain run (``jump`` or ``step``).
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
@@ -36,7 +37,7 @@ from . import graph_core as gc
 from . import instance_gen as ig
 from . import oracles as oc
 from . import rng as rngmod
-from .errors import ConfigError, IncompleteRun, IoError
+from .errors import ConfigError, IncompleteRun, InvalidFugacity, IoError
 from .schedules import parse_schedule
 
 RUN_CSV_COLUMNS = (
@@ -106,21 +107,29 @@ class ExperimentConfig:
     alpha_override: int | None = None
     acceptance: list[tuple[str, str]] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def validate_run(self) -> None:
+        """The checks of the run and its schedules, which need no instance
+        family; ``annealbench run``, whose config has none, runs only these."""
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.alpha_override is not None and self.alpha_override < 1:
             raise ConfigError("alpha must be >= 1")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == "ump" and not self.steps:
-            raise ConfigError("ump runs need steps")
+        if self.algorithm == "ump" and (self.steps or 0) < 1:
+            raise ConfigError("ump runs need steps >= 1")
         if self.algorithm == "ct" and not (self.events or self.horizon):
             raise ConfigError("ct runs need events or horizon")
         if self.algorithm in ("ump", "ct") and not self.schedules:
             raise ConfigError("no schedules configured")
         for spec in self.schedules:
-            parse_schedule(spec)
+            try:
+                parse_schedule(spec)
+            except InvalidFugacity as exc:
+                raise ConfigError(f"[schedules] {exc}") from exc
+
+    def validate(self) -> None:
+        self.validate_run()
         family = ig.family(self.family)
         family.parse(self.instance)
         if self.algorithm == "chain" and family.chain is None:
@@ -306,6 +315,16 @@ def run_one_trial(
     return row
 
 
+def _engine(cfg: ExperimentConfig, bundle: InstanceBundle) -> str | None:
+    """The engine of a chain run: ``ump`` always steps; ``ct`` jumps unless
+    its recorder must see every proposal (see ``dynamics.ct_engine``)."""
+    if cfg.algorithm == "ump":
+        return "step"
+    if cfg.algorithm == "ct":
+        return dy.ct_engine(_recorder_for(cfg, bundle))
+    return None
+
+
 def _record_fields(rec: dy.TrialRecord) -> dict:
     hits = ";".join(f"{k}:{v}" for k, v in sorted(rec.hitting_steps.items()))
     return dict(
@@ -352,6 +371,7 @@ class ExperimentManifest:
     master_seed: int
     alpha: int | None
     alpha_method: str | None
+    engine: str | None  # "jump" or "step" for chain runs (ump, ct)
     trial_seeds: list[int]
     wall_clock: float
     files: list[str]
@@ -393,6 +413,7 @@ def run_experiment(
         master_seed=cfg.seed,
         alpha=bundle.alpha,
         alpha_method=bundle.alpha_method,
+        engine=_engine(cfg, bundle),
         trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
         wall_clock=time.time() - started,
         files=[str(run_path), str(stats_path)],
@@ -420,6 +441,8 @@ def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
     ]
     if manifest.alpha is not None:
         lines += [f"alpha = {manifest.alpha}", f"alpha_method = {manifest.alpha_method}"]
+    if manifest.engine is not None:
+        lines.append(f"engine = {manifest.engine}")
     lines += ["trial_seeds:", *[f"  {i} {s}" for i, s in enumerate(manifest.trial_seeds)]]
     path.write_text("\n".join(lines) + "\n")
 

@@ -149,9 +149,17 @@ def parse_schedule(text: str) -> FugacitySchedule:
     """Parse a CLI schedule spec.
 
     Accepted forms: ``fixed:L``, ``greedy``, ``seq:FILE``,
-    ``geometric:START:FACTOR:BLOCK[:CAP]``, ``adaptive:NAME``.
+    ``geometric:START:FACTOR:BLOCK[:CAP]``, ``adaptive:NAME``.  Any
+    malformed spec raises :class:`InvalidFugacity` naming it.
     """
     text = text.strip()
+    try:
+        return _parse_schedule(text)
+    except (InvalidFugacity, ValueError, OSError) as exc:
+        raise InvalidFugacity(f"schedule spec {text!r}: {exc}") from exc
+
+
+def _parse_schedule(text: str) -> FugacitySchedule:
     if text == "greedy":
         return FugacitySchedule.infinite()
     head, _, rest = text.partition(":")
@@ -163,10 +171,12 @@ def parse_schedule(text: str) -> FugacitySchedule:
         return FugacitySchedule.sequence(vals)
     if head == "geometric":
         parts = rest.split(":")
+        if len(parts) not in (3, 4):
+            raise InvalidFugacity("geometric takes START:FACTOR:BLOCK[:CAP]")
         cap = float(parts[3]) if len(parts) > 3 else INF
         return FugacitySchedule.geometric(
             float(parts[0]), float(parts[1]), int(parts[2]), cap
         )
     if head == "adaptive":
         return FugacitySchedule.adaptive(rest)
-    raise InvalidFugacity(f"cannot parse schedule spec {text!r}")
+    raise InvalidFugacity("unknown schedule kind")

@@ -1,11 +1,15 @@
-"""Exact laws of two acceptance chains, run from the empty set.
+"""Exact laws of the engine's chains, run from the empty set.
 
-Both are the engine's discrete chain: each step proposes a uniform vertex;
-an unoccupied vertex joins if none of its neighbours is occupied, and an
-occupied one leaves with probability ``1/lambda``.  The symmetry of each
-instance lumps the ``2^n`` states into a handful, so the laws below are
-exact, not sampled.  ``test_oracles.py`` checks them against the full
-``2^n``-state chain on small instances.
+The first two are laws of two acceptance chains on the discrete chain:
+each step proposes a uniform vertex; an unoccupied vertex joins if none of
+its neighbours is occupied, and an occupied one leaves with probability
+``1/lambda``.  The symmetry of each instance lumps the ``2^n`` states into
+a handful, so the laws below are exact, not sampled.  ``test_oracles.py``
+checks them against the full ``2^n``-state chain on small instances.
+
+``weighted_chain`` and ``weighted_law`` are the full ``2^n``-state embedded
+chain of the weighted continuous-time chain (per-vertex rates and fugacity
+multipliers) and its law under a schedule, for tiny graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from annealbench.dynamics import removal_threshold
-from annealbench.schedules import parse_schedule
+from annealbench.schedules import HistoryDigest, parse_schedule
 
 
 def schedule_fugacities(spec: str, steps: int) -> list[float]:
@@ -101,3 +105,94 @@ def anchor_law(n: int, lam: float, steps: int) -> np.ndarray:
     start = np.zeros(n + 4)
     start[0] = 1.0
     return start @ np.linalg.matrix_power(P, steps)
+
+
+def weighted_chain(g, rates, multipliers, lam: float) -> np.ndarray:
+    """One-proposal transition matrix of the weighted chain on every subset
+    of ``g`` (state = occupancy bitmask).
+
+    Vertex ``v`` is proposed with probability ``rates[v] / sum(rates)``; an
+    unoccupied proposal joins if no neighbour is occupied, and an occupied
+    one leaves with probability ``1 / (multipliers[v] * lam)``.  Every
+    subset is a state, dependent ones included; they are never reached
+    from the empty set.
+    """
+    n = g.n
+    nbr = [sum(1 << w for w in g.neighbor_lists[v]) for v in range(n)]
+    pick = np.asarray(rates, dtype=float) / float(np.sum(rates))
+    drop = [removal_threshold(float(m) * lam) for m in multipliers]
+    T = np.zeros((1 << n, 1 << n))
+    for s in range(1 << n):
+        for v in range(n):
+            bit = 1 << v
+            if s & bit:
+                T[s, s ^ bit] += pick[v] * drop[v]
+                T[s, s] += pick[v] * (1.0 - drop[v])
+            elif s & nbr[v]:
+                T[s, s] += pick[v]
+            else:
+                T[s, s | bit] += pick[v]
+    return T
+
+
+def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:
+    """Law of the occupancy bitmask after ``steps`` proposals of the weighted
+    chain from the empty set, under schedule ``spec``.
+
+    A schedule without history is a fixed fugacity sequence.  An adaptive
+    rule sees the run's history; the law is then carried on (bitmask,
+    running maximum, block of the step of the maximum), which is exact for
+    a rule with a constant hold ``H`` that reads the step of the maximum
+    only through its block ``floor(step_of_max / H)`` (both are asserted).
+    """
+    sched = parse_schedule(spec)
+    n = g.n
+    mats: dict[float, np.ndarray] = {}
+
+    def chain(lam: float) -> np.ndarray:
+        if lam not in mats:
+            mats[lam] = weighted_chain(g, rates, multipliers, lam)
+        return mats[lam]
+
+    if sched.kind != "adaptive":
+        law = np.zeros(1 << n)
+        law[0] = 1.0
+        t = 0
+        while t < steps:
+            lam, hold = sched.segment(t)
+            run = min(hold, steps - t)
+            law = law @ np.linalg.matrix_power(chain(lam), run)
+            t += run
+        return law
+
+    hold = sched.segment(0, HistoryDigest())[1]
+    blocks = steps // hold + 1
+    popcount = np.array([bin(s).count("1") for s in range(1 << n)])
+    law = np.zeros((1 << n, n + 1, blocks))  # (bitmask, running max, block)
+    law[0, 0, 0] = 1.0
+    t = 0
+    while t < steps:
+        # Split the law by the fugacity each history gets for this segment.
+        parts: dict[float, np.ndarray] = defaultdict(lambda: np.zeros_like(law))
+        for s, top, b in zip(*np.nonzero(law)):
+            occupied = bytearray((s >> v) & 1 for v in range(n))
+            seen = set()
+            for step_of_max in (b * hold, min((b + 1) * hold - 1, t)):
+                digest = HistoryDigest(t, int(popcount[s]), int(top), step_of_max, occupied)
+                seen.add(sched.segment(t, digest))
+            assert len(seen) == 1 and next(iter(seen))[1] == hold, "rule outside the lumping"
+            parts[next(iter(seen))[0]][s, top, b] = law[s, top, b]
+        run = min(hold, steps - t)
+        law = np.zeros_like(law)
+        for lam, part in parts.items():
+            P = chain(lam)
+            for i in range(run):
+                part = np.einsum("smb,sk->kmb", part, P)
+                block = (t + i + 1) // hold  # a new maximum here sets step_of_max = t + i + 1
+                for c in range(1, n + 1):
+                    grown = popcount == c
+                    part[grown, c, block] += part[grown, c - 1, :].sum(axis=-1)
+                    part[grown, c - 1, :] = 0.0
+            law += part
+        t += run
+    return law.sum(axis=(1, 2))

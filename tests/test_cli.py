@@ -124,3 +124,15 @@ def test_run_greedy_algorithm(tmp_path):
     )
     rows = hz.read_csv(out_csv)
     assert rows[0]["max_size"] == "2"
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--alpha"])
+def test_run_rejects_values_below_one(tmp_path, capsys, flag):
+    graph = str(tmp_path / "anchor.graph")
+    main(["gen", "--family", "anchor", "--param", "n=4", "--out", graph])
+    capsys.readouterr()
+    out_csv = tmp_path / "run.csv"
+    code = main(["run", "--graph", graph, flag, "0", "--out", str(out_csv)])
+    assert code != 0
+    assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
+    assert not out_csv.exists()

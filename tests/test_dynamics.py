@@ -605,3 +605,9 @@ def test_schedule_rejects_bad_values():
         FugacitySchedule.sequence([2.0, 0.1])
     with pytest.raises(InvalidFugacity):
         FugacitySchedule.adaptive("missing-rule")
+
+
+@pytest.mark.parametrize("spec", ["geometric:1:2", "fixed:abc", "geometric:a:2:3"])
+def test_parse_schedule_names_a_malformed_spec(spec):
+    with pytest.raises(InvalidFugacity, match=spec):
+        parse_schedule(spec)

@@ -145,6 +145,25 @@ def test_alpha_bipartite_c4():
     assert cert.verify(g)
 
 
+def test_alpha_bipartite_long_augmenting_path(monkeypatch):
+    """A path of 20,000 vertices numbered so that the first matching phase
+    takes every left vertex's wrong neighbour; the second phase then needs
+    one augmenting path through all 10,000 left vertices."""
+    import sys
+
+    m = 10_000
+    right = lambda j: 2 * m - 1 - j  # noqa: E731  (right vertex j, numbered downwards)
+    edges = [(i, right(i)) for i in range(m)] + [(i, right(i + 1)) for i in range(m - 1)]
+    labels = np.array([gc.SIDE_L] * m + [gc.SIDE_R] * m, dtype=np.int8)
+    g = gc.build_graph(2 * m, edges, labels=labels, kind="base-bipartite")
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda n: pytest.fail("limit changed"))
+    cert = gc.alpha_bipartite(g)
+    assert cert.alpha == m
+    assert cert.verify(g)
+    assert sys.getrecursionlimit() == limit
+
+
 def test_alpha_bipartite_requires_labels():
     with pytest.raises(NotBipartite):
         gc.alpha_bipartite(path_graph(3))

@@ -225,6 +225,12 @@ def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, mat
         _cfg(tmp_path, TINY_CFG.replace(old, new))
 
 
+@pytest.mark.parametrize("spec", ["geometric:1:2", "fixed:abc", "geometric:a:2:3"])
+def test_malformed_schedule_spec_is_a_config_error(tmp_path, spec):
+    with pytest.raises(ConfigError, match=r"\[schedules\].*" + spec):
+        _cfg(tmp_path, TINY_CFG.replace("specs = fixed:2, greedy", f"specs = fixed:2, {spec}"))
+
+
 def test_large_seed_is_kept_exactly(tmp_path):
     cfg = _cfg(tmp_path, TINY_CFG.replace("seed = 99", "seed = 12345678901234567891"))
     assert cfg.seed == 12345678901234567891
@@ -294,3 +300,33 @@ def test_pool_under_spawn_matches_serial(tmp_path):
         assert (tmp_path / "spawn" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
+
+
+# -- engine in the manifest -------------------------------------------------------
+
+CT_INSTANCE = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
+
+
+@pytest.mark.parametrize(
+    "instance,run,engine",
+    [
+        ("family = star-tree\nk = 3", "", "step"),
+        (CT_INSTANCE, "algorithm = ct\nevents = 500", "jump"),
+        (CT_INSTANCE, "algorithm = ct\nevents = 500\ntrack_touched = true", "step"),
+        ("family = star-tree\nk = 3", "algorithm = greedy", None),
+    ],
+)
+def test_manifest_records_the_engine(tmp_path, instance, run, engine):
+    text = TINY_CFG.replace("family = star-tree\nk = 3", instance)
+    if run:
+        text = text.replace("algorithm = ump\nsteps = 400", run)
+    cfg = _cfg(tmp_path, text)
+    cfg.acceptance = []
+    manifest = hz.run_experiment(cfg, workers=1)
+    assert manifest.engine == engine
+    lines = (Path(cfg.out_dir) / "manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("engine")] == (
+        [f"engine = {engine}"] if engine else []
+    )
+    header = (Path(cfg.out_dir) / "run.csv").read_text().splitlines()[0]
+    assert header == ",".join(hz.RUN_CSV_COLUMNS)

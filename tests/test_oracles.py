@@ -17,7 +17,7 @@ from annealbench.errors import (
     OutOfRegime,
 )
 from annealbench.instance_gen import BlowupParams, gen_appendix_anchor, gen_star_tree
-from exact_laws import anchor_law, one_sided_gate, spider_mid_law
+from exact_laws import anchor_law, one_sided_gate, spider_mid_law, weighted_chain
 
 
 # -- gambler's ruin ----------------------------------------------------------
@@ -328,6 +328,20 @@ def test_anchor_law_matches_full_chain(lam):
     long_law = np.linalg.matrix_power(T, 5000)[0]
     want = _lumped(long_law, lambda s: _anchor_state(n, s), n + 4)
     np.testing.assert_allclose(anchor_law(n, lam, 5000), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 20.0])
+def test_weighted_chain_with_unit_weights_is_the_discrete_chain(lam):
+    g = gen_star_tree(3)
+    ones = np.ones(g.n)
+    np.testing.assert_allclose(
+        weighted_chain(g, ones, ones, lam), _full_chain(g, lam), rtol=0, atol=1e-15
+    )
+    # a multiplier m at fugacity lam removes like fugacity m * lam
+    mults = np.full(g.n, 3.0)
+    np.testing.assert_allclose(
+        weighted_chain(g, 5 * ones, mults, lam), _full_chain(g, 3.0 * lam), rtol=0, atol=1e-15
+    )
 
 
 def test_one_sided_gate_rounds_down():
