@@ -1,36 +1,31 @@
 """Stochastic dynamics over independent sets.
 
-The engines here all share one update rule: a proposed vertex joins the
-current independent set if none of its neighbors is occupied, and an
-occupied vertex is removed when the step's uniform draw falls below
-``1/lambda_t``.  On top of that rule sit:
+The chains here share one update rule: a proposed vertex joins the current
+independent set if none of its neighbors is occupied, and an occupied vertex
+leaves when the proposal's removal coin falls below ``1/lambda_t``.  On top
+of that rule sit:
 
 * :func:`run_ump`          discrete chain, uniform vertex proposals;
 * :func:`run_ct_ump`       continuous-time chain with per-vertex rates and
                            per-vertex fugacity multipliers, simulated as its
-                           embedded jump chain by a rejection-free engine;
+                           embedded jump chain;
 * :func:`run_randomized_greedy` / :func:`run_degree_greedy` greedy baselines;
 * :func:`run_coupled_monotone`  two coupled chains whose order is checked
                            after every event;
 * :func:`run_greedy_chain` the two-counter abstraction of greedy on a
                            random balanced bipartite graph.
 
-Hot loops consume pre-sampled chunks from a counter-based stream, maintain
-per-vertex blocked counters (updated only when a vertex flips), and keep
-all per-step bookkeeping O(1), so one trial with 10^7 events is practical
-in pure Python.
-
-Two engines share the recorder contract (steps, maxima, hitting steps,
-snapshots and probes all count proposals).  The step engine
-(:func:`_simulate`) draws every proposal; it runs the discrete chain and is
-its byte reference.  The rejection-free engine (:func:`_simulate_jump`,
-the n-fold way of Bortz, Kalos & Lebowitz 1975; Gillespie 1977) runs the
-weighted chain: it keeps the free and the occupied vertices of each
-(rate, multiplier) class in swap-remove lists, skips the Geometric(p) run
-of proposals that would change nothing, and applies the next state change
-directly.  It is exact in law, not byte-equal, to stepping; only a recorder
-that tracks touched vertices, which must see every proposal, sends the
-weighted chain to the step engine (:func:`ct_engine`).
+Both chains run on one engine (:func:`_run_chain`) with two modes.  Step mode
+reads one real per proposal and applies the rule; it is the cheaper mode
+while many proposals change the state.  Jump mode is the n-fold way of
+Bortz, Kalos & Lebowitz (1975) and Gillespie (1977): it keeps the free and
+the occupied vertices of each (rate, multiplier) class in swap-remove lists,
+skips the Geometric(p) run of proposals that would change nothing, and
+applies the next change directly.  The mode is chosen from the past alone,
+so a run is exact in law.  Every recorder feature works in both modes, and
+steps, maxima, hitting steps, snapshots and probes count proposals in both.
+Both modes read one sequence of uniform reals, so the bytes of a run do not
+depend on the block size in which the reals are drawn.
 """
 
 from __future__ import annotations
@@ -38,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import log, log1p
+from operator import mul
 
 import numpy as np
 
@@ -47,16 +44,17 @@ from .errors import (
     InvalidRate,
     NotIndependent,
 )
-from .graph_core import SIDE_L, Graph, IndependentSetState, is_independent
+from .graph_core import SIDE_L, SIDE_R, Graph, is_independent
 from .instance_gen import BlowupParams
 from .schedules import FugacitySchedule, HistoryDigest
 
 _CHUNK = 1 << 15
 _NEVER = 1 << 62
-
-
-# ---------------------------------------------------------------------------
-# Single-step update rule
+# Step mode enters jump mode after a window of n proposals of which fewer
+# than 1/8 changed the state; jump mode returns to step mode as soon as the
+# exact share p of useful proposals exceeds 1/4.
+_ENTER_JUMP = 1 / 8
+_LEAVE_JUMP = 1 / 4
 
 
 def removal_threshold(lam: float) -> float:
@@ -64,33 +62,6 @@ def removal_threshold(lam: float) -> float:
     if math.isnan(lam) or lam < 1.0:
         raise InvalidFugacity(f"fugacity {lam} outside [1, inf]")
     return 0.0 if math.isinf(lam) else 1.0 / lam
-
-
-def ump_update(
-    state: IndependentSetState, g: Graph, v: int, zeta: float, lam: float
-) -> IndependentSetState:
-    """Apply one proposal to ``state`` in place and return it.
-
-    Unoccupied ``v`` is added iff no neighbor is occupied; occupied ``v``
-    is removed iff ``zeta <= 1/lam``.  Everything else is a no-op.
-    """
-    thr = removal_threshold(lam)
-    occ = state.occupied
-    if occ[v]:
-        if zeta <= thr:
-            occ[v] = 0
-            state.size -= 1
-    else:
-        for w in g.neighbor_lists[v]:
-            if occ[w]:
-                break
-        else:
-            occ[v] = 1
-            state.size += 1
-            if state.size > state.max_size_seen:
-                state.max_size_seen = state.size
-    state.step += 1
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +107,98 @@ class TrialRecord:
 
 
 # ---------------------------------------------------------------------------
-# Step engine
+# Proposal classes
+
+
+@dataclass(frozen=True)
+class RateClasses:
+    """Vertices grouped by equal (rate, multiplier), classes in sorted order.
+
+    ``of[v]`` is the class of ``v``; ``members`` lists the vertices class by
+    class, ``counts[c]`` of them in class ``c``.
+    """
+
+    of: list[int]
+    rates: list[float]
+    multipliers: list[float]
+    members: np.ndarray
+    counts: list[int]
+
+    @staticmethod
+    def uniform(n: int) -> "RateClasses":
+        """The discrete chain's one class: every vertex at rate 1, multiplier 1."""
+        return RateClasses([0] * n, [1.0], [1.0], np.arange(n), [n])
+
+    @cached_property
+    def total_rate(self) -> float:
+        return float(np.dot(self.rates, self.counts))
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        rates, counts = np.asarray(self.rates), np.asarray(self.counts)
+        weights = rates * counts
+        bounds = np.cumsum(weights)
+        offsets = np.cumsum(counts) - counts
+        return bounds, bounds - weights, rates, counts, np.asarray(self.multipliers), offsets
+
+    def propose(self, u: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
+        """The proposals that the reals ``u`` make in step mode: a vertex
+        with probability proportional to its rate, and its removal coin,
+        uniform on [0, multiplier of the vertex), so that the vertex leaves
+        when the coin is below ``1/lambda``.  One class: vertex
+        ``members[floor(u*n)]``, coin the fractional part of ``u*n`` times
+        the multiplier.  Returns the vertices as an array and a list, and
+        the coins as a list."""
+        if len(self.counts) == 1:
+            y = u * self.counts[0]
+            i = y.astype(np.intp)
+            coins = (y - i) * self.multipliers[0]
+        else:
+            bounds, lows, rates, counts, mults, offsets = self._tables
+            x = u * bounds[-1]
+            c = np.minimum(np.searchsorted(bounds, x, side="right"), len(bounds) - 1)
+            y = (x - lows[c]) / rates[c]
+            i = np.minimum(y.astype(np.intp), counts[c] - 1)
+            coins = (y - i) * mults[c]
+            i += offsets[c]
+        v = self.members[i]
+        return v, v.tolist(), coins.tolist()
+
+
+# ---------------------------------------------------------------------------
+# The engine
 #
-# `multipliers` is None for the uniform-fugacity discrete chain (scalar
-# threshold per schedule segment) or a vector of per-vertex multipliers for
-# the weighted chain, whose proposals are drawn through `rate_cdf`.
+# In step mode each real of the stream is one proposal (`RateClasses.propose`).
+# Jump mode keeps, for each class c of rate r_c and multiplier m_c, its free
+# vertices (unoccupied, no occupied neighbor) and its occupied vertices in
+# swap-remove lists sharing one position array.  A proposal changes the state
+# with probability
+#     p = (sum_c r_c |free_c| + sum_c r_c |occ_c| / (m_c lambda)) / R,
+# so the no-ops before the next change are Geometric(p).  A segment end
+# redraws that count (exact, because the geometric law is memoryless);
+# recorder marks and the step budget only stop at it, so they do not change
+# the trajectory.  One more real then picks a list by weight and a member of
+# that list.  The change itself goes through the same update code as a
+# stepped proposal.
 
 
-def _simulate(
+def _run_chain(
     g: Graph,
     sched: FugacitySchedule,
     steps: int,
     gen: np.random.Generator,
     rec: RecorderConfig,
     seed_label: int,
-    multipliers: np.ndarray | None = None,
-    rate_cdf: np.ndarray | None = None,
+    classes: RateClasses,
     chunk: int = _CHUNK,
 ) -> TrialRecord:
     n = g.n
     adj = g.neighbor_lists
     occ = bytearray(n)
     blocked = [0] * n
+    cls = classes.of
+    nclasses = len(classes.rates)
+    total_rate = classes.total_rate
     side_list = g.side.tolist() if g.side is not None else None
     grp_list = g.group.tolist() if (rec.track_clouds and g.group is not None) else None
 
@@ -187,77 +228,176 @@ def _simulate(
         loads = [0] * (int(max(grp_list)) + 1)
         deloaded = bytearray(len(loads))
 
-    touched = bytearray(n) if rec.track_touched else None
+    # Touched vertices are marked per block of stepped proposals; a recorder
+    # that tracks them keeps step mode for the whole run.
+    touched = np.zeros(n, dtype=bool) if rec.track_touched else None
 
     marks = _Marks(g, rec, steps)
     next_mark = marks.next
 
     argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
 
-    # Per-vertex removal thresholds (weighted chain) or a scalar one.
-    per_vertex = multipliers is not None
-    thr_list: list[float] = []
-    thr = 0.0
-
     digest = HistoryDigest(occupied=occ)
+
+    # The stream: `block` holds reals not yet read from position k on; its
+    # floats (`reals`, for jump mode) and its proposals (`props`, for step
+    # mode) are made when a mode first reads the block.
+    block = np.empty(0)
+    reals = props = None
+    k = end = 0
+    block_len = min(64, chunk)  # blocks double up to `chunk`: short runs stay cheap
+
+    jumping = False
+    window_end = n  # step mode: the end of the current window of n proposals
+    changes = 0  # state changes within that window
+    free = held = lists = pos = None  # jump mode's index
+    thr = 0.0
+    weights: list[float] = []  # jump mode: per-member weight of each list
+    weight = 0.0
+    change_at = 0  # jump mode: the step of the next state change
+    stale = True
 
     t = 0
     seg_end = 0
-    running = True
-    while running and t < steps:
-        m = min(chunk, steps - t)
-        if rate_cdf is None:
-            vs = gen.integers(0, n, m).tolist()
+    while t < steps:
+        if t >= seg_end:
+            lam, hold = sched.segment(t, _digest_at(digest, t, size, max_size, step_of_max))
+            seg_end = t + hold
+            thr = removal_threshold(lam)
+            weights = classes.rates + [
+                r * thr / m for r, m in zip(classes.rates, classes.multipliers)
+            ]
+            stale = True
+        if k + 2 > end:
+            block = np.concatenate((block[k:], gen.random(max(block_len, 2))))
+            block_len = min(2 * block_len, chunk)
+            reals = props = None
+            k = 0
+            end = len(block)
+        cut = seg_end if seg_end < next_mark else next_mark
+        if steps < cut:
+            cut = steps
+        if jumping:
+            if stale:
+                weight = sum(map(mul, weights, map(len, lists)))
+                p = weight / total_rate
+                if p > _LEAVE_JUMP:
+                    jumping = False
+                    free = held = lists = pos = None
+                    window_end = t + n
+                    changes = 0
+                    continue
+                if reals is None:
+                    reals = block.tolist()
+                # the step of the next change, after Geometric(p) no-ops
+                change_at = t + 1 + int(log(1.0 - reals[k]) / log1p(-p)) if weight else math.inf
+                k += 1
+                stale = False
+            if change_at > cut:
+                t = cut  # the change stays pending: marks do not move it
+                batch = ()
+            else:
+                t = change_at - 1
+                if reals is None:
+                    reals = block.tolist()
+                x = reals[k] * weight
+                k += 1
+                for w, members in zip(weights, lists):
+                    share = w * len(members)
+                    if x < share:
+                        i = int(x / w)
+                        break
+                    x -= share
+                else:  # rounding carried x past the last list: take its last member
+                    members = [m for w, m in zip(weights, lists) if w * len(m)][-1]
+                    i = -1
+                v = members[i] if i < len(members) else members[-1]
+                batch = ((v, -1.0),)  # a coin that removes
+                stale = True
         else:
-            vs = np.searchsorted(rate_cdf, gen.random(m), side="right").tolist()
-        zs = gen.random(m).tolist()
-        for idx in range(m):
+            if props is None:
+                props = classes.propose(block)
+            cut = min(cut, window_end, t + end - k)
+            start = t
+            batch = zip(props[1][k : k + cut - t], props[2][k : k + cut - t])
+
+        stop = False
+        for v, z in batch:
             t += 1
-            if t > seg_end:
-                lam, hold = sched.segment(
-                    t - 1, _digest_at(digest, t - 1, size, max_size, step_of_max)
-                )
-                if per_vertex:
-                    if math.isinf(lam):
-                        thr_list = [0.0] * n
-                    else:
-                        thr_list = (1.0 / (multipliers * lam)).tolist()
-                else:
-                    thr = removal_threshold(lam)
-                seg_end = t + hold - 1
-            v = vs[idx]
-            if touched is not None:
-                touched[v] = 1
             if occ[v]:
-                if zs[idx] <= (thr_list[v] if per_vertex else thr):
-                    occ[v] = 0
-                    size -= 1
+                if z >= thr:
+                    continue
+                occ[v] = 0
+                size -= 1
+                changes += 1
+                if jumping:
+                    members = held[cls[v]]
+                    i = pos[v]
+                    last = members.pop()
+                    if last != v:
+                        members[i] = last
+                        pos[last] = i
+                    members = free[cls[v]]
+                    pos[v] = len(members)
+                    members.append(v)
+                    for w in adj[v]:
+                        b = blocked[w] - 1
+                        blocked[w] = b
+                        if not b:
+                            members = free[cls[w]]
+                            pos[w] = len(members)
+                            members.append(w)
+                else:
                     for w in adj[v]:
                         blocked[w] -= 1
-                    if side_list is not None:
-                        s = side_list[v]
-                        if s == 0:
-                            lsize -= 1
-                        elif s == 1:
-                            rsize -= 1
-                    if grp_list is not None:
-                        gid = grp_list[v]
-                        if gid >= 0:
-                            newload = loads[gid] - 1
-                            loads[gid] = newload
-                            if newload == 0 and not deloaded[gid]:
-                                deloaded[gid] = 1
-                                deload_count += 1
-            elif not blocked[v]:
-                occ[v] = 1
-                size += 1
-                for w in adj[v]:
-                    blocked[w] += 1
                 if side_list is not None:
                     s = side_list[v]
-                    if s == 0:
+                    if s == SIDE_L:
+                        lsize -= 1
+                    elif s == SIDE_R:
+                        rsize -= 1
+                if grp_list is not None:
+                    gid = grp_list[v]
+                    if gid >= 0:
+                        newload = loads[gid] - 1
+                        loads[gid] = newload
+                        if newload == 0 and not deloaded[gid]:
+                            deloaded[gid] = 1
+                            deload_count += 1
+            elif blocked[v]:
+                continue
+            else:
+                occ[v] = 1
+                size += 1
+                changes += 1
+                if jumping:
+                    members = free[cls[v]]
+                    i = pos[v]
+                    last = members.pop()
+                    if last != v:
+                        members[i] = last
+                        pos[last] = i
+                    members = held[cls[v]]
+                    pos[v] = len(members)
+                    members.append(v)
+                    for w in adj[v]:
+                        b = blocked[w]
+                        if not b:
+                            members = free[cls[w]]
+                            i = pos[w]
+                            last = members.pop()
+                            if last != w:
+                                members[i] = last
+                                pos[last] = i
+                        blocked[w] = b + 1
+                else:
+                    for w in adj[v]:
+                        blocked[w] += 1
+                if side_list is not None:
+                    s = side_list[v]
+                    if s == SIDE_L:
                         lsize += 1
-                    elif s == 1:
+                    elif s == SIDE_R:
                         rsize += 1
                 if grp_list is not None:
                     gid = grp_list[v]
@@ -274,10 +414,25 @@ def _simulate(
                         hits[thr_sorted[ti]] = t
                         ti += 1
                     if size >= early:
-                        running = False
+                        stop = True
                         break
-            if t == next_mark:
-                next_mark = marks.visit(t, size, lsize, rsize, occ)
+        if not jumping:
+            if touched is not None:
+                touched[props[0][k : k + t - start]] = True
+            k += t - start
+        if stop:
+            break
+        if t == next_mark:
+            next_mark = marks.visit(t, size, lsize, rsize, occ)
+        if t == window_end and not jumping:
+            if touched is None and changes < _ENTER_JUMP * n:
+                jumping = True
+                lists, pos = _jump_index(occ, blocked, classes)
+                free, held = lists[:nclasses], lists[nclasses:]
+                stale = True
+            else:
+                window_end = t + n
+                changes = 0
 
     record = TrialRecord(
         seed=seed_label,
@@ -294,10 +449,8 @@ def _simulate(
     )
     if grp_list is not None:
         record.deload_final = deload_count
-    if touched is not None and side_list is not None:
-        record.right_touched = sum(
-            1 for v in range(n) if touched[v] and side_list[v] == 1
-        )
+    if touched is not None and g.side is not None:
+        record.right_touched = int(np.count_nonzero(touched & (g.side == SIDE_R)))
     if rec.keep_final_state:
         record.final_state = frozenset(v for v in range(n) if occ[v])
     if argmax_bytes is not None:
@@ -305,11 +458,31 @@ def _simulate(
     return record
 
 
+def _jump_index(
+    occ: bytearray, blocked: list[int], classes: RateClasses
+) -> tuple[list[list[int]], list[int]]:
+    """Jump mode's lists, built in O(n): the free vertices of each class,
+    then the occupied vertices of each class; and the position of every
+    listed vertex in its list."""
+    nclasses = len(classes.rates)
+    lists: list[list[int]] = [[] for _ in range(2 * nclasses)]
+    pos = [0] * len(occ)
+    for v, c in enumerate(classes.of):
+        if occ[v]:
+            members = lists[nclasses + c]
+        elif blocked[v]:
+            continue
+        else:
+            members = lists[c]
+        pos[v] = len(members)
+        members.append(v)
+    return lists, pos
+
+
 class _Marks:
-    """The recorder's step marks, the same for both engines: a snapshot
-    every ``snapshot_every`` steps, the probe step and debug checks.  An
-    engine calls :meth:`visit` when step ``next`` is done; it returns the
-    step of the next mark."""
+    """The recorder's step marks: a snapshot every ``snapshot_every`` steps,
+    the probe step and debug checks.  The engine calls :meth:`visit` when
+    step ``next`` is done; it returns the step of the next mark."""
 
     def __init__(self, g: Graph, rec: RecorderConfig, steps: int):
         self.g = g
@@ -357,213 +530,14 @@ def _debug_check(g: Graph, occ: bytearray, size: int) -> None:
         raise NotIndependent("occupied set spans an edge")
 
 
-# ---------------------------------------------------------------------------
-# Rejection-free engine (n-fold way)
-#
-# Equal in law to `_simulate` with per-vertex multipliers and rate-weighted
-# proposals, but it never draws a proposal that changes nothing.  Vertices
-# fall into classes of equal (rate, multiplier); each class keeps its free
-# vertices (unoccupied, no occupied neighbor) and its occupied vertices in
-# swap-remove lists sharing one position array.  A proposal changes the
-# state with probability
-#     p = (sum_c r_c |free_c| + sum_c r_c |occ_c| / (m_c lambda)) / R,
-# so the no-ops before the next event are Geometric(p); the skip is cut at
-# the next segment end, recorder mark or step budget and redrawn there,
-# which is exact because the geometric law is memoryless.  The event then
-# picks a (class, free-or-occupied) bucket by weight and a uniform member.
+def engine(recorder: RecorderConfig | None) -> str:
+    """How :func:`run_ump` and :func:`run_ct_ump` run with ``recorder``.
 
-
-def _reals(gen: np.random.Generator, chunk: int):
-    """The stream's uniform reals one at a time, drawn in blocks that double
-    up to ``chunk`` (short runs stay cheap); the sequence does not depend on
-    ``chunk``."""
-    size = min(64, chunk)
-    while True:
-        yield from gen.random(size).tolist()
-        size = min(2 * size, chunk)
-
-
-def _simulate_jump(
-    g: Graph,
-    sched: FugacitySchedule,
-    steps: int,
-    gen: np.random.Generator,
-    rec: RecorderConfig,
-    seed_label: int,
-    classes: RateClasses,
-    chunk: int = _CHUNK,
-) -> TrialRecord:
-    n = g.n
-    adj = g.neighbor_lists
-    occ = bytearray(n)
-    blocked = [0] * n
-    side_list = g.side.tolist() if g.side is not None else None
-    grp_list = g.group.tolist() if (rec.track_clouds and g.group is not None) else None
-
-    cls, crate, cmult = classes.of, classes.rates, classes.multipliers
-    free = [list(m) for m in classes.members]  # everything is free in the empty set
-    held: list[list[int]] = [[] for _ in crate]
-    pos = list(classes.index)  # index of v in the one list (free or held) that holds it
-    total_rate = sum(r * len(lst) for r, lst in zip(crate, free))
-    cthr = [0.0] * len(crate)
-
-    size = 0
-    lsize = 0
-    rsize = 0
-    max_size = 0
-    step_of_max = 0
-    root_added = False
-
-    thr_sorted = sorted(set(int(x) for x in rec.thresholds))
-    hits: dict[int, int] = {}
-    ti = 0
-    nthr = len(thr_sorted)
-
-    early = rec.early_stop_size if rec.early_stop_size is not None else _NEVER
-
-    watch_arr = None
-    if rec.watch:
-        watch_arr = bytearray(n)
-        for v in rec.watch:
-            watch_arr[v] = 1
-
-    loads = None
-    deload_count = 0
-    if grp_list is not None:
-        loads = [0] * (int(max(grp_list)) + 1)
-        deloaded = bytearray(len(loads))
-
-    marks = _Marks(g, rec, steps)
-    next_mark = marks.next
-
-    argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
-
-    digest = HistoryDigest(occupied=occ)
-    draw = _reals(gen, chunk).__next__
-
-    t = 0
-    seg_end = 0
-    stale = True
-    while t < steps:
-        if t >= seg_end:
-            lam, hold = sched.segment(t, _digest_at(digest, t, size, max_size, step_of_max))
-            seg_end = t + hold
-            cthr = [0.0 if math.isinf(lam) else 1.0 / (m * lam) for m in cmult]
-            stale = True
-        if stale:
-            # (bucket weight, members, adds?) for every bucket that can fire
-            buckets = [(r * len(f), f, True) for r, f in zip(crate, free) if f]
-            buckets += [
-                (r * q * len(h), h, False) for r, q, h in zip(crate, cthr, held) if h and q
-            ]
-            weight = sum(b[0] for b in buckets)
-            p = weight / total_rate
-            log_stay = math.log1p(-p) if p < 1.0 else -math.inf
-            stale = False
-        cut = min(seg_end, next_mark, steps)
-        skip = math.log(1.0 - draw()) / log_stay if weight else math.inf
-        if skip >= cut - t:
-            t = cut  # no event before the cut
-        else:
-            t += int(skip) + 1
-            stale = True
-            x = draw() * weight
-            for bw, members, adding in buckets:
-                if x < bw:
-                    break
-                x -= bw
-            v = members[int(draw() * len(members))]
-            # move v out of its list (swap-remove) and into the other one
-            i = pos[v]
-            last = members.pop()
-            if last != v:
-                members[i] = last
-                pos[last] = i
-            other = held[cls[v]] if adding else free[cls[v]]
-            pos[v] = len(other)
-            other.append(v)
-            if adding:
-                occ[v] = 1
-                size += 1
-                for w in adj[v]:
-                    b = blocked[w]
-                    if not b:
-                        f = free[cls[w]]
-                        i = pos[w]
-                        last = f.pop()
-                        if last != w:
-                            f[i] = last
-                            pos[last] = i
-                    blocked[w] = b + 1
-                if side_list is not None:
-                    s = side_list[v]
-                    if s == 0:
-                        lsize += 1
-                    elif s == 1:
-                        rsize += 1
-                if grp_list is not None:
-                    gid = grp_list[v]
-                    if gid >= 0:
-                        loads[gid] += 1
-                if watch_arr is not None and watch_arr[v]:
-                    root_added = True
-                if size > max_size:
-                    max_size = size
-                    step_of_max = t
-                    if argmax_bytes is not None:
-                        argmax_bytes = bytes(occ)
-                    while ti < nthr and size >= thr_sorted[ti]:
-                        hits[thr_sorted[ti]] = t
-                        ti += 1
-                    if size >= early:
-                        break
-            else:
-                occ[v] = 0
-                size -= 1
-                for w in adj[v]:
-                    b = blocked[w] - 1
-                    blocked[w] = b
-                    if not b:
-                        f = free[cls[w]]
-                        pos[w] = len(f)
-                        f.append(w)
-                if side_list is not None:
-                    s = side_list[v]
-                    if s == 0:
-                        lsize -= 1
-                    elif s == 1:
-                        rsize -= 1
-                if grp_list is not None:
-                    gid = grp_list[v]
-                    if gid >= 0:
-                        newload = loads[gid] - 1
-                        loads[gid] = newload
-                        if newload == 0 and not deloaded[gid]:
-                            deloaded[gid] = 1
-                            deload_count += 1
-        if t == next_mark:
-            next_mark = marks.visit(t, size, lsize, rsize, occ)
-
-    record = TrialRecord(
-        seed=seed_label,
-        steps=t,
-        max_size=max_size,
-        step_of_max=step_of_max,
-        final_size=size,
-        hitting_steps=hits,
-        snapshots=marks.snapshots,
-        final_left=lsize if side_list is not None else -1,
-        final_right=rsize if side_list is not None else -1,
-        root_added=root_added,
-        probe_count=marks.probe_count,
-    )
-    if grp_list is not None:
-        record.deload_final = deload_count
-    if rec.keep_final_state:
-        record.final_state = frozenset(v for v in range(n) if occ[v])
-    if argmax_bytes is not None:
-        record.argmax_state = frozenset(v for v in range(n) if argmax_bytes[v])
-    return record
+    ``"jump"``: step mode while proposals change the state, jump mode while
+    they do not.  ``"step"`` when the recorder tracks touched vertices,
+    which needs every proposal: step mode for the whole run.
+    """
+    return "step" if recorder is not None and recorder.track_touched else "jump"
 
 
 # ---------------------------------------------------------------------------
@@ -580,57 +554,31 @@ def run_ump(
 ) -> TrialRecord:
     """Run the discrete chain from the empty set for ``steps`` proposals.
 
-    Each step draws a uniform vertex and a uniform real from the trial's
-    stream (chunked: a block of vertices, then a block of reals), applies
-    the update rule at the schedule's fugacity, and updates the recorder.
-    The reported optimum is the running maximum with earliest-step ties.
+    A proposal is a uniform vertex and a uniform removal coin.  In step mode
+    it reads one real ``u`` of the trial's stream: the vertex is
+    ``floor(u*n)`` and the coin the fractional part of ``u*n``.  Jump mode
+    skips, in law, the proposals that would change nothing (see
+    :func:`engine`).  The reals are drawn in blocks of up to ``chunk``, and
+    the bytes of a run do not depend on ``chunk``.  The reported optimum is
+    the running maximum with earliest-step ties.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rec = recorder or RecorderConfig()
     gen = rngmod.stream(seed)
-    return _simulate(g, sched, steps, gen, rec, seed_label=seed, chunk=chunk)
-
-
-def run_ump_reference(
-    g: Graph, sched: FugacitySchedule, steps: int, seed: int
-) -> IndependentSetState:
-    """Fold :func:`ump_update` over presampled draws (oracle for run_ump).
-
-    Consumes the stream in the same order as a single-chunk engine run, so
-    for ``steps <= chunk`` the two trajectories are identical.
-    """
-    gen = rngmod.stream(seed)
-    vs = gen.integers(0, g.n, steps)
-    zs = gen.random(steps)
-    state = IndependentSetState(g.n)
-    digest = HistoryDigest(occupied=state.occupied)
-    lam = 1.0
-    seg_end = 0
-    step_of_max = 0
-    for t in range(steps):
-        if t + 1 > seg_end:
-            digest.t = t
-            digest.size = state.size
-            digest.max_size = state.max_size_seen
-            digest.step_of_max = step_of_max
-            lam, hold = sched.segment(t, digest)
-            seg_end = t + hold
-        before = state.max_size_seen
-        ump_update(state, g, int(vs[t]), float(zs[t]), lam)
-        if state.max_size_seen > before:
-            step_of_max = t + 1
-    return state
+    return _run_chain(g, sched, steps, gen, rec, seed, RateClasses.uniform(g.n), chunk)
 
 
 def state_visit_distribution(
-    g: Graph, sched: FugacitySchedule, steps: int, seed: int, chunk: int = _CHUNK
+    g: Graph, sched: FugacitySchedule, steps: int, seed: int
 ) -> np.ndarray:
     """Time-averaged occupancy-state distribution of the discrete chain.
 
     Only for tiny graphs (n <= 20): entry ``mask`` is the fraction of steps
-    spent in the occupancy bitmask ``mask``.  Uses the same stream layout as
-    :func:`run_ump`, so the two trajectories coincide for a shared seed.
+    spent in the occupancy bitmask ``mask``.  It steps every proposal with
+    step mode's draws (one real ``u`` per proposal: vertex ``floor(u*n)``,
+    coin the fractional part), so it is the chain of :func:`run_ump` in
+    law; its trajectory is not that of a :func:`run_ump` run, which may jump.
     """
     n = g.n
     if n > 20:
@@ -650,20 +598,18 @@ def state_visit_distribution(
     seg_end = 0
     t = 0
     while t < steps:
-        m = min(chunk, steps - t)
-        vs = gen.integers(0, n, m).tolist()
-        zs = gen.random(m).tolist()
-        for idx in range(m):
-            t += 1
-            if t > seg_end:
-                digest.t = t - 1
-                lam, hold = sched.segment(t - 1, digest)
+        for u in gen.random(min(_CHUNK, steps - t)).tolist():
+            if t >= seg_end:
+                digest.t = t
+                lam, hold = sched.segment(t, digest)
                 thr = removal_threshold(lam)
-                seg_end = t + hold - 1
-            v = vs[idx]
+                seg_end = t + hold
+            t += 1
+            x = u * n
+            v = int(x)
             bit = bits[v]
             if mask & bit:
-                if zs[idx] <= thr:
+                if x - v < thr:
                     mask ^= bit
             elif not mask & adj_masks[v]:
                 mask |= bit
@@ -704,30 +650,15 @@ def hardcore_distribution(g: Graph, lam: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RateClasses:
-    """Vertices grouped by equal (rate, multiplier), classes in sorted order.
-
-    ``of[v]`` is the class of ``v``, ``members[c]`` the vertices of class
-    ``c`` in increasing order, and ``index[v]`` the position of ``v`` in
-    ``members[of[v]]``.
-    """
-
-    of: list[int]
-    rates: list[float]
-    multipliers: list[float]
-    members: list[list[int]]
-    index: list[int]
-
-
-@dataclass(frozen=True)
 class WeightedCTConfig:
     """Per-vertex update rates and fugacity multipliers, plus a horizon.
 
-    Exactly one of ``horizon`` (continuous time) or ``events`` (jump count)
-    must be set.  With a horizon, the number of events is Poisson with mean
-    ``sum(rates) * horizon``; vertices ring proportionally to their rate and
-    vertex ``v`` uses effective fugacity ``multipliers[v] * lambda_t``, with
-    the schedule indexed by the number of rings so far.
+    Exactly one of ``horizon`` (continuous time, finite and > 0) or
+    ``events`` (jump count, >= 1) must be set.  With a horizon, the number
+    of events is Poisson with mean ``sum(rates) * horizon``; vertices ring
+    proportionally to their rate and vertex ``v`` uses effective fugacity
+    ``multipliers[v] * lambda_t``, with the schedule indexed by the number
+    of rings so far.
     """
 
     rates: np.ndarray
@@ -744,6 +675,10 @@ class WeightedCTConfig:
             raise InvalidFugacity("fugacity multipliers must be >= 1")
         if (self.horizon is None) == (self.events is None):
             raise ValueError("set exactly one of horizon or events")
+        if self.events is not None and self.events < 1:
+            raise ValueError(f"events must be >= 1, not {self.events}")
+        if self.horizon is not None and not (0.0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be finite and > 0, not {self.horizon}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "multipliers", mults)
 
@@ -755,16 +690,12 @@ class WeightedCTConfig:
     def classes(self) -> RateClasses:
         # complex numbers sort by real part, then imaginary part
         keys, of = np.unique(self.rates + 1j * self.multipliers, return_inverse=True)
-        members = [np.flatnonzero(of == c) for c in range(len(keys))]
-        index = np.empty(len(of), dtype=np.int64)
-        for m in members:
-            index[m] = np.arange(len(m))
         return RateClasses(
             of.tolist(),
             keys.real.tolist(),
             keys.imag.tolist(),
-            [m.tolist() for m in members],
-            index.tolist(),
+            np.argsort(of, kind="stable"),
+            np.bincount(of, minlength=len(keys)).tolist(),
         )
 
     @staticmethod
@@ -801,15 +732,6 @@ class WeightedCTConfig:
         )
 
 
-def ct_engine(recorder: RecorderConfig | None) -> str:
-    """The engine :func:`run_ct_ump` uses with ``recorder``.
-
-    ``"jump"`` (rejection-free) unless the recorder tracks touched vertices,
-    which needs every proposal; then ``"step"``, one proposal at a time.
-    """
-    return "step" if recorder is not None and recorder.track_touched else "jump"
-
-
 def run_ct_ump(
     base: Graph,
     cfg: WeightedCTConfig,
@@ -823,9 +745,9 @@ def run_ct_ump(
     Inter-event times are exponential in the total rate, so only the jump
     chain is simulated: the event count is drawn Poisson for a time horizon
     (or given directly), each event lands on a vertex with probability
-    proportional to its rate, and recorder steps count events.  The
-    rejection-free engine skips the events that change nothing in law
-    (see :func:`ct_engine`); the record still counts them.
+    proportional to its rate, and recorder steps count events.  The engine
+    is that of :func:`run_ump` (see :func:`engine`); jump mode skips the
+    events that change nothing in law, and the record still counts them.
     """
     if base.side is None:
         raise InvalidRate("continuous-time chain expects a labeled base graph")
@@ -835,21 +757,7 @@ def run_ct_ump(
         n_events = int(cfg.events)
     else:
         n_events = int(gen.poisson(cfg.total_rate * cfg.horizon))
-    if ct_engine(rec) == "jump":
-        return _simulate_jump(base, sched, n_events, gen, rec, seed, cfg.classes, chunk)
-    cdf = np.cumsum(cfg.rates)
-    return _simulate(
-        base,
-        sched,
-        n_events,
-        gen,
-        rec,
-        seed_label=seed,
-        multipliers=cfg.multipliers,
-        rate_cdf=cdf / cdf[-1],
-        chunk=chunk,
-    )
-
+    return _run_chain(base, sched, n_events, gen, rec, seed, cfg.classes, chunk)
 
 # ---------------------------------------------------------------------------
 # Projection from a blowup state to its base

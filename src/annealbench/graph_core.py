@@ -171,36 +171,6 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Independent-set state maintained by the dynamics
-
-
-class IndependentSetState:
-    """Mutable occupancy vector plus running statistics for one trial.
-
-    Single-owner state: never share across workers.  The defining
-    invariant (occupied set spans no edge) can be asserted with
-    :meth:`check` after any update.
-    """
-
-    __slots__ = ("occupied", "size", "max_size_seen", "step")
-
-    def __init__(self, n: int):
-        self.occupied = bytearray(n)
-        self.size = 0
-        self.max_size_seen = 0
-        self.step = 0
-
-    def vertices(self) -> set[int]:
-        return {v for v, bit in enumerate(self.occupied) if bit}
-
-    def check(self, g: Graph) -> None:
-        assert sum(self.occupied) == self.size
-        assert self.max_size_seen >= self.size
-        if not is_independent(g, self.vertices()):
-            raise AssertionError("occupied set spans an edge")
-
-
-# ---------------------------------------------------------------------------
 # Alpha certificates and oracles
 
 

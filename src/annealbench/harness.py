@@ -25,6 +25,7 @@ import configparser
 import csv
 import hashlib
 import io
+import math
 import multiprocessing as mp
 import os
 import time
@@ -120,6 +121,10 @@ class ExperimentConfig:
             raise ConfigError("ump runs need steps >= 1")
         if self.algorithm == "ct" and not (self.events or self.horizon):
             raise ConfigError("ct runs need events or horizon")
+        if self.events is not None and self.events < 1:
+            raise ConfigError("events must be >= 1")
+        if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
+            raise ConfigError("horizon must be a finite number > 0, or burn")
         if self.algorithm in ("ump", "ct") and not self.schedules:
             raise ConfigError("no schedules configured")
         for spec in self.schedules:
@@ -316,12 +321,9 @@ def run_one_trial(
 
 
 def _engine(cfg: ExperimentConfig, bundle: InstanceBundle) -> str | None:
-    """The engine of a chain run: ``ump`` always steps; ``ct`` jumps unless
-    its recorder must see every proposal (see ``dynamics.ct_engine``)."""
-    if cfg.algorithm == "ump":
-        return "step"
-    if cfg.algorithm == "ct":
-        return dy.ct_engine(_recorder_for(cfg, bundle))
+    """The engine of a chain run (``ump`` or ``ct``; see ``dynamics.engine``)."""
+    if cfg.algorithm in ("ump", "ct"):
+        return dy.engine(_recorder_for(cfg, bundle))
     return None
 
 

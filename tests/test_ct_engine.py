@@ -1,15 +1,20 @@
-"""The rejection-free engine of the weighted continuous-time chain.
+"""The one engine of the discrete and the weighted continuous-time chain.
 
-``run_ct_ump`` skips the proposals that change nothing (see
-``dynamics._simulate_jump``); only a recorder that tracks touched vertices
-keeps the one-proposal-at-a-time step engine.  These tests hold the jump
-engine to the exact law of the chain (``exact_laws.weighted_law``), to the
-step engine's hitting steps, and to the recorder's contract.
+``run_ump`` and ``run_ct_ump`` step every proposal while proposals change
+the state and skip, in law, the ones that change nothing when they do not
+(jump mode, see ``dynamics._run_chain``); only a recorder that tracks
+touched vertices keeps step mode for the whole run.  Every test here runs
+both chains: ``ct``, the weighted chain, and ``ump``, the discrete chain on
+the same graph with unit weights.  They hold the engine to the exact law of
+the chain (``exact_laws.weighted_law``), to step mode's hitting steps, and
+to the recorder's contract.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +26,15 @@ from annealbench.schedules import FugacitySchedule, parse_schedule
 from exact_laws import weighted_law
 
 STEP = dy.RecorderConfig(track_touched=True)
+CHAINS = ("ct", "ump")
+
+
+def run(chain, g, cfg, sched, seed, recorder=None, chunk=dy._CHUNK):
+    """One run of ``chain`` on ``g``: ``ct`` is the weighted chain of
+    ``cfg``, ``ump`` the discrete chain for ``cfg.events`` steps."""
+    if chain == "ct":
+        return dy.run_ct_ump(g, cfg, sched, seed=seed, recorder=recorder, chunk=chunk)
+    return dy.run_ump(g, sched, cfg.events, seed=seed, recorder=recorder, chunk=chunk)
 
 
 def two_class_graph() -> gc.Graph:
@@ -42,42 +56,60 @@ def fields(rec: dy.TrialRecord) -> tuple:
     )
 
 
-def test_ct_engine_is_chosen_by_the_recorder():
-    assert dy.ct_engine(None) == "jump"
-    assert dy.ct_engine(dy.RecorderConfig(keep_final_state=True)) == "jump"
-    assert dy.ct_engine(STEP) == "step"
+def test_engine_is_chosen_by_the_recorder():
+    assert dy.engine(None) == "jump"
+    assert dy.engine(dy.RecorderConfig(keep_final_state=True)) == "jump"
+    assert dy.engine(STEP) == "step"
     g = two_class_graph()
     cfg = dy.WeightedCTConfig.for_sides(g, 3.0, 1.0, events=200)
-    rec = dy.run_ct_ump(g, cfg, FugacitySchedule.fixed(2.0), seed=1, recorder=STEP)
-    assert rec.right_touched is not None
-    assert dy.run_ct_ump(g, cfg, FugacitySchedule.fixed(2.0), seed=1).right_touched is None
+    for chain in CHAINS:
+        assert run(chain, g, cfg, FugacitySchedule.fixed(2.0), 1, STEP).right_touched is not None
+        assert run(chain, g, cfg, FugacitySchedule.fixed(2.0), 1).right_touched is None
 
 
 # -- exact in law ---------------------------------------------------------------
 
-# TV of 10^4 draws from the exact law itself stays below 0.026 in 2*10^4
-# resamples for every case (mean 0.009-0.012); a plateau run held at
-# lambda = 256 instead of dropping to 1 at step 5120 is 0.36 away.
+# TV of 10^4 draws from the exact law itself stays below 0.028 in 2*10^4
+# resamples for every case and chain (mean 0.007-0.014); a plateau run held
+# at lambda = 256 instead of dropping to 1 at step 5120 is 0.36 away.
 LAW_TRIALS = 10_000
 LAW_TV = 0.03
+# lambda 1 for 40 steps, 1e6 for 200, then 1 again: every run of either
+# chain enters jump mode once the set saturates and leaves it at the drop.
+SEQ_LAMBDAS = ["1"] * 40 + ["1e6"] * 200 + ["1"] * 40
 
 
 @pytest.mark.parametrize(
     "spec,steps",
-    [("fixed:3", 30), ("geometric:1:2:8:64", 40), ("adaptive:plateau", 5130)],
+    [
+        ("fixed:3", 30),
+        ("geometric:1:2:8:64", 40),
+        ("adaptive:plateau", 5130),
+        ("fixed:2", 40),
+        ("fixed:400", 200),
+        ("seq", len(SEQ_LAMBDAS)),
+    ],
 )
-def test_jump_engine_matches_exact_law(spec, steps):
+def test_jump_engine_matches_exact_law(spec, steps, tmp_path):
+    if spec == "seq":
+        path = tmp_path / "seq.txt"
+        path.write_text("\n".join(SEQ_LAMBDAS))
+        spec = f"seq:{path}"
     g = two_class_graph()
     cfg = dy.WeightedCTConfig.for_sides(g, 3.0, 1.0, 4.0, 1.0, events=steps)
-    exact = weighted_law(g, cfg.rates, cfg.multipliers, spec, steps)
     sched = parse_schedule(spec)
     rec = dy.RecorderConfig(keep_final_state=True, snapshot_every=steps)
-    counts = np.zeros(1 << g.n)
-    for seed in range(LAW_TRIALS):
-        final = dy.run_ct_ump(g, cfg, sched, seed=seed, recorder=rec).final_state
-        counts[sum(1 << v for v in final)] += 1
-    tv = 0.5 * float(np.abs(counts / LAW_TRIALS - exact).sum())
-    assert tv <= LAW_TV, f"{spec}: TV {tv:.4f} > {LAW_TV}"
+    for chain in CHAINS:
+        if chain == "ct":
+            exact = weighted_law(g, cfg.rates, cfg.multipliers, spec, steps)
+        else:
+            exact = weighted_law(g, np.ones(g.n), np.ones(g.n), spec, steps)
+        counts = np.zeros(1 << g.n)
+        for seed in range(LAW_TRIALS):
+            final = run(chain, g, cfg, sched, seed, rec).final_state
+            counts[sum(1 << v for v in final)] += 1
+        tv = 0.5 * float(np.abs(counts / LAW_TRIALS - exact).sum())
+        assert tv <= LAW_TV, f"{chain} {spec}: TV {tv:.4f} > {LAW_TV}"
 
 
 def test_exact_law_sees_the_plateau_reheat():
@@ -90,29 +122,38 @@ def test_exact_law_sees_the_plateau_reheat():
     np.testing.assert_allclose(before, weighted_law(g, rates, mults, "fixed:256", 5120), atol=1e-12)
 
 
+# (fugacity, target size) of the hitting-step test.  The discrete chain at
+# lambda 4 reaches size 14 in about 50 steps, and only one run in ten
+# enters jump mode first; at lambda 64 two runs in three enter jump mode
+# before they reach 22.
+HIT_CASES = {"ct": (4.0, 14), "ump": (64.0, 22)}
+
+
 def test_jump_hitting_steps_match_step_engine():
-    """Two-sample KS test at level 0.001 on the step at which the set
-    first reaches size 14 (alpha of the base is 24)."""
+    """Two-sample KS test at level 0.001, for each chain, on the step at
+    which the set first reaches a target size (alpha of the base is 24),
+    against step mode kept for the whole run."""
     base, cfg = small_blowup(events=200_000)
-    sched = FugacitySchedule.fixed(4.0)
-    target = 14
     trials = 1500
 
-    def hits(extra: dict, offset: int) -> np.ndarray:
+    def hits(chain: str, extra: dict, offset: int) -> np.ndarray:
+        lam, target = HIT_CASES[chain]
+        sched = FugacitySchedule.fixed(lam)
         rec = dy.RecorderConfig(thresholds=(target,), early_stop_size=target, **extra)
         out = [
-            dy.run_ct_ump(base, cfg, sched, seed=offset + i, recorder=rec).hitting_steps[target]
+            run(chain, base, cfg, sched, offset + i, rec).hitting_steps[target]
             for i in range(trials)
         ]
         return np.sort(out)
 
-    jump = hits({}, 0)
-    step = hits({"track_touched": True}, 10**6)
-    grid = np.union1d(jump, step)
-    ks = np.max(np.abs(
-        np.searchsorted(jump, grid, side="right") - np.searchsorted(step, grid, side="right")
-    )) / trials
-    assert ks <= 1.949 * math.sqrt(2 / trials), f"KS distance {ks:.4f}"
+    for chain in CHAINS:
+        jump = hits(chain, {}, 0)
+        step = hits(chain, {"track_touched": True}, 10**6)
+        grid = np.union1d(jump, step)
+        ks = np.max(np.abs(
+            np.searchsorted(jump, grid, side="right") - np.searchsorted(step, grid, side="right")
+        )) / trials
+        assert ks <= 1.949 * math.sqrt(2 / trials), f"{chain}: KS distance {ks:.4f}"
 
 
 # -- determinism and the recorder -------------------------------------------------
@@ -124,13 +165,24 @@ def test_jump_bytes_do_not_depend_on_chunk():
         thresholds=(5, 20), keep_final_state=True, keep_argmax_state=True, probe_step=777,
         probe_vertices=(0, 1, 2), snapshot_every=1000,
     )
-    for spec in ("fixed:2", "geometric:1:2:5000", "adaptive:plateau"):
-        sched = parse_schedule(spec)
-        runs = [
-            fields(dy.run_ct_ump(base, cfg, sched, seed=3, recorder=rec, chunk=c))
-            for c in (1, 7, dy._CHUNK)
-        ]
-        assert runs[0] == runs[1] == runs[2], spec
+    for chain in CHAINS:
+        for spec in ("fixed:2", "geometric:1:2:5000", "adaptive:plateau"):
+            sched = parse_schedule(spec)
+            runs = [fields(run(chain, base, cfg, sched, 3, rec, c)) for c in (1, 7, dy._CHUNK)]
+            assert runs[0] == runs[1] == runs[2], (chain, spec)
+
+
+def test_bytes_do_not_depend_on_recorder_marks():
+    """A pending jump-mode change survives snapshot, probe and check marks:
+    a run's trajectory is the same whether the recorder looks at it every
+    step or rarely."""
+    base, cfg = small_blowup(events=30_000)
+    rare = dy.RecorderConfig(thresholds=(5, 20), keep_final_state=True, keep_argmax_state=True)
+    often = replace(rare, snapshot_every=1, probe_step=777, probe_vertices=(0, 1), check_every=13)
+    for chain in CHAINS:
+        for spec in ("fixed:2", "fixed:400", "geometric:1:2:5000", "adaptive:plateau"):
+            a, b = (fields(run(chain, base, cfg, parse_schedule(spec), 3, r)) for r in (rare, often))
+            assert a[:5] + a[-2:] == b[:5] + b[-2:], (chain, spec)
 
 
 class _Recording:
@@ -156,39 +208,40 @@ class _Recording:
 )
 def test_jump_calls_segment_where_the_step_engine_does(sched):
     base, cfg = small_blowup(events=6_000)
-    jump, step = _Recording(sched), _Recording(sched)
-    dy.run_ct_ump(base, cfg, jump, seed=4)
-    dy.run_ct_ump(base, cfg, step, seed=4, recorder=STEP)
-    assert jump.calls == step.calls
+    for chain in CHAINS:
+        jump, step = _Recording(sched), _Recording(sched)
+        run(chain, base, cfg, jump, 4)
+        run(chain, base, cfg, step, 4, STEP)
+        assert jump.calls == step.calls, chain
 
 
 def test_greedy_saturates_then_skips_to_the_budget():
-    base, cfg = small_blowup(events=10**12)  # no step engine could run this
-    rec = dy.run_ct_ump(
-        base, cfg, FugacitySchedule.infinite(), seed=6,
-        recorder=dy.RecorderConfig(keep_final_state=True, snapshot_every=10**11),
-    )
-    assert rec.steps == 10**12
-    final = rec.final_state
-    assert gc.is_independent(base, final) and len(final) == rec.final_size == rec.max_size
+    base, cfg = small_blowup(events=10**12)  # no stepping could run this
+    keep = dy.RecorderConfig(keep_final_state=True, snapshot_every=10**11)
     adj = base.neighbor_lists
-    assert all(any(w in final for w in adj[v]) for v in range(base.n) if v not in final)
-    assert [s[1] for s in rec.snapshots] == [rec.final_size] * 10
+    for chain in CHAINS:
+        rec = run(chain, base, cfg, FugacitySchedule.infinite(), 6, keep)
+        assert rec.steps == 10**12
+        final = rec.final_state
+        assert gc.is_independent(base, final) and len(final) == rec.final_size == rec.max_size
+        assert all(any(w in final for w in adj[v]) for v in range(base.n) if v not in final)
+        assert [s[1] for s in rec.snapshots] == [rec.final_size] * 10
 
 
 def test_early_stop_one_event_and_no_events():
     base, cfg = small_blowup(events=100_000)
-    stop = dy.run_ct_ump(
-        base, cfg, FugacitySchedule.fixed(2.0), seed=7,
-        recorder=dy.RecorderConfig(early_stop_size=12, keep_argmax_state=True),
-    )
-    assert stop.max_size == stop.final_size == 12
-    assert stop.steps == stop.step_of_max < 100_000
-    assert len(stop.argmax_state) == 12
-
     one_cfg = dy.WeightedCTConfig.blowup_implicit(base, 10, events=1)
-    one = dy.run_ct_ump(base, one_cfg, FugacitySchedule.fixed(2.0), seed=7)
-    assert (one.steps, one.final_size, one.step_of_max) == (1, 1, 1)  # the empty set has p = 1
+    early = dy.RecorderConfig(early_stop_size=12, keep_argmax_state=True)
+    for chain in CHAINS:
+        stop = run(chain, base, cfg, FugacitySchedule.fixed(2.0), 7, early)
+        assert stop.max_size == stop.final_size == 12
+        assert stop.steps == stop.step_of_max < 100_000
+        assert len(stop.argmax_state) == 12
+
+        one = run(chain, base, one_cfg, FugacitySchedule.fixed(2.0), 7)
+        assert (one.steps, one.final_size, one.step_of_max) == (1, 1, 1)  # the empty set has p = 1
+
+    # no events: the continuous-time chain only (run_ump needs steps >= 1)
 
     none_cfg = dy.WeightedCTConfig.blowup_implicit(base, 10, horizon=1e-12)  # Poisson(~0) events
     keep = dy.RecorderConfig(keep_final_state=True, keep_argmax_state=True)
@@ -203,8 +256,8 @@ def test_early_stop_one_event_and_no_events():
 def test_kept_states_are_independent_and_sides_add_up(spec):
     base, cfg = small_blowup(events=50_000)
     rec = dy.RecorderConfig(keep_final_state=True, keep_argmax_state=True, check_every=997)
-    for seed in range(5):
-        out = dy.run_ct_ump(base, cfg, parse_schedule(spec), seed=seed, recorder=rec)
+    for chain, seed in itertools.product(CHAINS, range(5)):
+        out = run(chain, base, cfg, parse_schedule(spec), seed, rec)
         assert gc.is_independent(base, out.final_state)
         assert gc.is_independent(base, out.argmax_state)
         assert len(out.final_state) == out.final_size

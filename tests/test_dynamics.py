@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidFugacity, InvalidRate, NotIndependent
-from annealbench.graph_core import IndependentSetState
 from annealbench.schedules import FugacitySchedule, parse_schedule
+from reference import IndependentSetState, run_ump_reference, ump_update
 
 FIX2 = FugacitySchedule.fixed(2.0)
 GREEDY = FugacitySchedule.infinite()
@@ -33,39 +34,39 @@ def labeled_path3():
 def test_update_adds_isolated_vertex():
     g = gc.build_graph(2, [])
     st = IndependentSetState(2)
-    dy.ump_update(st, g, 0, 0.99, 3.0)
+    ump_update(st, g, 0, 0.99, 3.0)
     assert st.occupied[0] == 1 and st.size == 1
 
 
 def test_update_blocked_add_is_noop():
     g = gc.build_graph(2, [(0, 1)])
     st = IndependentSetState(2)
-    dy.ump_update(st, g, 0, 0.5, 2.0)
-    dy.ump_update(st, g, 1, 0.9, 2.0)
+    ump_update(st, g, 0, 0.5, 2.0)
+    ump_update(st, g, 1, 0.9, 2.0)
     assert st.occupied[1] == 0 and st.size == 1
 
 
 def test_update_removal_rule():
     g = gc.build_graph(1, [])
     st = IndependentSetState(1)
-    dy.ump_update(st, g, 0, 0.7, 2.0)  # add
-    dy.ump_update(st, g, 0, 0.3, 2.0)  # 0.3 <= 1/2: remove
+    ump_update(st, g, 0, 0.7, 2.0)  # add
+    ump_update(st, g, 0, 0.3, 2.0)  # 0.3 < 1/2: remove
     assert st.size == 0
 
 
 def test_update_infinite_fugacity_never_removes():
     g = gc.build_graph(1, [])
     st = IndependentSetState(1)
-    dy.ump_update(st, g, 0, 0.9, math.inf)
-    for zeta in (1e-12, 0.2, 0.999):
-        dy.ump_update(st, g, 0, zeta, math.inf)
+    ump_update(st, g, 0, 0.9, math.inf)
+    for zeta in (0.0, 1e-12, 0.2, 0.999):
+        ump_update(st, g, 0, zeta, math.inf)
     assert st.size == 1
 
 
 def test_update_rejects_low_fugacity():
     g = gc.build_graph(1, [])
     with pytest.raises(InvalidFugacity):
-        dy.ump_update(IndependentSetState(1), g, 0, 0.5, 0.5)
+        ump_update(IndependentSetState(1), g, 0, 0.5, 0.5)
 
 
 # -- engine vs reference ----------------------------------------------------
@@ -89,19 +90,33 @@ ENGINE_SCHEDULES = [
 ]
 
 
+# A recorder that tracks touched vertices keeps step mode for the whole run.
+STEP_MODE = dy.RecorderConfig(keep_final_state=True, track_touched=True)
+
+
+def _assert_matches_reference(g, sched, steps, seed, early=None):
+    rec = dy.run_ump(
+        g, sched, steps, seed=seed, recorder=replace(STEP_MODE, early_stop_size=early)
+    )
+    ref, step_of_max = run_ump_reference(g, sched, steps, seed=seed, early_stop_size=early)
+    assert rec.final_state == frozenset(ref.vertices())
+    assert (rec.steps, rec.max_size, rec.step_of_max, rec.final_size) == (
+        ref.step, ref.max_size_seen, step_of_max, ref.size
+    )
+
+
 @pytest.mark.parametrize("gi", range(len(ENGINE_GRAPHS)))
 @pytest.mark.parametrize("si", range(len(ENGINE_SCHEDULES)))
 def test_engine_matches_reference(gi, si):
+    """Step mode is the reference fold byte for byte: over 800 steps, over
+    40,000 steps (more than one block of 2**15 reals), and stopped early
+    when the set first reaches size 2."""
     g = ENGINE_GRAPHS[gi]
     sched = ENGINE_SCHEDULES[si]
     for seed in range(4):
-        rec = dy.run_ump(
-            g, sched, 800, seed=seed, recorder=dy.RecorderConfig(keep_final_state=True)
-        )
-        ref = dy.run_ump_reference(g, sched, 800, seed=seed)
-        assert rec.final_state == frozenset(ref.vertices())
-        assert rec.max_size == ref.max_size_seen
-        assert rec.final_size == ref.size
+        _assert_matches_reference(g, sched, 800, seed)
+    _assert_matches_reference(g, sched, 40_000, seed=4)
+    _assert_matches_reference(g, sched, 40_000, seed=5, early=2)
 
 
 def test_engine_deterministic_replay():
@@ -163,7 +178,7 @@ def test_removal_acceptance_frequency():
     for _ in range(100_000):
         zeta = float(gen.random())
         was = st.occupied[0]
-        dy.ump_update(st, g, 0, zeta, lam)
+        ump_update(st, g, 0, zeta, lam)
         if was:
             proposals += 1
             accepts += was and not st.occupied[0]
@@ -403,6 +418,22 @@ def test_ct_requires_positive_rates():
         dy.WeightedCTConfig.for_sides(g, 0.0, 1.0, horizon=1.0)
     with pytest.raises(InvalidFugacity):
         dy.WeightedCTConfig.for_sides(g, 1.0, 1.0, 0.5, 1.0, horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"horizon": -1.0},
+        {"horizon": 0.0},
+        {"horizon": math.nan},
+        {"horizon": math.inf},
+        {"events": -5},
+        {"events": 0},
+    ],
+)
+def test_ct_rejects_bad_horizon_and_events(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        dy.WeightedCTConfig.for_sides(labeled_path3(), 1.0, 1.0, **kwargs)
 
 
 def test_ct_blowup_implicit_fills_left_side():

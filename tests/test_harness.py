@@ -33,6 +33,9 @@ reach2 = frac_max_ge 2 0.9
 """
 
 
+CT_INSTANCE = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
+
+
 def _cfg(tmp_path, text=TINY_CFG):
     return hz.loads_config(text.format(out=tmp_path / "out"))
 
@@ -231,6 +234,22 @@ def test_malformed_schedule_spec_is_a_config_error(tmp_path, spec):
         _cfg(tmp_path, TINY_CFG.replace("specs = fixed:2, greedy", f"specs = fixed:2, {spec}"))
 
 
+@pytest.mark.parametrize(
+    "run,match",
+    [
+        ("horizon = -1", "horizon"),
+        ("horizon = nan", "horizon"),
+        ("events = -5", "events"),
+    ],
+)
+def test_ct_horizon_and_events_are_checked(tmp_path, run, match):
+    text = TINY_CFG.replace("family = star-tree\nk = 3", CT_INSTANCE).replace(
+        "algorithm = ump\nsteps = 400", f"algorithm = ct\n{run}"
+    )
+    with pytest.raises(ConfigError, match=match):
+        _cfg(tmp_path, text)
+
+
 def test_large_seed_is_kept_exactly(tmp_path):
     cfg = _cfg(tmp_path, TINY_CFG.replace("seed = 99", "seed = 12345678901234567891"))
     assert cfg.seed == 12345678901234567891
@@ -304,13 +323,12 @@ def test_pool_under_spawn_matches_serial(tmp_path):
 
 # -- engine in the manifest -------------------------------------------------------
 
-CT_INSTANCE = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
-
 
 @pytest.mark.parametrize(
     "instance,run,engine",
     [
-        ("family = star-tree\nk = 3", "", "step"),
+        ("family = star-tree\nk = 3", "", "jump"),
+        ("family = star-tree\nk = 3", "algorithm = ump\nsteps = 40\ntrack_touched = true", "step"),
         (CT_INSTANCE, "algorithm = ct\nevents = 500", "jump"),
         (CT_INSTANCE, "algorithm = ct\nevents = 500\ntrack_touched = true", "step"),
         ("family = star-tree\nk = 3", "algorithm = greedy", None),
