@@ -73,7 +73,7 @@ class RecorderConfig:
     """What a simulation loop should measure while it runs."""
 
     thresholds: tuple[int, ...] = ()
-    snapshot_every: int | None = None  # default: ~1000 snapshots per run
+    snapshot_every: int | None = None  # default: no snapshots
     watch: tuple[int, ...] = ()  # "root added" vertices
     probe_step: int | None = None
     probe_vertices: tuple[int, ...] = ()
@@ -232,7 +232,7 @@ def _run_chain(
     # that tracks them keeps step mode for the whole run.
     touched = np.zeros(n, dtype=bool) if rec.track_touched else None
 
-    marks = _Marks(g, rec, steps)
+    marks = _Marks(g, rec)
     next_mark = marks.next
 
     argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
@@ -484,13 +484,10 @@ class _Marks:
     the probe step and debug checks.  The engine calls :meth:`visit` when
     step ``next`` is done; it returns the step of the next mark."""
 
-    def __init__(self, g: Graph, rec: RecorderConfig, steps: int):
+    def __init__(self, g: Graph, rec: RecorderConfig):
         self.g = g
         self.probe_vertices = rec.probe_vertices
-        snap_every = rec.snapshot_every
-        if snap_every is None:
-            snap_every = max(1, math.ceil(steps / 1000))
-        self.snap_every = self.next_snap = snap_every
+        self.snap_every = self.next_snap = rec.snapshot_every or _NEVER
         self.snapshots: list[tuple[int, int, int, int]] = []
         self.probe_step = rec.probe_step if rec.probe_step is not None else _NEVER
         self.probe_count: int | None = None
@@ -803,19 +800,19 @@ def run_randomized_greedy(
     saturation: re-draws of decided vertices are no-ops there, so only the
     first-arrival order matters.
     """
-    gen = rngmod.stream(seed)
-    perm = gen.permutation(g.n)
-    blocked = np.zeros(g.n, dtype=bool)
-    offs = g.adj_offsets
-    targets = g.adj_targets
+    perm = rngmod.stream(seed).permutation(g.n)
+    offs, targets = g.adj_offsets.tolist(), g.adj_targets
+    # Read one vertex at a time as a bytearray; block a neighbourhood at once
+    # through a numpy view of the same bytes.
+    blocked = bytearray(g.n)
+    scatter = np.frombuffer(blocked, dtype=np.uint8)
     chosen: list[int] = []
     last_add_pos = 0
     for pos, v in enumerate(perm.tolist()):
         if not blocked[v]:
             chosen.append(v)
-            blocked[v] = True
-            targets_v = targets[offs[v] : offs[v + 1]]
-            blocked[targets_v] = True
+            blocked[v] = 1
+            scatter[targets[offs[v] : offs[v + 1]]] = 1
             last_add_pos = pos + 1
     record = TrialRecord(
         seed=seed,

@@ -11,6 +11,7 @@ re-checked with :func:`is_independent`.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,43 +71,45 @@ class Graph:
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Python-list adjacency, built once per graph for tight loops."""
-        offs = self.adj_offsets
+        offs = self.adj_offsets.tolist()
         targets = self.adj_targets.tolist()
-        return [targets[offs[v] : offs[v + 1]] for v in range(self.n)]
+        return [targets[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                if u < w:
-                    out.add((u, int(w)))
-        return out
+    def edge_array(self) -> np.ndarray:
+        """Each edge once as a row ``(u, v)`` with ``u < v``, rows sorted."""
+        src = np.repeat(np.arange(self.n), np.diff(self.adj_offsets))
+        keep = src < self.adj_targets
+        return np.stack([src[keep], self.adj_targets[keep]], axis=1)
 
 
 def build_graph(
     num_vertices: int,
-    edges: Iterable[tuple[int, int]],
+    edges: Iterable[tuple[int, int]] | np.ndarray,
     labels: dict[int, int] | np.ndarray | None = None,
     groups: dict[int, int] | np.ndarray | None = None,
     kind: str = "generic",
 ) -> Graph:
     """Construct a :class:`Graph`, deduplicating edges.
 
-    Raises :class:`InvalidEdge` on out-of-range endpoints or self-loops,
+    ``edges`` is an ``(m, 2)`` integer array or any iterable of pairs;
+    ``(u, v)`` and ``(v, u)`` name the same edge.  Raises
+    :class:`InvalidEdge` on a self-loop or an endpoint outside ``[0, n)``,
     and :class:`NotBipartite` if ``kind`` is a bipartite family and an
-    edge joins two vertices of the same side.
+    edge joins two vertices of the same side; each names the first such
+    edge of the input.
     """
     n = int(num_vertices)
     if n < 0:
         raise InvalidEdge("negative vertex count")
-    pairs: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge ({u},{v}) outside [0,{n})")
-        pairs.add((u, v) if u < v else (v, u))
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise InvalidEdge(f"edges must be pairs, got shape {pairs.shape}")
+    u, v = pairs.reshape(-1, 2).T
+    bad = np.flatnonzero((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if bad.size:
+        a, b = int(u[bad[0]]), int(v[bad[0]])
+        msg = f"self-loop at vertex {a}" if a == b else f"edge ({a},{b}) outside [0,{n})"
+        raise InvalidEdge(msg)
 
     side = _per_vertex_array(n, labels, np.int8, SIDE_NONE)
     group = _per_vertex_array(n, groups, np.int64, NO_GROUP)
@@ -114,35 +117,22 @@ def build_graph(
     if kind in BIPARTITE_KINDS:
         if side is None:
             raise NotBipartite(f"kind {kind!r} requires side labels")
-        for u, v in pairs:
-            if side[u] == side[v] and side[u] != SIDE_NONE:
-                raise NotBipartite(f"same-side edge ({u},{v})")
+        bad = np.flatnonzero((side[u] == side[v]) & (side[u] != SIDE_NONE))
+        if bad.size:
+            a, b = sorted((int(u[bad[0]]), int(v[bad[0]])))
+            raise NotBipartite(f"same-side edge ({a},{b})")
 
-    degs = np.zeros(n, dtype=np.int64)
-    for u, v in pairs:
-        degs[u] += 1
-        degs[v] += 1
+    # Each edge once from each end as source*n + target; sorted and deduped,
+    # the keys run through the neighbor lists in order.
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    targets = keys % n
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=offsets[1:])
-    targets = np.zeros(int(offsets[-1]), dtype=np.int64)
-    cursor = offsets[:-1].copy()
-    for u, v in sorted(pairs):
-        targets[cursor[u]] = v
-        cursor[u] += 1
-        targets[cursor[v]] = u
-        cursor[v] += 1
-    # Sorted input plus per-vertex append yields sorted neighbor lists for
-    # the u side only; sort each list to make the layout input-order free.
-    for v in range(n):
-        lo, hi = offsets[v], offsets[v + 1]
-        targets[lo:hi] = np.sort(targets[lo:hi])
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
 
-    for arr in (offsets, targets):
-        arr.setflags(write=False)
-    if side is not None:
-        side.setflags(write=False)
-    if group is not None:
-        group.setflags(write=False)
+    for arr in (offsets, targets, side, group):
+        if arr is not None:
+            arr.setflags(write=False)
     return Graph(n, offsets, targets, side, group, kind)
 
 
@@ -152,6 +142,8 @@ def _per_vertex_array(n, values, dtype, fill) -> np.ndarray | None:
     if isinstance(values, dict):
         arr = np.full(n, fill, dtype=dtype)
         for v, val in values.items():
+            if not 0 <= int(v) < n:
+                raise InvalidEdge(f"per-vertex value for vertex {v} outside [0,{n})")
             arr[int(v)] = val
         return arr
     arr = np.asarray(values, dtype=dtype).copy()
@@ -163,11 +155,7 @@ def _per_vertex_array(n, values, dtype, fill) -> np.ndarray | None:
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff ``vertices`` spans no edge of ``g``."""
     chosen = set(int(v) for v in vertices)
-    for v in chosen:
-        for w in g.neighbors(v):
-            if int(w) in chosen:
-                return False
-    return True
+    return not any(w in chosen for v in chosen for w in g.neighbor_lists[v])
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +263,15 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
     side = g.side
     if np.any(side == SIDE_NONE):
         raise NotBipartite("unlabeled vertices present")
-    for u in range(g.n):
-        for w in g.neighbors(u):
-            if side[u] == side[int(w)]:
-                raise NotBipartite(f"same-side edge ({u},{int(w)})")
+    u, w = g.edge_array().T
+    bad = np.flatnonzero(side[u] == side[w])
+    if bad.size:
+        raise NotBipartite(f"same-side edge ({u[bad[0]]},{w[bad[0]]})")
 
-    left = [v for v in range(g.n) if side[v] == SIDE_L]
-    match = _hopcroft_karp(g, left)
+    adj = g.neighbor_lists
+    is_left = [s == SIDE_L for s in side.tolist()]
+    left = [v for v in range(g.n) if is_left[v]]
+    match = _hopcroft_karp(adj, left)
     matching_size = sum(1 for v in left if match[v] != -1)
 
     # Alternating BFS from unmatched left vertices.
@@ -291,9 +281,8 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
         reached[v] = 1
     while queue:
         u = queue.popleft()
-        if side[u] == SIDE_L:
-            for w in g.neighbors(u):
-                w = int(w)
+        if is_left[u]:
+            for w in adj[u]:
                 if not reached[w] and match[u] != w:
                     reached[w] = 1
                     queue.append(w)
@@ -303,11 +292,7 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
                 reached[w] = 1
                 queue.append(w)
 
-    witness = frozenset(
-        v
-        for v in range(g.n)
-        if (side[v] == SIDE_L and reached[v]) or (side[v] == SIDE_R and not reached[v])
-    )
+    witness = frozenset(v for v in range(g.n) if is_left[v] == bool(reached[v]))
     alpha = g.n - matching_size
     cert = AlphaCertificate(alpha, witness, METHOD_BIPARTITE_MATCHING)
     if len(witness) != alpha:
@@ -315,10 +300,10 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
     return cert
 
 
-def _hopcroft_karp(g: Graph, left: list[int]) -> list[int]:
+def _hopcroft_karp(adj: list[list[int]], left: list[int]) -> list[int]:
     """Maximum matching; returns mate array over all vertices (-1 unmatched)."""
     INF = float("inf")
-    match = [-1] * g.n
+    match = [-1] * len(adj)
     dist: dict[int, float] = {}
     goal = INF
 
@@ -336,8 +321,8 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> list[int]:
             u = queue.popleft()
             if dist[u] >= goal:
                 continue
-            for w in g.neighbors(u):
-                mate = match[int(w)]
+            for w in adj[u]:
+                mate = match[w]
                 if mate == -1:
                     goal = min(goal, dist[u] + 1)
                 elif dist[mate] == INF:
@@ -350,7 +335,7 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> list[int]:
         the BFS layers, with an explicit stack: a frame is a vertex, its
         neighbours and the index of the next one to try.  A dead end drops
         out of the layers (dist = INF), as in the recursive form."""
-        stack = [[root, g.neighbors(root).tolist(), 0]]
+        stack = [[root, adj[root], 0]]
         path: list[int] = []  # path[i]: the right vertex taken from stack[i]
         while stack:
             frame = stack[-1]
@@ -369,7 +354,7 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> list[int]:
                 elif dist[mate] == dist[u] + 1:
                     frame[2] = i
                     path.append(w)
-                    stack.append([mate, g.neighbors(mate).tolist(), 0])
+                    stack.append([mate, adj[mate], 0])
                     break
             else:
                 dist[u] = INF
@@ -399,8 +384,7 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
         while stack:
             u = stack.pop()
             order.append(u)
-            for w in g.neighbors(u):
-                w = int(w)
+            for w in g.neighbor_lists[u]:
                 edges_here += 1
                 if w == parent[u]:
                     continue
@@ -442,17 +426,22 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Text file format
+# Text file format: one record per line, tokens split on whitespace.
 #
-#   p is <num_vertices> <num_edges>
-#   e <u> <v>          one line per edge, 0-indexed, u < v, sorted
-#   l <v> <L|R>        optional side labels, ascending v
-#   g <v> <group_id>   optional group ids, ascending v
+#   c ...              comment (the first token is exactly ``c``); blank lines
+#                      are skipped too
+#   p is <n> <m>       problem line, exactly once, before any e, l or g line
+#   e <u> <v>          one line per edge, 0-indexed, u != v
+#   l <v> <L|R>        optional side labels
+#   g <v> <group_id>   optional group ids
+#
+# Every number is a decimal integer (``-?[0-9]+``); counts are >= 0 and
+# vertices lie in [0, n).  Any other line raises InvalidEdge naming it.
 
 
 def graph_to_text(g: Graph) -> str:
     lines = [f"p is {g.n} {g.num_edges}"]
-    for u, v in sorted(g.edge_set()):
+    for u, v in g.edge_array().tolist():
         lines.append(f"e {u} {v}")
     if g.side is not None:
         for v in range(g.n):
@@ -465,40 +454,62 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(tok: str, below: int | None = None) -> int:
+    """``tok`` as a decimal integer; with ``below``, a vertex in [0, below)."""
+    if not _INT.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not an integer")
+    val = int(tok)
+    if below is not None and not 0 <= val < below:
+        raise ValueError(f"vertex {val} outside [0,{below})")
+    return val
+
+
 def graph_from_text(text: str, kind: str = "generic") -> Graph:
-    n = None
-    claimed_edges = None
-    edges: list[tuple[int, int]] = []
+    n = claimed_edges = None
+    edges: list[int] = []  # u0, v0, u1, v1, ...
     labels: dict[int, int] = {}
     groups: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if parts[1] != "is" or len(parts) != 4:
-                raise InvalidEdge(f"bad problem line: {raw!r}")
-            n = int(parts[2])
-            claimed_edges = int(parts[3])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "l":
-            labels[int(parts[1])] = SIDE_L if parts[2] == "L" else SIDE_R
-        elif parts[0] == "g":
-            groups[int(parts[1])] = int(parts[2])
-        else:
-            raise InvalidEdge(f"unrecognized line: {raw!r}")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tag, *args = raw.split() or ["c"]
+        try:
+            if tag == "c":
+                continue
+            if tag == "p":
+                if n is not None or len(args) != 3 or args[0] != "is":
+                    raise ValueError("want one problem line 'p is <n> <m>'")
+                n, claimed_edges = _int(args[1]), _int(args[2])
+                if min(n, claimed_edges) < 0:
+                    raise ValueError("negative count")
+            elif tag not in ("e", "l", "g") or len(args) != 2:
+                raise ValueError("want 'e <u> <v>', 'l <v> <L|R>' or 'g <v> <group>'")
+            elif n is None:
+                raise ValueError("comes before the problem line")
+            elif tag == "e":
+                u, v = _int(args[0], n), _int(args[1], n)
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                edges += (u, v)
+            elif tag == "l":
+                if args[1] not in ("L", "R"):
+                    raise ValueError(f"side {args[1]!r} is not L or R")
+                labels[_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
+            else:
+                groups[_int(args[0], n)] = _int(args[1])
+        except ValueError as exc:
+            raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None
     if n is None:
         raise InvalidEdge("missing problem line")
     g = build_graph(
         n,
-        edges,
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
         labels=labels or None,
         groups=groups or None,
         kind=kind,
     )
-    if claimed_edges is not None and g.num_edges != claimed_edges:
+    if g.num_edges != claimed_edges:
         raise InvalidEdge(
             f"problem line claims {claimed_edges} edges, file has {g.num_edges}"
         )

@@ -162,10 +162,8 @@ def gen_base_bipartite(n: int, k: int, p: float, seed: int = 0) -> Graph:
     left, right = n, k * n
     gen = rngmod.stream(seed, rngmod.DOMAIN_INSTANCE, _TAG_BASE_BIPARTITE)
     idx = _bernoulli_indices(left * right, p, gen)
-    edges = [(int(t // right), int(n + t % right)) for t in idx]
-    side = np.concatenate(
-        [np.full(left, SIDE_L, np.int8), np.full(right, SIDE_R, np.int8)]
-    )
+    edges = np.stack([idx // right, n + idx % right], axis=1)
+    side = np.repeat(np.array([SIDE_L, SIDE_R], np.int8), [left, right])
     return build_graph(left + right, edges, labels=side, kind="base-bipartite")
 
 
@@ -182,20 +180,15 @@ def gen_clique_blowup(params: BlowupParams, base: Graph | None = None) -> Graph:
         base = gen_base_bipartite(n, k, params.p, params.seed)
     elif base.n != n + k * n:
         raise ValueError("base graph does not match blowup parameters")
-    edges: list[tuple[int, int]] = []
-    for u in range(n):
-        lo = u * ell
-        edges.extend(
-            (lo + a, lo + b) for a in range(ell) for b in range(a + 1, ell)
-        )
-    offset = n * ell
-    for u in range(n):
-        for w in base.neighbors(u):
-            j = int(w) - n  # base right index
-            edges.extend((u * ell + a, offset + j) for a in range(ell))
-    side = np.concatenate(
-        [np.full(n * ell, SIDE_L, np.int8), np.full(k * n, SIDE_R, np.int8)]
-    )
+    a, b = np.triu_indices(ell, 1)
+    starts = np.arange(n)[:, None] * ell
+    cliques = np.stack([(starts + a).ravel(), (starts + b).ravel()], axis=1)
+    offs = base.adj_offsets
+    u = np.repeat(np.arange(n), np.diff(offs[: n + 1]))  # base left end
+    j = base.adj_targets[: offs[n]] - n  # base right index
+    joins = np.stack([(u[:, None] * ell + np.arange(ell)).ravel(), np.repeat(n * ell + j, ell)], 1)
+    edges = np.concatenate([cliques, joins])
+    side = np.repeat(np.array([SIDE_L, SIDE_R], np.int8), [n * ell, k * n])
     group = np.concatenate(
         [
             np.repeat(np.arange(n, dtype=np.int64), ell),
@@ -265,14 +258,12 @@ def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> tuple[Gra
         raise NotBipartite("bipartite blowup needs a labeled base")
     K = int(cloud_size)
     meta = CloudMeta(cloud_size=K, copies=int(copies), base_n=base.n)
-    base_edges = sorted(base.edge_set())
-    edges: list[tuple[int, int]] = []
-    for m in range(copies):
-        shift = m * base.n
-        for u, w in base_edges:
-            cu = (shift + u) * K
-            cw = (shift + w) * K
-            edges.extend((cu + a, cw + b) for a in range(K) for b in range(K))
+    u, w = base.edge_array().T
+    shift = np.arange(copies)[:, None] * base.n
+    cu = ((shift + u) * K).ravel()
+    cw = ((shift + w) * K).ravel()
+    a, b = np.divmod(np.arange(K * K), K)
+    edges = np.stack([(cu[:, None] + a).ravel(), (cw[:, None] + b).ravel()], axis=1)
     side = np.repeat(np.tile(np.asarray(base.side, np.int8), copies), K)
     group = np.repeat(np.arange(meta.num_clouds, dtype=np.int64), K)
     g = build_graph(
@@ -331,11 +322,7 @@ def gen_random_balanced_bipartite(n: int, d: float, seed: int = 0) -> Graph:
     left = np.flatnonzero(side == SIDE_L)
     right = np.flatnonzero(side == SIDE_R)
     idx = _bernoulli_indices(left.size * right.size, d / n, gen)
-    edges = []
-    if idx.size:
-        us = left[idx // right.size]
-        ws = right[idx % right.size]
-        edges = list(zip(us.tolist(), ws.tolist()))
+    edges = np.stack([left[idx // right.size], right[idx % right.size]], axis=1)
     return build_graph(2 * n, edges, labels=side, kind="balanced-bipartite")
 
 
@@ -355,12 +342,10 @@ def gen_appendix_anchor(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    edges: list[tuple[int, int]] = []
-    edges += [(i, n + c) for i in range(n) for c in range(n)]
-    edges += [(n + a, n + b) for a in range(n) for b in range(a + 1, n)]
     hub = 2 * n
-    edges += [(i, hub) for i in range(n)]
-    return build_graph(2 * n + 1, edges, kind="anchor")
+    a, b = np.triu_indices(hub + 1, 1)
+    keep = (n <= b) & (b < hub) | (b == hub) & (a < n)  # I-C, C-C and I-hub
+    return build_graph(hub + 1, np.stack([a[keep], b[keep]], axis=1), kind="anchor")
 
 
 def gen_appendix_multicopy(n: int, eps: float) -> Graph:
@@ -373,15 +358,9 @@ def gen_appendix_multicopy(n: int, eps: float) -> Graph:
     if s < 1:
         raise ValueError("n**eps must be >= 1")
     span = n + s
-    edges: list[tuple[int, int]] = []
-    for c in range(n):
-        base = c * span
-        block = range(base, base + s)
-        clique = range(base + s, base + span)
-        edges += [(i, j) for i in block for j in clique]
-        edges += [
-            (a, b) for a in clique for b in clique if a < b
-        ]
+    a, b = np.triu_indices(span, 1)
+    unit = np.stack([a[b >= s], b[b >= s]], axis=1)  # all pairs but block-block
+    edges = (unit + (np.arange(n) * span)[:, None, None]).reshape(-1, 2)
     group = np.repeat(np.arange(n, dtype=np.int64), span)
     return build_graph(n * span, edges, groups=group, kind="multicopy")
 

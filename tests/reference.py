@@ -1,15 +1,21 @@
-"""A slow, plain fold of the discrete chain's update rule: the byte
-reference of the engine's step mode (``dynamics.run_ump`` with a recorder
-that tracks touched vertices, which keeps step mode for the whole run).
+"""Slow, plain references that the fast code is checked against byte for byte.
 
-Every proposal reads one real ``u`` of the trial's stream: the vertex is
-``floor(u*n)`` and the removal coin is the fractional part of ``u*n``.
+* A fold of the discrete chain's update rule: the reference of the
+  engine's step mode (``dynamics.run_ump`` with a recorder that tracks
+  touched vertices, which keeps step mode for the whole run).  Every
+  proposal reads one real ``u`` of the trial's stream: the vertex is
+  ``floor(u*n)`` and the removal coin is the fractional part of ``u*n``.
+* A set-based graph builder, the reference of ``graph_core.build_graph``.
+* Randomized greedy with a numpy blocked mask, the reference of
+  ``dynamics.run_randomized_greedy``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from annealbench import rng as rngmod
-from annealbench.dynamics import removal_threshold
+from annealbench.dynamics import TrialRecord, removal_threshold
 from annealbench.graph_core import Graph, is_independent
 from annealbench.schedules import FugacitySchedule, HistoryDigest
 
@@ -99,3 +105,44 @@ def run_ump_reference(
             if early_stop_size is not None and state.size >= early_stop_size:
                 break
     return state, step_of_max
+
+
+def build_graph_reference(n: int, edges) -> Graph:
+    """Dedupe the pairs in a set, fill the CSR one edge at a time, then sort
+    each neighbor list.  No input checks: callers pass valid edges."""
+    pairs = {(min(u, v), max(u, v)) for u, v in ((int(a), int(b)) for a, b in edges)}
+    degs = np.zeros(n, dtype=np.int64)
+    for u, v in pairs:
+        degs[u] += 1
+        degs[v] += 1
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degs, out=offsets[1:])
+    targets = np.zeros(int(offsets[-1]), dtype=np.int64)
+    cursor = offsets[:-1].copy()
+    for u, v in sorted(pairs):
+        targets[cursor[u]] = v
+        cursor[u] += 1
+        targets[cursor[v]] = u
+        cursor[v] += 1
+    for v in range(n):
+        lo, hi = offsets[v], offsets[v + 1]
+        targets[lo:hi] = np.sort(targets[lo:hi])
+    return Graph(n, offsets, targets)
+
+
+def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int], TrialRecord]:
+    """Scan the trial's uniform permutation; an added vertex blocks its
+    neighbours by one numpy fancy-index assignment."""
+    perm = rngmod.stream(seed).permutation(g.n)
+    blocked = np.zeros(g.n, dtype=bool)
+    chosen: list[int] = []
+    last_add_pos = 0
+    for pos, v in enumerate(perm.tolist()):
+        if not blocked[v]:
+            chosen.append(v)
+            blocked[v] = True
+            blocked[g.adj_targets[g.adj_offsets[v] : g.adj_offsets[v + 1]]] = True
+            last_add_pos = pos + 1
+    size = len(chosen)
+    record = TrialRecord(seed, g.n, size, last_add_pos, size)
+    return frozenset(chosen), record

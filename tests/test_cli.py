@@ -136,3 +136,15 @@ def test_run_rejects_values_below_one(tmp_path, capsys, flag):
     assert code != 0
     assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_run_rejects_a_malformed_graph_file(tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_text("p is 3 1\ne 0 1\nl 0 Q\n")
+    out_csv = tmp_path / "run.csv"
+    code = main(["run", "--graph", str(graph), "--steps", "10", "--out", str(out_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3: side 'Q' is not L or R" in err
+    assert "Traceback" not in err
+    assert not out_csv.exists()

@@ -13,7 +13,12 @@ from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidFugacity, InvalidRate, NotIndependent
 from annealbench.schedules import FugacitySchedule, parse_schedule
-from reference import IndependentSetState, run_ump_reference, ump_update
+from reference import (
+    IndependentSetState,
+    run_randomized_greedy_reference,
+    run_ump_reference,
+    ump_update,
+)
 
 FIX2 = FugacitySchedule.fixed(2.0)
 GREEDY = FugacitySchedule.infinite()
@@ -121,14 +126,15 @@ def test_engine_matches_reference(gi, si):
 
 def test_engine_deterministic_replay():
     g = ig.gen_star_tree(20)
-    a = dy.run_ump(g, FIX2, 5000, seed=123)
-    b = dy.run_ump(g, FIX2, 5000, seed=123)
+    rec = dy.RecorderConfig(snapshot_every=5)
+    a = dy.run_ump(g, FIX2, 5000, seed=123, recorder=rec)
+    b = dy.run_ump(g, FIX2, 5000, seed=123, recorder=rec)
     assert (a.max_size, a.step_of_max, a.final_size) == (
         b.max_size,
         b.step_of_max,
         b.final_size,
     )
-    c = dy.run_ump(g, FIX2, 5000, seed=124)
+    c = dy.run_ump(g, FIX2, 5000, seed=124, recorder=rec)
     assert (a.max_size, a.step_of_max, a.final_size) != (
         c.max_size,
         c.step_of_max,
@@ -162,9 +168,10 @@ def test_clique_caps_at_one():
 
 def test_infinite_schedule_sizes_nondecreasing():
     g = ig.gen_star_tree(10)
-    rec = dy.run_ump(g, GREEDY, 2000, seed=3)
+    rec = dy.run_ump(g, GREEDY, 2000, seed=3, recorder=dy.RecorderConfig(snapshot_every=2))
     assert rec.final_size == rec.max_size
     sizes = [s for _, s, _, _ in rec.snapshots]
+    assert len(sizes) == 1000
     assert sizes == sorted(sizes)
 
 
@@ -242,10 +249,16 @@ def test_early_stop_and_argmax_state():
 
 def test_snapshots_consistent_with_max():
     g = ig.gen_star_tree(15)
-    rec = dy.run_ump(g, FIX2, 4000, seed=9)
+    rec = dy.run_ump(g, FIX2, 4000, seed=9, recorder=dy.RecorderConfig(snapshot_every=4))
     assert max(s for _, s, _, _ in rec.snapshots) <= rec.max_size
     steps = [t for t, _, _, _ in rec.snapshots]
-    assert steps == sorted(steps)
+    assert steps == list(range(4, 4001, 4))
+
+
+def test_snapshots_only_when_asked():
+    g = ig.gen_star_tree(15)
+    for rec in (None, dy.RecorderConfig(thresholds=(3,), probe_step=50, probe_vertices=(0,))):
+        assert dy.run_ump(g, FIX2, 400, seed=9, recorder=rec).snapshots == []
 
 
 def test_watch_vertex_flag():
@@ -293,6 +306,20 @@ def test_randomized_greedy_is_maximal_independent():
         for v in range(g.n):
             if v not in s:
                 assert any(int(w) in s for w in g.neighbors(v))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ig.gen_appendix_anchor(30),
+        gc.build_graph(50, [(i, i + 1) for i in range(49)]),
+        ig.gen_random_balanced_bipartite(300, 4, seed=2),
+    ],
+    ids=["anchor", "path", "balanced-bipartite"],
+)
+def test_randomized_greedy_matches_reference(g):
+    for seed in range(50):
+        assert dy.run_randomized_greedy(g, seed) == run_randomized_greedy_reference(g, seed)
 
 
 def test_randomized_greedy_matches_infinite_fugacity_distribution():

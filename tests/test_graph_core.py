@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench.errors import CapExceeded, InvalidEdge, NotAForest, NotBipartite
-from reference import IndependentSetState
+from reference import IndependentSetState, build_graph_reference
 
 
 def path_graph(n):
@@ -79,6 +79,64 @@ def test_construction_is_deterministic():
     b = gc.build_graph(4, list(reversed(edges)))
     assert np.array_equal(a.adj_offsets, b.adj_offsets)
     assert np.array_equal(a.adj_targets, b.adj_targets)
+
+
+def _same_layout(g, ref):
+    for got, want in ((g.adj_offsets, ref.adj_offsets), (g.adj_targets, ref.adj_targets)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**36 - 1), st.integers(1, 40), st.integers(0, 120))
+def test_build_matches_set_reference(seed, n, m):
+    """Random edge lists with duplicates in both orientations and isolated
+    vertices give the reference's offsets and targets byte for byte, as a
+    list, a generator and an array."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, m)
+    v = rng.integers(0, n, m)
+    keep = u != v
+    pairs = np.stack([u[keep], v[keep]], axis=1)
+    pairs = np.concatenate([pairs, pairs[: len(pairs) // 3, ::-1]])  # reversed duplicates
+    edges = [tuple(e) for e in pairs.tolist()]
+    ref = build_graph_reference(n, edges)
+    for given_edges in (edges, (e for e in edges), pairs, pairs.astype(np.int32)):
+        _same_layout(gc.build_graph(n, given_edges), ref)
+
+
+def test_build_empty_and_isolated_match_reference():
+    for n, edges in ((0, []), (4, []), (6, [(5, 2)]), (5, np.empty((0, 2), np.int64))):
+        _same_layout(gc.build_graph(n, edges), build_graph_reference(n, edges))
+    ref = build_graph_reference(6, itertools.combinations(range(6), 2))
+    _same_layout(gc.build_graph(6, itertools.combinations(range(6), 2)), ref)
+
+
+LR = {0: gc.SIDE_L, 1: gc.SIDE_R, 2: gc.SIDE_R, 3: gc.SIDE_L}
+
+
+@pytest.mark.parametrize(
+    "n, edges, kwargs, error, message",
+    [
+        (3, [(0, 1), (2, 2), (1, 1)], {}, InvalidEdge, "self-loop at vertex 2"),
+        (3, np.array([[0, 1], [-1, 2]]), {}, InvalidEdge, r"edge \(-1,2\) outside \[0,3\)"),
+        (3, [(0, 1), (1, 3), (4, 0)], {}, InvalidEdge, r"edge \(1,3\) outside \[0,3\)"),
+        (3, [(0, 1, 2)], {}, InvalidEdge, "must be pairs"),
+        (-1, [], {}, InvalidEdge, "negative vertex count"),
+        (4, [(0, 1), (3, 0), (2, 1)], {"labels": LR, "kind": "base-bipartite"}, NotBipartite,
+         r"same-side edge \(0,3\)"),
+        (4, [(0, 1)], {"kind": "balanced-bipartite"}, NotBipartite, "requires side labels"),
+        (4, [(0, 1)], {"labels": np.zeros(3, np.int8)}, InvalidEdge, "wrong length"),
+        (4, [(0, 1)], {"groups": np.zeros(5, np.int64)}, InvalidEdge, "wrong length"),
+        (4, [(0, 1)], {"labels": {4: gc.SIDE_L}}, InvalidEdge, "vertex 4 outside"),
+        (4, [(0, 1)], {"groups": {-1: 0}}, InvalidEdge, "vertex -1 outside"),
+    ],
+    ids=["self-loop", "negative", "too-large", "triple", "negative-n", "same-side", "no-labels",
+         "short-labels", "long-groups", "label-key", "group-key"],
+)
+def test_build_rejects_bad_input(n, edges, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        gc.build_graph(n, edges, **kwargs)
 
 
 def test_graph_arrays_are_readonly():
@@ -262,6 +320,49 @@ def test_graph_file_io_via_buffers():
 def test_graph_from_text_checks_edge_count():
     with pytest.raises(InvalidEdge):
         gc.graph_from_text("p is 2 5\ne 0 1\n")
+
+
+def test_graph_from_text_skips_comments_and_blank_lines():
+    g = gc.graph_from_text("c a comment\n\n  \np is 3 1\nc\ne 2 0\nl 0 L\ng 1 -4\n")
+    assert g.edge_array().tolist() == [[0, 2]]
+    assert g.side.tolist() == [gc.SIDE_L, gc.SIDE_NONE, gc.SIDE_NONE]
+    assert g.group.tolist() == [gc.NO_GROUP, -4, gc.NO_GROUP]
+
+
+P = "p is 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (P + "e 0 1\nl 0 Q\n", 3),
+        (P + "e 0 1 2\n", 2),
+        (P + "e 0\n", 2),
+        (P + "e 0 1\ng 0\n", 3),
+        (P + "e 0 1\nl 5 L\n", 3),
+        (P + "e 0 1\ng 3 1\n", 3),
+        (P + "e 0 x\n", 2),
+        (P + "e 0 3\n", 2),
+        (P + "e -1 2\n", 2),
+        (P + "e 1 1\n", 2),
+        (P + "e +1 2\n", 2),
+        (P + "cheese\ne 0 1\n", 2),
+        (P + P + "e 0 1\n", 2),
+        (P + "e 0 1\nx 1 2\n", 3),
+        ("p is x 1\n", 1),
+        ("p is 3\n", 1),
+        ("p it 3 1\n", 1),
+        ("p is -3 0\n", 1),
+        ("e 0 1\n" + P, 1),
+    ],
+    ids=["bad-side", "e-three-args", "e-one-arg", "g-one-arg", "l-out-of-range",
+         "g-out-of-range", "e-not-int", "e-out-of-range", "e-negative", "e-self-loop",
+         "e-plus-sign", "cheese", "second-p", "unknown-tag", "p-not-int", "p-short",
+         "p-not-is", "p-negative", "edge-before-p"],
+)
+def test_graph_from_text_names_the_bad_line(text, line):
+    with pytest.raises(InvalidEdge, match=f"^line {line}: "):
+        gc.graph_from_text(text)
 
 
 def test_state_tracks_invariants():
