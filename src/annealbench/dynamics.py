@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from math import log, log1p
 from operator import mul
 
@@ -104,6 +105,8 @@ class TrialRecord:
     probe_count: int | None = None
     final_state: frozenset[int] | None = None
     argmax_state: frozenset[int] | None = None
+    events: int = 0  # state changes
+    skipped: int = 0  # proposals passed over in jump mode
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,10 @@ class RateClasses:
     @cached_property
     def total_rate(self) -> float:
         return float(np.dot(self.rates, self.counts))
+
+    def weights(self, thr: float) -> list[float]:
+        """Jump mode's weight per member of each free, then occupied, list."""
+        return self.rates + [r * thr / m for r, m in zip(self.rates, self.multipliers)]
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
@@ -178,8 +185,18 @@ class RateClasses:
 # redraws that count (exact, because the geometric law is memoryless);
 # recorder marks and the step budget only stop at it, so they do not change
 # the trajectory.  One more real then picks a list by weight and a member of
-# that list.  The change itself goes through the same update code as a
-# stepped proposal.
+# that list.
+#
+# One loop applies the update rule and its recorder bookkeeping to
+# (vertex, coin, step) items: a block of stepped proposals, or the changes
+# that `jump_batch` yields one after another, without a trip through the
+# outer loop, until the next change lies past the cut (segment end, recorder
+# mark or step budget), a change lands on the cut, the block runs short of
+# two reals, p exceeds 1/4 or the run stops early.  The bytes are those of
+# one change per outer trip: each change reads the same two reals, the list
+# weight is summed from the integer list lengths in one order (a float total
+# kept by +-w would drift and move skip counts), and the pick keeps its
+# rounding fallback.
 
 
 def _run_chain(
@@ -249,13 +266,70 @@ def _run_chain(
 
     jumping = False
     window_end = n  # step mode: the end of the current window of n proposals
-    changes = 0  # state changes within that window
+    window_events = 0  # `events` when that window began
+    events = 0  # state changes so far
+    skipped = 0  # proposals passed over in jump mode
     free = held = lists = pos = None  # jump mode's index
     thr = 0.0
     weights: list[float] = []  # jump mode: per-member weight of each list
-    weight = 0.0
-    change_at = 0  # jump mode: the step of the next state change
-    stale = True
+    change_at = 0  # jump mode: the step of the pending state change
+    stale = True  # jump mode: no change is pending; draw the next one
+    leave = False
+
+    def jump_batch(t, cut, reals, end, lists, weights):
+        """Jump mode's batch: the state changes, as (vertex, a coin that
+        removes, step), up to ``cut``; see the comment above the engine."""
+        nonlocal k, change_at, stale, leave
+        j = k
+        at = change_at
+        draw = stale
+        single = nclasses == 1
+        if single:
+            (free0, held0), (wf, wh) = lists, weights
+        while True:
+            if single:
+                sf, sh = wf * len(free0), wh * len(held0)
+                weight = sf + sh  # the sum below, in the same order
+            else:
+                weight = sum(map(mul, weights, map(len, lists)))
+            if draw:
+                p = weight / total_rate
+                if p > _LEAVE_JUMP:
+                    leave = True
+                    break
+                # the step of the next change, after Geometric(p) no-ops
+                at = t + 1 + int(log(1.0 - reals[j]) / log1p(-p)) if weight else math.inf
+                j += 1
+            if at > cut:
+                stale = False
+                break
+            x = reals[j] * weight
+            j += 1
+            if single:
+                if x < sf:
+                    members, i = free0, int(x / wf)
+                elif x - sf < sh:
+                    members, i = held0, int((x - sf) / wh)
+                else:
+                    members, i = held0 if sh else free0, -1
+            else:
+                for w, members in zip(weights, lists):
+                    share = w * len(members)
+                    if x < share:
+                        i = int(x / w)
+                        break
+                    x -= share
+                else:  # rounding carried x past the last list: take its last member
+                    members = [m for w, m in zip(weights, lists) if w * len(m)][-1]
+                    i = -1
+            yield members[i] if i < len(members) else members[-1], -1.0, at
+            t = at
+            draw = True
+            if t == cut or j + 2 > end:
+                stale = True
+                break
+        k = j
+        change_at = at
 
     t = 0
     seg_end = 0
@@ -264,9 +338,7 @@ def _run_chain(
             lam, hold = sched.segment(t, _digest_at(digest, t, size, max_size, step_of_max))
             seg_end = t + hold
             thr = removal_threshold(lam)
-            weights = classes.rates + [
-                r * thr / m for r, m in zip(classes.rates, classes.multipliers)
-            ]
+            weights = classes.weights(thr)
             stale = True
         if k + 2 > end:
             block = np.concatenate((block[k:], gen.random(max(block_len, 2))))
@@ -278,58 +350,25 @@ def _run_chain(
         if steps < cut:
             cut = steps
         if jumping:
-            if stale:
-                weight = sum(map(mul, weights, map(len, lists)))
-                p = weight / total_rate
-                if p > _LEAVE_JUMP:
-                    jumping = False
-                    free = held = lists = pos = None
-                    window_end = t + n
-                    changes = 0
-                    continue
-                if reals is None:
-                    reals = block.tolist()
-                # the step of the next change, after Geometric(p) no-ops
-                change_at = t + 1 + int(log(1.0 - reals[k]) / log1p(-p)) if weight else math.inf
-                k += 1
-                stale = False
-            if change_at > cut:
-                t = cut  # the change stays pending: marks do not move it
-                batch = ()
-            else:
-                t = change_at - 1
-                if reals is None:
-                    reals = block.tolist()
-                x = reals[k] * weight
-                k += 1
-                for w, members in zip(weights, lists):
-                    share = w * len(members)
-                    if x < share:
-                        i = int(x / w)
-                        break
-                    x -= share
-                else:  # rounding carried x past the last list: take its last member
-                    members = [m for w, m in zip(weights, lists) if w * len(m)][-1]
-                    i = -1
-                v = members[i] if i < len(members) else members[-1]
-                batch = ((v, -1.0),)  # a coin that removes
-                stale = True
+            if reals is None:
+                reals = block.tolist()
+            batch = jump_batch(t, cut, reals, end, lists, weights)
         else:
             if props is None:
                 props = classes.propose(block)
             cut = min(cut, window_end, t + end - k)
             start = t
-            batch = zip(props[1][k : k + cut - t], props[2][k : k + cut - t])
+            batch = zip(props[1][k : k + cut - t], props[2][k : k + cut - t], count(t + 1))
 
+        # The update rule, for a stepped proposal and a jump-mode change alike.
         stop = False
-        for v, z in batch:
-            t += 1
+        for v, z, t in batch:
             if occ[v]:
                 if z >= thr:
                     continue
                 occ[v] = 0
                 size -= 1
-                changes += 1
+                events += 1
                 if jumping:
                     members = held[cls[v]]
                     i = pos[v]
@@ -369,7 +408,7 @@ def _run_chain(
             else:
                 occ[v] = 1
                 size += 1
-                changes += 1
+                events += 1
                 if jumping:
                     members = free[cls[v]]
                     i = pos[v]
@@ -422,17 +461,28 @@ def _run_chain(
             k += t - start
         if stop:
             break
+        if leave:
+            leave = jumping = False
+            skipped += t - events
+            free = held = lists = pos = None
+            window_end = t + n
+            window_events = events
+        elif jumping and not stale:
+            t = cut  # the change stays pending: marks do not move it
         if t == next_mark:
             next_mark = marks.visit(t, size, lsize, rsize, occ)
         if t == window_end and not jumping:
-            if touched is None and changes < _ENTER_JUMP * n:
+            if touched is None and events - window_events < _ENTER_JUMP * n:
                 jumping = True
+                skipped -= t - events
                 lists, pos = _jump_index(occ, blocked, classes)
                 free, held = lists[:nclasses], lists[nclasses:]
                 stale = True
             else:
                 window_end = t + n
-                changes = 0
+                window_events = events
+    if jumping:
+        skipped += t - events
 
     record = TrialRecord(
         seed=seed_label,
@@ -446,15 +496,17 @@ def _run_chain(
         final_right=rsize if side_list is not None else -1,
         root_added=root_added,
         probe_count=marks.probe_count,
+        events=events,
+        skipped=skipped,
     )
     if grp_list is not None:
         record.deload_final = deload_count
     if touched is not None and g.side is not None:
         record.right_touched = int(np.count_nonzero(touched & (g.side == SIDE_R)))
     if rec.keep_final_state:
-        record.final_state = frozenset(v for v in range(n) if occ[v])
+        record.final_state = frozenset(compress(range(n), occ))
     if argmax_bytes is not None:
-        record.argmax_state = frozenset(v for v in range(n) if argmax_bytes[v])
+        record.argmax_state = frozenset(compress(range(n), argmax_bytes))
     return record
 
 
@@ -612,34 +664,6 @@ def state_visit_distribution(
                 mask |= bit
             visits[mask] += 1
     return np.asarray(visits, dtype=float) / steps
-
-
-def hardcore_distribution(g: Graph, lam: float) -> np.ndarray:
-    """Exact stationary law over occupancy bitmasks: weight lam^|I| per
-    independent set, zero elsewhere.  Tiny graphs only."""
-    n = g.n
-    if n > 20:
-        raise ValueError("exact enumeration is limited to 20 vertices")
-    adj_masks = []
-    for v in range(n):
-        m = 0
-        for w in g.neighbor_lists[v]:
-            m |= 1 << w
-        adj_masks.append(m)
-    weights = np.zeros(1 << n)
-    for mask in range(1 << n):
-        ok = True
-        probe = mask
-        while probe:
-            bit = probe & -probe
-            v = bit.bit_length() - 1
-            probe ^= bit
-            if mask & adj_masks[v]:
-                ok = False
-                break
-        if ok:
-            weights[mask] = lam ** mask.bit_count()
-    return weights / weights.sum()
 
 
 # ---------------------------------------------------------------------------

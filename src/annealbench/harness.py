@@ -9,6 +9,8 @@ worker pool, and writes:
                    ratio, root_added, deload_final;
 * ``stats.csv``    per-trial extras (schedule, side counts, probes,
                    hitting steps, chain discrepancies);
+* ``traj.csv``     when ``snapshot_every`` is set: the snapshots of every
+                   chain trial, as trial_id, t, size, left, right;
 * ``manifest.txt`` config hash, tool version, per-trial seeds, wall clock,
                    output files, the alpha with where it came from, and
                    the engine of a chain run (``jump`` or ``step``).
@@ -65,6 +67,8 @@ STATS_CSV_COLUMNS = (
     "discrepancy",
     "residual",
 )
+
+TRAJ_CSV_COLUMNS = ("trial_id", "t", "size", "left", "right")
 
 _ALGORITHMS = ("ump", "ct", "greedy", "degree-greedy", "chain")
 
@@ -312,7 +316,7 @@ def run_one_trial(
             rec = dy.run_ct_ump(bundle.graph, ct_cfg, sched, seed, recorder=recorder)
         else:
             rec = dy.run_ump(bundle.graph, sched, cfg.steps, seed, recorder=recorder)
-        row.update(schedule=spec, **_record_fields(rec))
+        row.update(schedule=spec, snapshots=rec.snapshots, **_record_fields(rec))
 
     alpha = bundle.alpha
     row["alpha"] = alpha if alpha is not None else ""
@@ -404,10 +408,15 @@ def run_experiment(
     except OSError as exc:
         raise IoError(f"cannot create output dir {out}: {exc}") from exc
 
-    run_path = out / "run.csv"
-    stats_path = out / "stats.csv"
-    _write_csv(run_path, RUN_CSV_COLUMNS, rows)
-    _write_csv(stats_path, STATS_CSV_COLUMNS, rows)
+    files = [out / "run.csv", out / "stats.csv"]
+    _write_csv(files[0], RUN_CSV_COLUMNS, rows)
+    _write_csv(files[1], STATS_CSV_COLUMNS, rows)
+    if cfg.snapshot_every:
+        files.append(out / "traj.csv")
+        with open(files[2], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRAJ_CSV_COLUMNS)
+            writer.writerows((r["trial_id"], *s) for r in rows for s in r.get("snapshots", ()))
 
     manifest = ExperimentManifest(
         config_hash=config_hash(cfg),
@@ -418,7 +427,7 @@ def run_experiment(
         engine=_engine(cfg, bundle),
         trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
         wall_clock=time.time() - started,
-        files=[str(run_path), str(stats_path)],
+        files=[str(f) for f in files],
         rows=rows,
     )
     _write_manifest(out / "manifest.txt", manifest)

@@ -7,6 +7,8 @@ its neighbours is occupied, and an occupied one leaves with probability
 a handful, so the laws below are exact, not sampled.  ``test_oracles.py``
 checks them against the full ``2^n``-state chain on small instances.
 
+``hardcore_distribution`` is the stationary law of the discrete chain at
+a fixed fugacity, by enumeration of the ``2^n`` states.
 ``weighted_chain`` and ``weighted_law`` are the full ``2^n``-state embedded
 chain of the weighted continuous-time chain (per-vertex rates and fugacity
 multipliers) and its law under a schedule, for tiny graphs.
@@ -36,6 +38,25 @@ def one_sided_gate(p: float, trials: int, z: float) -> float:
     return math.floor(100 * (p - z * math.sqrt(p * (1 - p) / trials))) / 100
 
 
+def _spider_moves(k: int, state: tuple[int, int, int], drop: float):
+    """The moves of the spider chain out of a lumped ``state``, as (next
+    state, weight) pairs; a move's probability is its weight over n."""
+    root, mids, leaves = state
+    empty = k - mids - leaves
+    if root:
+        yield (0, mids, leaves), drop
+    elif mids == 0:
+        yield (1, mids, leaves), 1.0
+    if mids:
+        yield (root, mids - 1, leaves), mids * drop
+    if leaves:
+        yield (root, mids, leaves - 1), leaves * drop
+    if empty and not root:
+        yield (root, mids + 1, leaves), float(empty)
+    if empty:
+        yield (root, mids, leaves + 1), float(empty)
+
+
 def spider_mid_law(k: int, lams: Sequence[float]) -> np.ndarray:
     """Law of the occupied-mid count of ``gen_star_tree(k)`` after
     ``len(lams)`` steps, step ``t`` run at fugacity ``lams[t]``.
@@ -49,31 +70,37 @@ def spider_mid_law(k: int, lams: Sequence[float]) -> np.ndarray:
     for lam in lams:
         drop = removal_threshold(lam)
         nxt: dict[tuple[int, int, int], float] = defaultdict(float)
-        for (root, mids, leaves), p in law.items():
-            empty = k - mids - leaves
-            moves = []
-            if root:
-                moves.append(((0, mids, leaves), drop))
-            elif mids == 0:
-                moves.append(((1, mids, leaves), 1.0))
-            if mids:
-                moves.append(((root, mids - 1, leaves), mids * drop))
-            if leaves:
-                moves.append(((root, mids, leaves - 1), leaves * drop))
-            if empty and not root:
-                moves.append(((root, mids + 1, leaves), float(empty)))
-            if empty:
-                moves.append(((root, mids, leaves + 1), float(empty)))
+        for state, p in law.items():
             stay = 1.0
-            for state, weight in moves:
-                nxt[state] += p * weight / n
+            for moved, weight in _spider_moves(k, state, drop):
+                nxt[moved] += p * weight / n
                 stay -= weight / n
-            nxt[(root, mids, leaves)] += p * stay
+            nxt[state] += p * stay
         law = nxt
     out = np.zeros(min(k, len(lams)) + 1)
     for (_, mids, _), p in law.items():
         out[mids] += p
     return out
+
+
+def spider_mid_law_fixed(k: int, lam: float, steps: int) -> np.ndarray:
+    """``spider_mid_law(k, [lam] * steps)`` for long horizons: the lumped
+    transition matrix is built once and raised to the power ``steps``."""
+    n = 2 * k + 1
+    states = [(0, m, f) for m in range(k + 1) for f in range(k + 1 - m)]
+    states += [(1, 0, f) for f in range(k + 1)]
+    index = {state: i for i, state in enumerate(states)}
+    drop = removal_threshold(lam)
+    P = np.zeros((len(states), len(states)))
+    for state in states:
+        for moved, weight in _spider_moves(k, state, drop):
+            P[index[state], index[moved]] += weight / n
+    P[np.diag_indices(len(states))] = 1.0 - P.sum(axis=1)
+    law = np.linalg.matrix_power(P, steps)[index[(0, 0, 0)]]
+    out = np.zeros(k + 1)
+    for (_, mids, _), p in zip(states, law):
+        out[mids] += p
+    return out[: min(k, steps) + 1]
 
 
 def anchor_law(n: int, lam: float, steps: int) -> np.ndarray:
@@ -133,6 +160,34 @@ def weighted_chain(g, rates, multipliers, lam: float) -> np.ndarray:
             else:
                 T[s, s | bit] += pick[v]
     return T
+
+
+def hardcore_distribution(g, lam: float) -> np.ndarray:
+    """Exact stationary law over occupancy bitmasks: weight lam^|I| per
+    independent set, zero elsewhere.  Tiny graphs only."""
+    n = g.n
+    if n > 20:
+        raise ValueError("exact enumeration is limited to 20 vertices")
+    adj_masks = []
+    for v in range(n):
+        m = 0
+        for w in g.neighbor_lists[v]:
+            m |= 1 << w
+        adj_masks.append(m)
+    weights = np.zeros(1 << n)
+    for mask in range(1 << n):
+        ok = True
+        probe = mask
+        while probe:
+            bit = probe & -probe
+            v = bit.bit_length() - 1
+            probe ^= bit
+            if mask & adj_masks[v]:
+                ok = False
+                break
+        if ok:
+            weights[mask] = lam ** mask.bit_count()
+    return weights / weights.sum()
 
 
 def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:

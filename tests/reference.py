@@ -27,10 +27,11 @@ class IndependentSetState:
     with :meth:`check` after any update.
     """
 
-    __slots__ = ("occupied", "size", "max_size_seen", "step")
+    __slots__ = ("occupied", "size", "max_size_seen", "step", "changes")
 
     def __init__(self, n: int):
         self.occupied = bytearray(n)
+        self.changes = 0  # updates that changed the set
         self.size = 0
         self.max_size_seen = 0
         self.step = 0
@@ -59,6 +60,7 @@ def ump_update(
         if zeta < thr:
             occ[v] = 0
             state.size -= 1
+            state.changes += 1
     else:
         for w in g.neighbor_lists[v]:
             if occ[w]:
@@ -66,6 +68,7 @@ def ump_update(
         else:
             occ[v] = 1
             state.size += 1
+            state.changes += 1
             if state.size > state.max_size_seen:
                 state.max_size_seen = state.size
     state.step += 1

@@ -23,7 +23,7 @@ from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.schedules import FugacitySchedule, parse_schedule
-from exact_laws import weighted_law
+from exact_laws import spider_mid_law_fixed, weighted_law
 
 STEP = dy.RecorderConfig(track_touched=True)
 CHAINS = ("ct", "ump")
@@ -112,6 +112,34 @@ def test_jump_engine_matches_exact_law(spec, steps, tmp_path):
         assert tv <= LAW_TV, f"{chain} {spec}: TV {tv:.4f} > {LAW_TV}"
 
 
+# The discrete chain on a small star tree at tree_hardness's fixed:20: over
+# 2*10^4 proposals more than 90% are skipped in jump mode.  The TV of 2500
+# draws from the exact law itself stayed below 0.051 in 2*10^4 resamples, at
+# either step.
+SPIDER_K = 10
+SPIDER_TRIALS = 2500
+SPIDER_TV = 0.055
+
+
+def test_jump_engine_matches_spider_law_at_long_horizon():
+    g = ig.gen_star_tree(SPIDER_K)
+    mids = frozenset(range(1, SPIDER_K + 1))
+    rec = dy.RecorderConfig(keep_final_state=True, probe_step=2000, probe_vertices=tuple(mids))
+    probe, final = np.zeros(SPIDER_K + 1), np.zeros(SPIDER_K + 1)
+    steps = skipped = 0
+    for seed in range(SPIDER_TRIALS):
+        out = dy.run_ump(g, FugacitySchedule.fixed(20.0), 20_000, seed, rec)
+        probe[out.probe_count] += 1
+        final[len(out.final_state & mids)] += 1
+        steps += out.steps
+        skipped += out.skipped
+    assert skipped >= 0.9 * steps
+    for at, counts in ((2000, probe), (20_000, final)):
+        exact = spider_mid_law_fixed(SPIDER_K, 20.0, at)
+        tv = 0.5 * float(np.abs(counts / SPIDER_TRIALS - exact).sum())
+        assert tv <= SPIDER_TV, f"step {at}: TV {tv:.4f} > {SPIDER_TV}"
+
+
 def test_exact_law_sees_the_plateau_reheat():
     g = two_class_graph()
     rates, mults = [3.0, 3.0, 1.0, 1.0, 1.0], [4.0, 4.0, 1.0, 1.0, 1.0]
@@ -170,6 +198,20 @@ def test_jump_bytes_do_not_depend_on_chunk():
             sched = parse_schedule(spec)
             runs = [fields(run(chain, base, cfg, sched, 3, rec, c)) for c in (1, 7, dy._CHUNK)]
             assert runs[0] == runs[1] == runs[2], (chain, spec)
+
+
+def test_jump_run_counts_its_events_and_skips():
+    """Every state change moves the size by one, so a snapshot after every
+    step sees each event; proposals are stepped, skipped or events."""
+    base, cfg = small_blowup(events=30_000)
+    rec = dy.RecorderConfig(snapshot_every=1)
+    for chain in CHAINS:
+        for spec in ("fixed:2", "fixed:400", "geometric:1:2:5000", "adaptive:plateau"):
+            out = run(chain, base, cfg, parse_schedule(spec), 3, rec)
+            sizes = [0] + [snap[1] for snap in out.snapshots]
+            assert out.events == sum(abs(b - a) for a, b in zip(sizes, sizes[1:])), (chain, spec)
+            assert out.events + out.skipped <= out.steps, (chain, spec)
+            assert out.skipped > 0 or spec == "fixed:2", (chain, spec)
 
 
 def test_bytes_do_not_depend_on_recorder_marks():

@@ -13,6 +13,7 @@ from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidFugacity, InvalidRate, NotIndependent
 from annealbench.schedules import FugacitySchedule, parse_schedule
+from exact_laws import hardcore_distribution
 from reference import (
     IndependentSetState,
     run_randomized_greedy_reference,
@@ -108,12 +109,14 @@ def _assert_matches_reference(g, sched, steps, seed, early=None):
     assert (rec.steps, rec.max_size, rec.step_of_max, rec.final_size) == (
         ref.step, ref.max_size_seen, step_of_max, ref.size
     )
+    assert (rec.events, rec.skipped) == (ref.changes, 0)
 
 
 @pytest.mark.parametrize("gi", range(len(ENGINE_GRAPHS)))
 @pytest.mark.parametrize("si", range(len(ENGINE_SCHEDULES)))
 def test_engine_matches_reference(gi, si):
-    """Step mode is the reference fold byte for byte: over 800 steps, over
+    """Step mode is the reference fold byte for byte, and counts the fold's
+    state changes as its events: over 800 steps, over
     40,000 steps (more than one block of 2**15 reals), and stopped early
     when the set first reaches size 2."""
     g = ENGINE_GRAPHS[gi]
@@ -198,14 +201,14 @@ def test_stationary_distribution_p3_short():
     g = path3()
     lam = 2.0
     emp = dy.state_visit_distribution(g, FugacitySchedule.fixed(lam), 200_000, seed=6)
-    exact = dy.hardcore_distribution(g, lam)
+    exact = hardcore_distribution(g, lam)
     tv = 0.5 * float(np.abs(emp - exact).sum())
     assert tv <= 0.05
 
 
 def test_hardcore_distribution_p3_weights():
     g = path3()
-    exact = dy.hardcore_distribution(g, 2.0)
+    exact = hardcore_distribution(g, 2.0)
     # independent sets: {}, {a}, {b}, {c}, {a,c} with weights 1,2,2,2,4
     assert exact[0b000] == pytest.approx(1 / 11)
     assert exact[0b001] == pytest.approx(2 / 11)

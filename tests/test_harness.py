@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from annealbench import dynamics as dy
 from annealbench import harness as hz
 from annealbench.errors import ConfigError, IncompleteRun
+from annealbench.schedules import parse_schedule
 
 TINY_CFG = """
 [experiment]
@@ -98,6 +100,40 @@ def test_run_experiment_deterministic_across_workers(tmp_path):
     assert (Path(cfg1.out_dir) / "stats.csv").read_bytes() == (
         Path(cfg2.out_dir) / "stats.csv"
     ).read_bytes()
+
+
+def test_snapshots_are_written_to_traj_csv(tmp_path):
+    plain = _cfg(tmp_path)
+    plain.out_dir = str(tmp_path / "plain")
+    hz.run_experiment(plain, workers=1)
+    assert not (tmp_path / "plain" / "traj.csv").exists()
+    text = TINY_CFG.replace("seed = 99", "seed = 99\nsnapshot_every = 37")
+    outs = {}
+    for workers in (1, 2):
+        cfg = _cfg(tmp_path, text)
+        cfg.out_dir = str(tmp_path / f"w{workers}")
+        manifest = hz.run_experiment(cfg, workers=workers)
+        out = Path(cfg.out_dir)
+        assert manifest.files[-1] == str(out / "traj.csv")
+        assert f"files = {','.join(manifest.files)}" in (out / "manifest.txt").read_text()
+        for name in ("run.csv", "stats.csv"):  # snapshots change no other byte
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        outs[workers] = (out / "traj.csv").read_bytes()
+    assert outs[1] == outs[2]
+
+    bundle = hz.build_instance(cfg)
+    want = []
+    for trial_id in range(cfg.total_trials):
+        spec = cfg.schedules[trial_id // cfg.trials]
+        rec = dy.run_ump(
+            bundle.graph, parse_schedule(spec), cfg.steps, hz.trial_seed(cfg.seed, trial_id),
+            recorder=hz._recorder_for(cfg, bundle),
+        )
+        assert len(rec.snapshots) == cfg.steps // 37
+        want += [(trial_id, *snap) for snap in rec.snapshots]
+    rows = hz.read_csv(tmp_path / "w1" / "traj.csv")
+    assert list(rows[0]) == list(hz.TRAJ_CSV_COLUMNS)
+    assert [tuple(int(x) for x in r.values()) for r in rows] == want
 
 
 def test_trial_rows_have_alpha_and_ratio(tmp_path):

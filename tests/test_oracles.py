@@ -16,8 +16,16 @@ from annealbench.errors import (
     InvalidDrift,
     OutOfRegime,
 )
+from annealbench.graph_core import build_graph
 from annealbench.instance_gen import BlowupParams, gen_appendix_anchor, gen_star_tree
-from exact_laws import anchor_law, one_sided_gate, spider_mid_law, weighted_chain
+from exact_laws import (
+    anchor_law,
+    hardcore_distribution,
+    one_sided_gate,
+    spider_mid_law,
+    spider_mid_law_fixed,
+    weighted_chain,
+)
 
 
 # -- gambler's ruin ----------------------------------------------------------
@@ -303,6 +311,14 @@ def test_spider_mid_law_matches_full_chain(k, lams):
             law = law @ mats[lams[steps]]
 
 
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 20.0, math.inf])
+def test_spider_mid_law_fixed_matches_stepwise_law(k, lam):
+    for steps in (0, 1, 2, 5, 40, 300):
+        want = spider_mid_law(k, [lam] * steps)
+        np.testing.assert_allclose(spider_mid_law_fixed(k, lam, steps), want, rtol=0, atol=1e-12)
+
+
 def _anchor_state(n: int, s: int) -> int:
     block = bin(s & ((1 << n) - 1)).count("1")
     if block:
@@ -342,6 +358,15 @@ def test_weighted_chain_with_unit_weights_is_the_discrete_chain(lam):
     np.testing.assert_allclose(
         weighted_chain(g, 5 * ones, mults, lam), _full_chain(g, 3.0 * lam), rtol=0, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 20.0])
+def test_hardcore_distribution_is_stationary_for_the_chain(lam):
+    cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    for g in (cycle, gen_star_tree(2), gen_appendix_anchor(2)):
+        ones = np.ones(g.n)
+        pi = hardcore_distribution(g, lam)
+        np.testing.assert_allclose(pi @ weighted_chain(g, ones, ones, lam), pi, rtol=0, atol=1e-12)
 
 
 def test_one_sided_gate_rounds_down():

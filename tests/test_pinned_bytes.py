@@ -1,0 +1,84 @@
+"""Pinned trajectory bytes of every bundled config.
+
+Each config in ``src/annealbench/configs/`` runs at ``trials = 2`` and at
+most 2e5 steps or events, serially; the sha256 of its ``run.csv`` and
+``stats.csv`` and its ``config_hash`` must equal the values below.  A
+change to the engine that claims to keep every byte of a run is held to
+this; a change that moves bytes on purpose must say so and re-pin them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from annealbench import harness as hz
+
+CONFIGS = Path(hz.__file__).parent / "configs"
+MAX_STEPS = 200_000
+
+# config -> (run.csv sha256, stats.csv sha256, config_hash), all of the resized config
+PINNED = {
+    "anchor_separation": (
+        "4a5639497c9b327f93fb70f540465bde05901f7c27ed1cd2e827df282dc2f05f",
+        "67a3351c0258ae777f2bbe856c6084c419f7b4547634f268160025c446f17923",
+        "5025b367d44dc22a76d458aed11fd6fc287a78d6235ea6c62e3920b14d50cee0",
+    ),
+    "bipartite_chain": (
+        "0d571334bde5cdc7c2d2136606cdb776e1ef0be5692df0c5534c8940e5551682",
+        "9449ecdbd7933172326b7899eff5d09c688add0f85de07bb48e4f5c53c171e9c",
+        "607948e9219e4543b5f245d5dcb123242067fbc3a6d7e8abec6e0f2a1d7b16a5",
+    ),
+    "bipartite_greedy": (
+        "b5218d33531b428287eda524a2e26b7b7e42b1445e1405343948afc882a8be6f",
+        "d565831c46b68112e5ca04c2eeac110b2fc07218eb28a6f9575330af5a10664c",
+        "75c198a1c50ce5e0c96932156db4bd431fe75b11cc93a1ddfe41c002e8572c1f",
+    ),
+    "blowup_hardness": (
+        "22ed00df2a16737c45ec414886104f5acefa6224d27bc540fbca2c4a7def0f00",
+        "d12610e1ce7e4eb6c044b03194dcaccfe463aee29db3f22f4a5cd0a744ae7e1a",
+        "286e318a577c0690db46501820a3ddd27e9dc3dc970db2875643a1ccb9be8cf1",
+    ),
+    "multicopy_greedy": (
+        "2549c7775b7e908d9a116d97b40eb5547c0699b3a3043146fb5f14a8d5321dee",
+        "896998f8ed2708e9c7bb5da530edacdd4febea624510c4dc77a2775c56c4004d",
+        "1a6234af76d6026ffd4d3436ec453ce983dc8250f0302abccfde5813b206e7cc",
+    ),
+    "multicopy_mp": (
+        "e4605f2560293e106c6363acc271f2321031e5efeac4faf8f65e9d27ebe048bb",
+        "f05deee3a0dfae7d81c2338217f0a01c277412d0c3c39b7bb34321ac983051c8",
+        "b6e2d51f586ea9dcd53c1ee91adca76ef73ebc6adb293f69c759c472016cc80b",
+    ),
+    "tree_approx": (
+        "f43c88180b2fc73a984e8111e53b614490afb8508f31c08096e011cede1ba2a4",
+        "a82c8cf1d98e7c75893e6bda17f38d612d17cfe9059a7c10642be2d043417342",
+        "7c064a08f0ebb3e00cf4f8fa4b539a197a0418a1fb4406ddf4926e6dbe56e8ff",
+    ),
+    "tree_hardness": (
+        "61847c0ecbfc6f2c9435ed105a2e3ff05eff43c5f7420d26aa4fcd4d7f08a501",
+        "e8fc4fd7cea688b37860b0800f05605f1caa7504b115d88feb5e76e1c57dc4b3",
+        "b66051ac4ee62e9d57a45b8d8e8ac044cc33916eaa234d02665f30257c0f3ffa",
+    ),
+}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_config_bytes_are_pinned(name, tmp_path):
+    cfg = hz.load_config(CONFIGS / f"{name}.cfg")
+    cfg = replace(
+        cfg,
+        trials=2,
+        steps=min(cfg.steps, MAX_STEPS) if cfg.steps else cfg.steps,
+        events=min(cfg.events, MAX_STEPS) if cfg.events else cfg.events,
+        out_dir=str(tmp_path),
+    )
+    manifest = hz.run_experiment(cfg, workers=1)
+    got = (_sha(tmp_path / "run.csv"), _sha(tmp_path / "stats.csv"), manifest.config_hash)
+    assert got == PINNED[name]
