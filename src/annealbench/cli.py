@@ -9,7 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import dynamics as dy
 from . import graph_core as gc
 from . import harness as hz
 from . import instance_gen as ig
@@ -108,21 +107,12 @@ def _cmd_report(args) -> int:
     rows = hz.read_csv(args.run)
     if args.stats:
         rows = hz.merge_run_and_stats(rows, hz.read_csv(args.stats))
-    records = [
-        dy.TrialRecord(
-            seed=int(r["seed"]),
-            steps=int(r["steps"]),
-            max_size=int(r["max_size"]),
-            step_of_max=int(r["step_of_max"]),
-            final_size=int(r.get("final_size") or r["max_size"]),
-        )
-        for r in rows
-    ]
     alpha = args.alpha
     if alpha is None and rows and rows[0].get("alpha"):
         alpha = int(rows[0]["alpha"])
     thresholds = tuple(float(x) for x in (args.thresholds or "").split(",") if x)
-    stats = oc.summarize(records, alpha=alpha, thresholds=thresholds)
+    sizes = [int(r["max_size"]) for r in rows]
+    stats = oc.summarize(sizes, alpha=alpha, thresholds=thresholds)
     lines = [
         f"trials = {stats.count}",
         f"max_size mean = {stats.mean:.4f} (95% CI {stats.mean_ci[0]:.4f}..{stats.mean_ci[1]:.4f})",

@@ -46,10 +46,9 @@ from .errors import (
     NotIndependent,
 )
 from .graph_core import SIDE_L, SIDE_R, Graph, is_independent
-from .instance_gen import BlowupParams
 from .schedules import FugacitySchedule, HistoryDigest
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # most reals drawn from a stream at once; bytes do not depend on it
 _NEVER = 1 << 62
 # Step mode enters jump mode after a window of n proposals of which fewer
 # than 1/8 changed the state; jump mode returns to step mode as soon as the
@@ -84,6 +83,13 @@ class RecorderConfig:
     track_clouds: bool = False
     track_touched: bool = False
     check_every: int | None = None  # debug: re-verify independence
+
+    def __post_init__(self):
+        for key in ("snapshot_every", "probe_step", "check_every"):
+            if (getattr(self, key) or 0) < 0:
+                raise ValueError(f"{key} must be >= 0, not {getattr(self, key)}")
+        if (self.early_stop_size or 1) < 1:
+            raise ValueError(f"early_stop_size must be >= 1, not {self.early_stop_size}")
 
 
 @dataclass
@@ -207,7 +213,6 @@ def _run_chain(
     rec: RecorderConfig,
     seed_label: int,
     classes: RateClasses,
-    chunk: int = _CHUNK,
 ) -> TrialRecord:
     n = g.n
     adj = g.neighbor_lists
@@ -262,6 +267,7 @@ def _run_chain(
     block = np.empty(0)
     reals = props = None
     k = end = 0
+    chunk = _CHUNK
     block_len = min(64, chunk)  # blocks double up to `chunk`: short runs stay cheap
 
     jumping = False
@@ -599,7 +605,6 @@ def run_ump(
     steps: int,
     seed: int,
     recorder: RecorderConfig | None = None,
-    chunk: int = _CHUNK,
 ) -> TrialRecord:
     """Run the discrete chain from the empty set for ``steps`` proposals.
 
@@ -607,63 +612,14 @@ def run_ump(
     it reads one real ``u`` of the trial's stream: the vertex is
     ``floor(u*n)`` and the coin the fractional part of ``u*n``.  Jump mode
     skips, in law, the proposals that would change nothing (see
-    :func:`engine`).  The reals are drawn in blocks of up to ``chunk``, and
-    the bytes of a run do not depend on ``chunk``.  The reported optimum is
-    the running maximum with earliest-step ties.
+    :func:`engine`).  The reported optimum is the running maximum with
+    earliest-step ties.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rec = recorder or RecorderConfig()
     gen = rngmod.stream(seed)
-    return _run_chain(g, sched, steps, gen, rec, seed, RateClasses.uniform(g.n), chunk)
-
-
-def state_visit_distribution(
-    g: Graph, sched: FugacitySchedule, steps: int, seed: int
-) -> np.ndarray:
-    """Time-averaged occupancy-state distribution of the discrete chain.
-
-    Only for tiny graphs (n <= 20): entry ``mask`` is the fraction of steps
-    spent in the occupancy bitmask ``mask``.  It steps every proposal with
-    step mode's draws (one real ``u`` per proposal: vertex ``floor(u*n)``,
-    coin the fractional part), so it is the chain of :func:`run_ump` in
-    law; its trajectory is not that of a :func:`run_ump` run, which may jump.
-    """
-    n = g.n
-    if n > 20:
-        raise ValueError("state tracking is limited to 20 vertices")
-    gen = rngmod.stream(seed)
-    adj_masks = []
-    for v in range(n):
-        m = 0
-        for w in g.neighbor_lists[v]:
-            m |= 1 << w
-        adj_masks.append(m)
-    bits = [1 << v for v in range(n)]
-    visits = [0] * (1 << n)
-    mask = 0
-    digest = HistoryDigest()
-    thr = 0.0
-    seg_end = 0
-    t = 0
-    while t < steps:
-        for u in gen.random(min(_CHUNK, steps - t)).tolist():
-            if t >= seg_end:
-                digest.t = t
-                lam, hold = sched.segment(t, digest)
-                thr = removal_threshold(lam)
-                seg_end = t + hold
-            t += 1
-            x = u * n
-            v = int(x)
-            bit = bits[v]
-            if mask & bit:
-                if x - v < thr:
-                    mask ^= bit
-            elif not mask & adj_masks[v]:
-                mask |= bit
-            visits[mask] += 1
-    return np.asarray(visits, dtype=float) / steps
+    return _run_chain(g, sched, steps, gen, rec, seed, RateClasses.uniform(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +715,6 @@ def run_ct_ump(
     sched: FugacitySchedule,
     seed: int,
     recorder: RecorderConfig | None = None,
-    chunk: int = _CHUNK,
 ) -> TrialRecord:
     """Next-event simulation of the weighted continuous-time chain.
 
@@ -778,37 +733,7 @@ def run_ct_ump(
         n_events = int(cfg.events)
     else:
         n_events = int(gen.poisson(cfg.total_rate * cfg.horizon))
-    return _run_chain(base, sched, n_events, gen, rec, seed, cfg.classes, chunk)
-
-# ---------------------------------------------------------------------------
-# Projection from a blowup state to its base
-
-
-def phi_project(
-    blowup_is,
-    params: BlowupParams,
-    g: Graph | None = None,
-) -> frozenset[int]:
-    """Map an independent set of the explicit blowup onto the base graph.
-
-    Each occupied clique member maps to its base left vertex (independence
-    allows at most one per clique); right vertices keep their identity.
-    The image has the same cardinality as the input.
-    """
-    n, k, ell = params.n, params.k, params.ell
-    if g is not None and not is_independent(g, blowup_is):
-        raise NotIndependent("input set spans an edge of the blowup")
-    out = set()
-    for v in blowup_is:
-        v = int(v)
-        if v < n * ell:
-            u = v // ell
-        else:
-            u = n + (v - n * ell)  # right vertex
-        if u in out:
-            raise NotIndependent(f"two occupied members in clique {u}")
-        out.add(u)
-    return frozenset(out)
+    return _run_chain(base, sched, n_events, gen, rec, seed, cfg.classes)
 
 
 # ---------------------------------------------------------------------------

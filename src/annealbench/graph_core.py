@@ -15,7 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -516,16 +516,11 @@ def graph_from_text(text: str, kind: str = "generic") -> Graph:
     return g
 
 
-def write_graph_file(g: Graph, path_or_file: str | IO[str]) -> None:
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(graph_to_text(g))
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(graph_to_text(g))
+def write_graph_file(g: Graph, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(graph_to_text(g))
 
 
-def read_graph_file(path_or_file: str | IO[str], kind: str = "generic") -> Graph:
-    if hasattr(path_or_file, "read"):
-        return graph_from_text(path_or_file.read(), kind=kind)
-    with open(path_or_file) as fh:
+def read_graph_file(path: str, kind: str = "generic") -> Graph:
+    with open(path) as fh:
         return graph_from_text(fh.read(), kind=kind)

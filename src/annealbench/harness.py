@@ -119,6 +119,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.alpha_override is not None and self.alpha_override < 1:
             raise ConfigError("alpha must be >= 1")
+        for key in ("snapshot_every", "probe_step", "early_stop_size"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "ump" and (self.steps or 0) < 1:
@@ -498,21 +501,6 @@ class VerdictReport:
                 (r.check, r.kind, repr(r.observed), repr(r.target), int(r.passed))
             )
         return buf.getvalue()
-
-
-def parse_verdict_csv(text: str) -> VerdictReport:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = [
-        VerdictRow(
-            check=rec["check"],
-            kind=rec["kind"],
-            observed=float(rec["observed"]),
-            target=float(rec["target"]),
-            passed=bool(int(rec["passed"])),
-        )
-        for rec in reader
-    ]
-    return VerdictReport(rows)
 
 
 def _frac(col: str, test):

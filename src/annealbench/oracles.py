@@ -103,22 +103,6 @@ def branch_chain_prob_A(spec: BranchChainSpec) -> float:
     return branch_chain_distribution(spec)[0]
 
 
-def branch_chain_prob_A_batch(lambdas: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`branch_chain_prob_A` over rows of a schedule matrix."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    rows, s = lambdas.shape
-    a = np.ones(rows)
-    b = np.zeros(rows)
-    c = np.zeros(rows)
-    for j in range(s):
-        stay = 1.0 - 0.5 / lambdas[:, j]
-        half_c = c / 2.0
-        drop = (a + b) * 0.5 / lambdas[:, j]
-        a, b = half_c + stay * a, half_c + stay * b
-        c = drop
-    return a
-
-
 def bipartite_is_bound(n: int, d: float) -> int:
     """Per-side size above which balanced independent sets vanish (whp).
 
@@ -207,10 +191,6 @@ class SummaryStats:
     failure_frequency: dict[float, float] = field(default_factory=dict)
     failure_ci: dict[float, tuple[float, float]] = field(default_factory=dict)
     ratio_mean: float | None = None
-    ratio_ci: tuple[float, float] | None = None
-
-
-_DEFAULT_QS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
@@ -220,34 +200,29 @@ def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
 
 
 def summarize(
-    records: list[TrialRecord],
-    alpha: int | None = None,
-    thresholds: tuple[float, ...] = (),
-    quantile_levels: tuple[float, ...] = _DEFAULT_QS,
+    max_sizes: list[int], alpha: int | None = None, thresholds: tuple[float, ...] = ()
 ) -> SummaryStats:
-    """Aggregate max-size statistics over a batch of trials.
+    """Aggregate the max sizes of a batch of trials.
 
     ``thresholds`` are failure cutoffs on max size: the reported frequency
     for ``x`` is the fraction of trials with ``max_size > x`` (Wilson CI).
-    With ``alpha`` given, approximation ratios are summarized too.
+    With ``alpha`` given, the mean approximation ratio is reported too.
     """
-    if not records:
+    if not max_sizes:
         raise EmptyInput("no trial records")
-    sizes = np.array([r.max_size for r in records], dtype=float)
+    sizes = np.array(max_sizes, dtype=float)
     ordered = np.sort(sizes)
     stats = SummaryStats(
-        count=len(records),
+        count=len(sizes),
         mean=float(sizes.mean()),
-        std=float(sizes.std(ddof=1)) if len(records) > 1 else 0.0,
-        quantiles={q: empirical_quantile(ordered, q) for q in quantile_levels},
+        std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
+        quantiles={q: empirical_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)},
         mean_ci=normal_mean_interval(sizes),
     )
     for x in thresholds:
         fails = int(np.sum(sizes > x))
-        stats.failure_frequency[x] = fails / len(records)
-        stats.failure_ci[x] = wilson_interval(fails, len(records))
+        stats.failure_frequency[x] = fails / len(sizes)
+        stats.failure_ci[x] = wilson_interval(fails, len(sizes))
     if alpha is not None and alpha > 0:
-        ratios = sizes / alpha
-        stats.ratio_mean = float(ratios.mean())
-        stats.ratio_ci = normal_mean_interval(ratios)
+        stats.ratio_mean = float((sizes / alpha).mean())
     return stats

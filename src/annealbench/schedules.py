@@ -96,14 +96,14 @@ class FugacitySchedule:
 
     @staticmethod
     def geometric(start: float, factor: float, block: int, cap: float = INF) -> "FugacitySchedule":
-        if factor < 1.0 or block < 1:
+        if not factor >= 1.0 or block < 1:  # "not >=" also rejects NaN
             raise InvalidFugacity("geometric schedule needs factor >= 1, block >= 1")
         return FugacitySchedule(
             kind="geometric",
             start=_check_lambda(start),
             factor=float(factor),
             block=int(block),
-            cap=float(cap),
+            cap=_check_lambda(cap),
         )
 
     @staticmethod

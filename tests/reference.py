@@ -8,6 +8,8 @@
 * A set-based graph builder, the reference of ``graph_core.build_graph``.
 * Randomized greedy with a numpy blocked mask, the reference of
   ``dynamics.run_randomized_greedy``.
+* The projection of an independent set of an explicit clique blowup onto
+  its base graph, which criterion 2 compares with the implicit blowup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import numpy as np
 
 from annealbench import rng as rngmod
 from annealbench.dynamics import TrialRecord, removal_threshold
+from annealbench.errors import NotIndependent
 from annealbench.graph_core import Graph, is_independent
+from annealbench.instance_gen import BlowupParams
 from annealbench.schedules import FugacitySchedule, HistoryDigest
 
 
@@ -149,3 +153,30 @@ def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int]
     size = len(chosen)
     record = TrialRecord(seed, g.n, size, last_add_pos, size)
     return frozenset(chosen), record
+
+
+def phi_project(
+    blowup_is,
+    params: BlowupParams,
+    g: Graph | None = None,
+) -> frozenset[int]:
+    """Map an independent set of the explicit blowup onto the base graph.
+
+    Each occupied clique member maps to its base left vertex (independence
+    allows at most one per clique); right vertices keep their identity.
+    The image has the same cardinality as the input.
+    """
+    n, ell = params.n, params.ell
+    if g is not None and not is_independent(g, blowup_is):
+        raise NotIndependent("input set spans an edge of the blowup")
+    out = set()
+    for v in blowup_is:
+        v = int(v)
+        if v < n * ell:
+            u = v // ell
+        else:
+            u = n + (v - n * ell)  # right vertex
+        if u in out:
+            raise NotIndependent(f"two occupied members in clique {u}")
+        out.add(u)
+    return frozenset(out)

@@ -60,7 +60,9 @@ from exact_laws import (
     one_sided_gate,
     schedule_fugacities,
     spider_mid_law,
+    weighted_law,
 )
+from reference import phi_project
 
 pytestmark = pytest.mark.acceptance
 
@@ -106,18 +108,43 @@ def _run_config(name: str, outroot: Path):
 
 # -- criterion 1: stationary distribution on the 3-path ----------------------
 
+# The engine itself is held to the hard-core law: the final states of
+# STATIONARY_TRIALS default-mode runs of STATIONARY_T proposals each.  At that
+# horizon the exact law of the chain from the empty set is within 4.4e-5 TV of
+# the stationary law (asserted below), and the TV of 2*10^4 multinomial draws
+# from the stationary law itself stayed below 0.017 in 2*10^4 resamples
+# (mean 0.005).
+STATIONARY_TRIALS = 20_000
+STATIONARY_T = 60
+
 
 def test_criterion_1_stationary_distribution():
     g = gc.build_graph(3, [(0, 1), (1, 2)])
     lam = 2.0
-    start = time.time()
-    emp = dy.state_visit_distribution(g, FugacitySchedule.fixed(lam), 10**6, seed=11)
-    elapsed = time.time() - start
     exact = hardcore_distribution(g, lam)  # weights (1,2,2,2,4)/11
-    tv = 0.5 * float(np.abs(emp - exact).sum())
+    at_t = weighted_law(g, np.ones(g.n), np.ones(g.n), f"fixed:{lam:g}", STATIONARY_T)
+    assert 0.5 * float(np.abs(at_t - exact).sum()) <= 1e-4
+    sched = FugacitySchedule.fixed(lam)
+    keep = dy.RecorderConfig(keep_final_state=True)
+    start = time.time()
+    counts = np.zeros(1 << g.n)
+    skipped = 0
+    for i in range(STATIONARY_TRIALS):
+        rec = dy.run_ump(g, sched, STATIONARY_T, seed=rngmod.stream_id(11, i), recorder=keep)
+        counts[sum(1 << v for v in rec.final_state)] += 1
+        skipped += rec.skipped
+    elapsed = time.time() - start
+    tv = 0.5 * float(np.abs(counts / STATIONARY_TRIALS - exact).sum())
     ok = tv <= 0.02
-    _report("criterion 1 (stationary law, 3-path)", ok, f"TV={tv:.4f} target<=0.02", elapsed)
+    share = skipped / (STATIONARY_TRIALS * STATIONARY_T)
+    _report(
+        "criterion 1 (stationary law, 3-path)",
+        ok,
+        f"TV={tv:.4f} target<=0.02 over {STATIONARY_TRIALS} runs, {share:.1%} skipped",
+        elapsed,
+    )
     _check_budget("criterion 1", elapsed, 5.0)
+    assert skipped > 0, "no run entered jump mode"
     assert ok
 
 
@@ -151,7 +178,7 @@ def test_criterion_2_projection_equivalence():
                 blowup, sched, t_disc, seed=rngmod.stream_id(1, i), recorder=keep
             )
             final = rec.final_state
-        proj_counts[dy.phi_project(final, params)] += 1
+        proj_counts[phi_project(final, params)] += 1
         rec_ct = dy.run_ct_ump(
             base, cfg, sched, seed=rngmod.stream_id(2, i), recorder=keep
         )

@@ -29,12 +29,12 @@ STEP = dy.RecorderConfig(track_touched=True)
 CHAINS = ("ct", "ump")
 
 
-def run(chain, g, cfg, sched, seed, recorder=None, chunk=dy._CHUNK):
+def run(chain, g, cfg, sched, seed, recorder=None):
     """One run of ``chain`` on ``g``: ``ct`` is the weighted chain of
     ``cfg``, ``ump`` the discrete chain for ``cfg.events`` steps."""
     if chain == "ct":
-        return dy.run_ct_ump(g, cfg, sched, seed=seed, recorder=recorder, chunk=chunk)
-    return dy.run_ump(g, sched, cfg.events, seed=seed, recorder=recorder, chunk=chunk)
+        return dy.run_ct_ump(g, cfg, sched, seed=seed, recorder=recorder)
+    return dy.run_ump(g, sched, cfg.events, seed=seed, recorder=recorder)
 
 
 def two_class_graph() -> gc.Graph:
@@ -187,7 +187,9 @@ def test_jump_hitting_steps_match_step_engine():
 # -- determinism and the recorder -------------------------------------------------
 
 
-def test_jump_bytes_do_not_depend_on_chunk():
+def test_jump_bytes_do_not_depend_on_chunk(monkeypatch):
+    """The engine draws its reals in blocks of up to ``dy._CHUNK``."""
+    chunks = (1, 7, dy._CHUNK)
     base, cfg = small_blowup(events=30_000)
     rec = dy.RecorderConfig(
         thresholds=(5, 20), keep_final_state=True, keep_argmax_state=True, probe_step=777,
@@ -196,7 +198,10 @@ def test_jump_bytes_do_not_depend_on_chunk():
     for chain in CHAINS:
         for spec in ("fixed:2", "geometric:1:2:5000", "adaptive:plateau"):
             sched = parse_schedule(spec)
-            runs = [fields(run(chain, base, cfg, sched, 3, rec, c)) for c in (1, 7, dy._CHUNK)]
+            runs = []
+            for chunk in chunks:
+                monkeypatch.setattr(dy, "_CHUNK", chunk)
+                runs.append(fields(run(chain, base, cfg, sched, 3, rec)))
             assert runs[0] == runs[1] == runs[2], (chain, spec)
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import itertools
 
 import numpy as np
@@ -308,12 +307,11 @@ def test_graph_text_round_trip():
     assert np.array_equal(g.group, h.group)
 
 
-def test_graph_file_io_via_buffers():
+def test_graph_file_round_trip(tmp_path):
     g = path_graph(4)
-    buf = io.StringIO()
-    gc.write_graph_file(g, buf)
-    buf.seek(0)
-    h = gc.read_graph_file(buf)
+    path = str(tmp_path / "path4.txt")
+    gc.write_graph_file(g, path)
+    h = gc.read_graph_file(path)
     assert h.num_edges == 3
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 
 import pytest
@@ -172,11 +174,27 @@ def test_verdict_kinds(tmp_path):
     assert not hz.verdict(cfg, rows).all_passed
 
 
+def parse_verdict_csv(text: str) -> hz.VerdictReport:
+    """Read back the text of ``VerdictReport.to_csv_text``."""
+    return hz.VerdictReport(
+        [
+            hz.VerdictRow(
+                check=rec["check"],
+                kind=rec["kind"],
+                observed=float(rec["observed"]),
+                target=float(rec["target"]),
+                passed=bool(int(rec["passed"])),
+            )
+            for rec in csv.DictReader(io.StringIO(text))
+        ]
+    )
+
+
 def test_verdict_round_trips_through_csv(tmp_path):
     cfg = _cfg(tmp_path)
     manifest = hz.run_experiment(cfg, workers=1)
     report = hz.verdict(cfg, manifest.rows)
-    parsed = hz.parse_verdict_csv(report.to_csv_text())
+    parsed = parse_verdict_csv(report.to_csv_text())
     assert parsed == report
 
 
@@ -257,6 +275,11 @@ def test_bundled_configs_parse():
         ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_max_ge 2", "reach2"),
         ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_max_ge 2 0.9 7", "reach2"),
         ("reach2 = frac_max_ge 2 0.9", "reach2 = frac_flux_capacitor 1 2", "frac_flux_capacitor"),
+        # a negative mark once made the run loop forever
+        ("seed = 99", "seed = 99\nprobe_step = -3", "probe_step"),
+        ("seed = 99", "seed = 99\nsnapshot_every = -5", "snapshot_every"),
+        ("seed = 99", "seed = 99\nearly_stop_size = -1", "early_stop_size"),
+        ("seed = 99", "seed = 99\nearly_stop_size = 0", "early_stop_size"),
     ],
 )
 def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, match):
@@ -264,7 +287,13 @@ def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, mat
         _cfg(tmp_path, TINY_CFG.replace(old, new))
 
 
-@pytest.mark.parametrize("spec", ["geometric:1:2", "fixed:abc", "geometric:a:2:3"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "geometric:1:2", "fixed:abc", "geometric:a:2:3",
+        "geometric:1:2:10:0.5", "geometric:1:2:10:nan", "geometric:1:nan:10",
+    ],
+)
 def test_malformed_schedule_spec_is_a_config_error(tmp_path, spec):
     with pytest.raises(ConfigError, match=r"\[schedules\].*" + spec):
         _cfg(tmp_path, TINY_CFG.replace("specs = fixed:2, greedy", f"specs = fixed:2, {spec}"))
