@@ -6,6 +6,7 @@ Exit code 0 means every acceptance verdict passed (or none were asked for).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from . import graph_core as gc
 from . import harness as hz
 from . import instance_gen as ig
 from . import oracles as oc
-from .errors import AnnealBenchError
+from .errors import AnnealBenchError, ConfigError
 
 
 def _key_value(pair: str) -> tuple[str, str]:
@@ -110,7 +111,12 @@ def _cmd_report(args) -> int:
     alpha = args.alpha
     if alpha is None and rows and rows[0].get("alpha"):
         alpha = int(rows[0]["alpha"])
-    thresholds = tuple(float(x) for x in (args.thresholds or "").split(",") if x)
+    try:
+        thresholds = tuple(float(x) for x in (args.thresholds or "").split(",") if x)
+    except ValueError:
+        thresholds = (math.nan,)
+    if not all(map(math.isfinite, thresholds)):
+        raise ConfigError(f"--thresholds must be finite numbers, got {args.thresholds!r}")
     sizes = [int(r["max_size"]) for r in rows]
     stats = oc.summarize(sizes, alpha=alpha, thresholds=thresholds)
     lines = [

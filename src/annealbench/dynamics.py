@@ -55,6 +55,7 @@ _NEVER = 1 << 62
 # exact share p of useful proposals exceeds 1/4.
 _ENTER_JUMP = 1 / 8
 _LEAVE_JUMP = 1 / 4
+_GREEDY_BLOCK = 256  # randomized greedy filters this many positions per numpy gather
 
 
 def removal_threshold(lam: float) -> float:
@@ -747,30 +748,31 @@ def run_randomized_greedy(
 
     Identical in distribution to the infinite-fugacity chain run to
     saturation: re-draws of decided vertices are no-ops there, so only the
-    first-arrival order matters.
+    first-arrival order matters.  Each block of positions after the first
+    drops its blocked vertices with one gather; the rest are checked again,
+    as an add can block a later vertex of its own block.  Same set and
+    record as the plain scan in ``tests/reference.py``.
     """
     perm = rngmod.stream(seed).permutation(g.n)
-    offs, targets = g.adj_offsets.tolist(), g.adj_targets
+    nbrs = g.neighbor_arrays
     # Read one vertex at a time as a bytearray; block a neighbourhood at once
     # through a numpy view of the same bytes.
     blocked = bytearray(g.n)
     scatter = np.frombuffer(blocked, dtype=np.uint8)
     chosen: list[int] = []
-    last_add_pos = 0
-    for pos, v in enumerate(perm.tolist()):
-        if not blocked[v]:
-            chosen.append(v)
-            blocked[v] = 1
-            scatter[targets[offs[v] : offs[v + 1]]] = 1
-            last_add_pos = pos + 1
-    record = TrialRecord(
-        seed=seed,
-        steps=g.n,
-        max_size=len(chosen),
-        step_of_max=last_add_pos,
-        final_size=len(chosen),
-    )
-    return frozenset(chosen), record
+    last_lo = 0  # first position of the block that made the last add
+    for lo in range(0, g.n, _GREEDY_BLOCK):
+        block = perm[lo : lo + _GREEDY_BLOCK]
+        for v in (block[scatter[block] == 0] if lo else block).tolist():
+            if not blocked[v]:
+                chosen.append(v)
+                blocked[v] = 1
+                scatter[nbrs[v]] = 1
+                last_lo = lo
+    block = perm[last_lo : last_lo + _GREEDY_BLOCK].tolist()
+    step_of_max = last_lo + block.index(chosen[-1]) + 1 if chosen else 0
+    size = len(chosen)
+    return frozenset(chosen), TrialRecord(seed, g.n, size, step_of_max, size)
 
 
 def run_degree_greedy(g: Graph) -> frozenset[int]:

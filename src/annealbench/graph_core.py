@@ -75,6 +75,13 @@ class Graph:
         targets = self.adj_targets.tolist()
         return [targets[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
+    @cached_property
+    def neighbor_arrays(self) -> list[np.ndarray]:
+        """Read-only numpy views of each neighbor list, built once per graph."""
+        offs, targets = self.adj_offsets.tolist(), self.adj_targets.view()
+        targets.setflags(write=False)
+        return [targets[lo:hi] for lo, hi in zip(offs, offs[1:])]
+
     def edge_array(self) -> np.ndarray:
         """Each edge once as a row ``(u, v)`` with ``u < v``, rows sorted."""
         src = np.repeat(np.arange(self.n), np.diff(self.adj_offsets))

@@ -365,12 +365,16 @@ def _pool_trial(trial_id: int) -> dict:
 
 
 def worker_count(default: int | None = None) -> int:
-    env = os.environ.get("ANNEALBENCH_WORKERS")
-    if env:
-        return max(1, int(env))
-    if default:
-        return default
-    return max(1, os.cpu_count() or 1)
+    """Pool size: ``ANNEALBENCH_WORKERS`` if set, else ``default`` (the
+    ``--workers`` value), else all cores.  Each must be an integer >= 1."""
+    source, value = "ANNEALBENCH_WORKERS", os.environ.get("ANNEALBENCH_WORKERS")
+    if not value:
+        if default is None:
+            return max(1, os.cpu_count() or 1)
+        source, value = "--workers", default
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -392,13 +396,13 @@ def run_experiment(
 ) -> ExperimentManifest:
     """Generate the instance, run all trials, persist CSVs and manifest."""
     cfg.validate()
+    nworkers = worker_count(workers)
     started = time.time()
     bundle = build_instance(cfg)
     if bundle.graph is not None:
         bundle.graph.neighbor_lists  # build once, handed to every worker
 
     ids = list(range(cfg.total_trials))
-    nworkers = worker_count(workers)
     if nworkers > 1 and len(ids) > 1:
         with mp.Pool(min(nworkers, len(ids)), _init_worker, (cfg, bundle)) as pool:
             rows = pool.map(_pool_trial, ids, chunksize=1)

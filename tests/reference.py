@@ -6,8 +6,10 @@
   proposal reads one real ``u`` of the trial's stream: the vertex is
   ``floor(u*n)`` and the removal coin is the fractional part of ``u*n``.
 * A set-based graph builder, the reference of ``graph_core.build_graph``.
-* Randomized greedy with a numpy blocked mask, the reference of
-  ``dynamics.run_randomized_greedy``.
+* Randomized greedy as the plain scan: every position of the permutation
+  in order, one bool-mask assignment per added vertex.  It is what
+  ``dynamics.run_randomized_greedy`` is held to, set and ``TrialRecord``
+  alike; the fast path skips blocked positions a block at a time.
 * The projection of an independent set of an explicit clique blowup onto
   its base graph, which criterion 2 compares with the implicit blowup.
 """
@@ -138,8 +140,8 @@ def build_graph_reference(n: int, edges) -> Graph:
 
 
 def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int], TrialRecord]:
-    """Scan the trial's uniform permutation; an added vertex blocks its
-    neighbours by one numpy fancy-index assignment."""
+    """Scan every position of the trial's uniform permutation in order; an
+    added vertex blocks its neighbours by one numpy fancy-index assignment."""
     perm = rngmod.stream(seed).permutation(g.n)
     blocked = np.zeros(g.n, dtype=bool)
     chosen: list[int] = []

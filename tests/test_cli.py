@@ -148,3 +148,40 @@ def test_run_rejects_a_malformed_graph_file(tmp_path, capsys):
     assert "line 3: side 'Q' is not L or R" in err
     assert "Traceback" not in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("thresholds", ["abc", "3,x", "2,,1e", "nan", "3,inf"])
+def test_report_rejects_malformed_thresholds(tmp_path, capsys, thresholds):
+    graph = str(tmp_path / "anchor.graph")
+    main(["gen", "--family", "anchor", "--param", "n=4", "--out", graph])
+    run_csv = str(tmp_path / "run.csv")
+    main(["run", "--graph", graph, "--algorithm", "greedy", "--trials", "2", "--out", run_csv])
+    capsys.readouterr()
+    code = main(["report", "--run", run_csv, "--thresholds", thresholds])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--thresholds must be finite numbers, got {thresholds!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_rejects_a_worker_count_below_one(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.delenv("ANNEALBENCH_WORKERS", raising=False)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"""
+[experiment]
+name = t
+out_dir = {tmp_path / "out"}
+
+[instance]
+family = star-tree
+k = 3
+
+[run]
+algorithm = greedy
+trials = 2
+""")
+    code = main(["experiment", "--config", str(cfg), "--workers", workers])
+    assert code == 2
+    assert f"--workers must be an integer >= 1, got {int(workers)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

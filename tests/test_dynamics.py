@@ -309,17 +309,35 @@ def test_randomized_greedy_is_maximal_independent():
                 assert any(int(w) in s for w in g.neighbors(v))
 
 
+def random_graph(n, m, seed, among=None):
+    """n vertices; m random pairs drawn among the first ``among`` (all n)."""
+    pairs = np.random.default_rng(seed).integers(0, among or n, size=(m, 2))
+    return gc.build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+# The fast scan filters the permutation in blocks of dy._GREEDY_BLOCK = 256
+# positions: n = 255..513 put the last position on either side of a block
+# edge; 400 isolated vertices after 600 connected ones are always added,
+# also late in the permutation; a dense multicopy leaves few vertices free
+# after its first block; the balanced bipartite graph is bip_greedy's family,
+# degree and master seed at a tenth of its n, over 200 trial seeds.
 @pytest.mark.parametrize(
-    "g",
+    "g, seeds",
     [
-        ig.gen_appendix_anchor(30),
-        gc.build_graph(50, [(i, i + 1) for i in range(49)]),
-        ig.gen_random_balanced_bipartite(300, 4, seed=2),
+        (ig.gen_appendix_anchor(30), 50),
+        (gc.build_graph(50, [(i, i + 1) for i in range(49)]), 50),
+        (ig.gen_random_balanced_bipartite(300, 4, seed=2), 50),
+        (gc.build_graph(0, []), 5),
+        *((random_graph(n, 2 * n, seed=n), 50) for n in (255, 256, 257, 513)),
+        (random_graph(1000, 900, seed=7, among=600), 50),
+        (ig.gen_appendix_multicopy(32, 0.5), 50),
+        (ig.gen_random_balanced_bipartite(500, 16, seed=20260814), 200),
     ],
-    ids=["anchor", "path", "balanced-bipartite"],
+    ids=["anchor", "path", "balanced-bipartite", "empty", "n255", "n256", "n257", "n513",
+         "isolated", "multicopy", "bip-greedy-small"],
 )
-def test_randomized_greedy_matches_reference(g):
-    for seed in range(50):
+def test_randomized_greedy_matches_reference(g, seeds):
+    for seed in range(seeds):
         assert dy.run_randomized_greedy(g, seed) == run_randomized_greedy_reference(g, seed)
 
 

@@ -144,6 +144,24 @@ def test_graph_arrays_are_readonly():
         g.adj_targets[0] = 2
 
 
+def test_neighbor_arrays_are_readonly_views_of_the_neighbor_lists():
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 40, size=(90, 2))
+    built = gc.build_graph(40, pairs[pairs[:, 0] != pairs[:, 1]])
+    # A Graph made directly from writable arrays still hands out read-only views.
+    plain = build_graph_reference(7, [(0, 1), (1, 2), (4, 6)])
+    assert plain.adj_targets.flags.writeable
+    for g in (built, plain, gc.build_graph(0, []), complete_graph(5)):
+        assert len(g.neighbor_arrays) == g.n
+        for v, nbrs in enumerate(g.neighbor_arrays):
+            assert np.array_equal(nbrs, g.neighbors(v))
+            assert nbrs.tolist() == g.neighbor_lists[v]
+            assert not nbrs.flags.writeable
+            with pytest.raises(ValueError):
+                nbrs[:] = 0
+    assert built.neighbor_arrays is built.neighbor_arrays  # built once
+
+
 # -- is_independent ---------------------------------------------------------
 
 

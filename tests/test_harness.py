@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -349,15 +350,55 @@ def test_manifest_records_alpha_and_its_source(tmp_path, instance, extra, alpha,
     assert header == ",".join(hz.RUN_CSV_COLUMNS)
 
 
+# -- worker count ---------------------------------------------------------------
+
+
+def test_worker_count_sources(monkeypatch):
+    import os
+
+    monkeypatch.delenv("ANNEALBENCH_WORKERS", raising=False)
+    assert hz.worker_count() == max(1, os.cpu_count() or 1)
+    assert hz.worker_count(3) == 3
+    monkeypatch.setenv("ANNEALBENCH_WORKERS", "2")
+    assert hz.worker_count() == 2
+    assert hz.worker_count(5) == 2  # the variable overrides --workers
+    monkeypatch.setenv("ANNEALBENCH_WORKERS", "")
+    assert hz.worker_count(5) == 5
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", " "])
+def test_worker_count_rejects_a_bad_variable(monkeypatch, value):
+    monkeypatch.setenv("ANNEALBENCH_WORKERS", value)
+    message = f"ANNEALBENCH_WORKERS must be an integer >= 1, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        hz.worker_count(2)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, True])
+def test_worker_count_rejects_a_bad_argument(monkeypatch, value):
+    monkeypatch.delenv("ANNEALBENCH_WORKERS", raising=False)
+    message = f"--workers must be an integer >= 1, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        hz.worker_count(value)
+
+
 # -- pool start methods -------------------------------------------------------
 
 SPAWN_SCRIPT = """
 import multiprocessing, sys
 from annealbench import harness as hz
 multiprocessing.set_start_method("spawn")
-cfg = hz.loads_config(sys.argv[1])
-hz.run_experiment(cfg, workers=2)
+for text in sys.argv[1:]:
+    hz.run_experiment(hz.loads_config(text), workers=2)
 """
+
+# Greedy on 600 vertices: each worker builds the graph's neighbor_arrays
+# itself, and the scan crosses its 256-position block edges.
+GREEDY_CFG = (
+    TINY_CFG.replace("family = star-tree\nk = 3", "family = balanced-bipartite\nn = 300\nd = 4")
+    .replace("algorithm = ump\nsteps = 400\ntrials = 3", "algorithm = greedy\ntrials = 4")
+    .replace("{out}", "{out}/greedy")
+)
 
 
 def test_pool_under_spawn_matches_serial(tmp_path):
@@ -365,22 +406,24 @@ def test_pool_under_spawn_matches_serial(tmp_path):
     import subprocess
     import sys
 
-    serial = _cfg(tmp_path)
-    serial.out_dir = str(tmp_path / "serial")
-    hz.run_experiment(serial, workers=1)
-    text = TINY_CFG.format(out=tmp_path / "spawn")
+    texts = []
+    for text in (TINY_CFG, GREEDY_CFG):
+        serial = hz.loads_config(text.format(out=tmp_path / "serial"))
+        hz.run_experiment(serial, workers=1)
+        texts.append(text.format(out=tmp_path / "spawn"))
+    assert "algorithm = greedy" in texts[1]
     env = {k: v for k, v in os.environ.items() if k != "ANNEALBENCH_WORKERS"}
     src = str(Path(hz.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     done = subprocess.run(
-        [sys.executable, "-c", SPAWN_SCRIPT, text],
+        [sys.executable, "-c", SPAWN_SCRIPT, *texts],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    for name in ("run.csv", "stats.csv"):
+    for name in ("run.csv", "stats.csv", "greedy/run.csv", "greedy/stats.csv"):
         assert (tmp_path / "spawn" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
