@@ -27,7 +27,7 @@ def _key_value(pair: str) -> tuple[str, str]:
 def _cmd_gen(args) -> int:
     params = dict(args.param or [])
     family = ig.family(args.family)
-    inst = family.build(family.parse(params), args.seed)
+    inst = family.make(params, args.seed)
     for note in inst.notes:
         print(f"note: {note}", file=sys.stderr)
     # A graph file holds the explicit graph, also of an implicit clique blowup.
@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         thresholds=args.thresholds,
         early_stop_size=args.early_stop,
-        alpha_override=args.alpha,
+        alpha=args.alpha,
     )
     cfg.validate_run()
     bundle = hz.InstanceBundle(gc.read_graph_file(args.graph), args.alpha, watch=args.watch)

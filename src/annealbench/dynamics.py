@@ -80,7 +80,6 @@ class RecorderConfig:
     probe_vertices: tuple[int, ...] = ()
     early_stop_size: int | None = None
     keep_final_state: bool = False
-    keep_argmax_state: bool = False
     track_clouds: bool = False
     track_touched: bool = False
     check_every: int | None = None  # debug: re-verify independence
@@ -91,6 +90,8 @@ class RecorderConfig:
                 raise ValueError(f"{key} must be >= 0, not {getattr(self, key)}")
         if (self.early_stop_size or 1) < 1:
             raise ValueError(f"early_stop_size must be >= 1, not {self.early_stop_size}")
+        if min(self.thresholds, default=1) < 1:
+            raise ValueError(f"thresholds must be >= 1, not {self.thresholds}")
 
 
 @dataclass
@@ -111,7 +112,6 @@ class TrialRecord:
     right_touched: int | None = None
     probe_count: int | None = None
     final_state: frozenset[int] | None = None
-    argmax_state: frozenset[int] | None = None
     events: int = 0  # state changes
     skipped: int = 0  # proposals passed over in jump mode
 
@@ -226,8 +226,7 @@ def _run_chain(
     grp_list = g.group.tolist() if (rec.track_clouds and g.group is not None) else None
 
     size = 0
-    lsize = 0
-    rsize = 0
+    sides = [0, 0, 0]  # occupied vertices on side L, side R, no side (SIDE_NONE = -1)
     max_size = 0
     step_of_max = 0
     root_added = False
@@ -245,11 +244,10 @@ def _run_chain(
         for v in rec.watch:
             watch_arr[v] = 1
 
-    loads = None
-    deload_count = 0
     if grp_list is not None:
-        loads = [0] * (int(max(grp_list)) + 1)
-        deloaded = bytearray(len(loads))
+        # one load per group, and a last slot that NO_GROUP = -1 indexes
+        loads = [0] * (int(max(grp_list)) + 2)
+        deloaded = bytearray(len(loads))  # groups whose load returned to 0
 
     # Touched vertices are marked per block of stepped proposals; a recorder
     # that tracks them keeps step mode for the whole run.
@@ -257,8 +255,6 @@ def _run_chain(
 
     marks = _Marks(g, rec)
     next_mark = marks.next
-
-    argmax_bytes = bytes(occ) if rec.keep_argmax_state else None
 
     digest = HistoryDigest(occupied=occ)
 
@@ -342,7 +338,9 @@ def _run_chain(
     seg_end = 0
     while t < steps:
         if t >= seg_end:
-            lam, hold = sched.segment(t, _digest_at(digest, t, size, max_size, step_of_max))
+            digest.t, digest.size = t, size
+            digest.max_size, digest.step_of_max = max_size, step_of_max
+            lam, hold = sched.segment(t, digest)
             seg_end = t + hold
             thr = removal_threshold(lam)
             weights = classes.weights(thr)
@@ -397,19 +395,12 @@ def _run_chain(
                     for w in adj[v]:
                         blocked[w] -= 1
                 if side_list is not None:
-                    s = side_list[v]
-                    if s == SIDE_L:
-                        lsize -= 1
-                    elif s == SIDE_R:
-                        rsize -= 1
+                    sides[side_list[v]] -= 1
                 if grp_list is not None:
                     gid = grp_list[v]
-                    if gid >= 0:
-                        newload = loads[gid] - 1
-                        loads[gid] = newload
-                        if newload == 0 and not deloaded[gid]:
-                            deloaded[gid] = 1
-                            deload_count += 1
+                    loads[gid] -= 1
+                    if not loads[gid]:
+                        deloaded[gid] = 1
             elif blocked[v]:
                 continue
             else:
@@ -440,22 +431,14 @@ def _run_chain(
                     for w in adj[v]:
                         blocked[w] += 1
                 if side_list is not None:
-                    s = side_list[v]
-                    if s == SIDE_L:
-                        lsize += 1
-                    elif s == SIDE_R:
-                        rsize += 1
+                    sides[side_list[v]] += 1
                 if grp_list is not None:
-                    gid = grp_list[v]
-                    if gid >= 0:
-                        loads[gid] += 1
+                    loads[grp_list[v]] += 1
                 if watch_arr is not None and watch_arr[v]:
                     root_added = True
                 if size > max_size:
                     max_size = size
                     step_of_max = t
-                    if argmax_bytes is not None:
-                        argmax_bytes = bytes(occ)
                     while ti < nthr and size >= thr_sorted[ti]:
                         hits[thr_sorted[ti]] = t
                         ti += 1
@@ -477,7 +460,7 @@ def _run_chain(
         elif jumping and not stale:
             t = cut  # the change stays pending: marks do not move it
         if t == next_mark:
-            next_mark = marks.visit(t, size, lsize, rsize, occ)
+            next_mark = marks.visit(t, size, sides[SIDE_L], sides[SIDE_R], occ)
         if t == window_end and not jumping:
             if touched is None and events - window_events < _ENTER_JUMP * n:
                 jumping = True
@@ -499,21 +482,19 @@ def _run_chain(
         final_size=size,
         hitting_steps=hits,
         snapshots=marks.snapshots,
-        final_left=lsize if side_list is not None else -1,
-        final_right=rsize if side_list is not None else -1,
+        final_left=sides[SIDE_L] if side_list is not None else -1,
+        final_right=sides[SIDE_R] if side_list is not None else -1,
         root_added=root_added,
         probe_count=marks.probe_count,
         events=events,
         skipped=skipped,
     )
     if grp_list is not None:
-        record.deload_final = deload_count
+        record.deload_final = sum(deloaded[:-1])
     if touched is not None and g.side is not None:
         record.right_touched = int(np.count_nonzero(touched & (g.side == SIDE_R)))
     if rec.keep_final_state:
         record.final_state = frozenset(compress(range(n), occ))
-    if argmax_bytes is not None:
-        record.argmax_state = frozenset(compress(range(n), argmax_bytes))
     return record
 
 
@@ -566,16 +547,6 @@ class _Marks:
             self.next_snap, self.probe_step if self.probe_step > t else _NEVER, self.next_check
         )
         return self.next
-
-
-def _digest_at(
-    digest: HistoryDigest, t: int, size: int, max_size: int, step_of_max: int
-) -> HistoryDigest:
-    digest.t = t
-    digest.size = size
-    digest.max_size = max_size
-    digest.step_of_max = step_of_max
-    return digest
 
 
 def _debug_check(g: Graph, occ: bytearray, size: int) -> None:
@@ -943,22 +914,21 @@ class GreedyChainResult:
         return abs(self.left - self.right)
 
 
-def run_greedy_chain(
-    n: int, p: float, seed: int, checkpoints: int = 16
-) -> GreedyChainResult:
+def run_greedy_chain(n: int, p: float, seed: int) -> GreedyChainResult:
     """Simulate the (side, L_t, R_t) chain for 2n steps.
 
     A fair coin picks the side; the chosen side grows with probability
     ``(1-p)`` to the power of the other side's count.  The compensated
     value ``M_t = L_t - R_t - (1/2) * sum_s (q^{R_s} - q^{L_s})`` is a
-    martingale and is recorded along the checkpoints.
+    martingale and is recorded at 16 evenly spaced checkpoints and at the
+    last step.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     gen = rngmod.stream(seed)
     q = 1.0 - p
     steps = 2 * n
-    every = max(1, steps // max(1, checkpoints))
+    every = max(1, steps // 16)
     left = right = 0
     q_left = 1.0  # q ** left
     q_right = 1.0  # q ** right

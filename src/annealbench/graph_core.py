@@ -56,7 +56,6 @@ class Graph:
     adj_targets: np.ndarray
     side: np.ndarray | None = None
     group: np.ndarray | None = None
-    kind: str = "generic"
 
     @property
     def num_edges(self) -> int:
@@ -140,7 +139,7 @@ def build_graph(
     for arr in (offsets, targets, side, group):
         if arr is not None:
             arr.setflags(write=False)
-    return Graph(n, offsets, targets, side, group, kind)
+    return Graph(n, offsets, targets, side, group)
 
 
 def _per_vertex_array(n, values, dtype, fill) -> np.ndarray | None:
@@ -181,14 +180,15 @@ class AlphaCertificate:
         return len(self.witness) == self.alpha and is_independent(g, self.witness)
 
 
-def alpha_bruteforce(g: Graph, cap: int = BRUTE_FORCE_CAP) -> AlphaCertificate:
-    """Exact alpha by exhaustive branch-and-bound (graphs up to ``cap``).
+def alpha_bruteforce(g: Graph) -> AlphaCertificate:
+    """Exact alpha by exhaustive branch-and-bound (graphs up to
+    ``BRUTE_FORCE_CAP`` vertices).
 
     The witness is the lexicographically smallest maximum independent set,
     so repeated runs on the same graph are byte-identical.
     """
-    if g.n > cap:
-        raise CapExceeded(f"{g.n} vertices exceeds brute-force cap {cap}")
+    if g.n > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"{g.n} vertices exceeds brute-force cap {BRUTE_FORCE_CAP}")
     if g.n == 0:
         return AlphaCertificate(0, frozenset(), METHOD_BRUTE_FORCE)
 
@@ -474,7 +474,7 @@ def _int(tok: str, below: int | None = None) -> int:
     return val
 
 
-def graph_from_text(text: str, kind: str = "generic") -> Graph:
+def graph_from_text(text: str) -> Graph:
     n = claimed_edges = None
     edges: list[int] = []  # u0, v0, u1, v1, ...
     labels: dict[int, int] = {}
@@ -514,7 +514,6 @@ def graph_from_text(text: str, kind: str = "generic") -> Graph:
         np.array(edges, dtype=np.int64).reshape(-1, 2),
         labels=labels or None,
         groups=groups or None,
-        kind=kind,
     )
     if g.num_edges != claimed_edges:
         raise InvalidEdge(
@@ -528,6 +527,6 @@ def write_graph_file(g: Graph, path: str) -> None:
         fh.write(graph_to_text(g))
 
 
-def read_graph_file(path: str, kind: str = "generic") -> Graph:
+def read_graph_file(path: str) -> Graph:
     with open(path) as fh:
-        return graph_from_text(fh.read(), kind=kind)
+        return graph_from_text(fh.read())

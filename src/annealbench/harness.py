@@ -87,7 +87,6 @@ _RUN_TYPES = {
     "watch_root": ig.parse_bool, "probe_step": int, "track_touched": ig.parse_bool,
     "alpha": int,
 }
-_RUN_FIELDS = {"alpha": "alpha_override"}  # [run] keys named otherwise in ExperimentConfig
 
 
 @dataclass
@@ -109,7 +108,7 @@ class ExperimentConfig:
     watch_root: bool = False
     probe_step: int | None = None
     track_touched: bool = False
-    alpha_override: int | None = None
+    alpha: int | None = None  # overrides the family's alpha
     acceptance: list[tuple[str, str]] = field(default_factory=list)
 
     def validate_run(self) -> None:
@@ -117,8 +116,10 @@ class ExperimentConfig:
         family; ``annealbench run``, whose config has none, runs only these."""
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.alpha_override is not None and self.alpha_override < 1:
+        if self.alpha is not None and self.alpha < 1:
             raise ConfigError("alpha must be >= 1")
+        if min(self.thresholds, default=1) < 1:
+            raise ConfigError(f"thresholds must be >= 1, got {self.thresholds}")
         for key in ("snapshot_every", "probe_step", "early_stop_size"):
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -182,7 +183,7 @@ def loads_config(text: str) -> ExperimentConfig:
         raise ConfigError("[instance] must set family")
     specs = parser["schedules"].get("specs", "") if parser.has_section("schedules") else ""
     run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, run, "[run]")
-    run = {_RUN_FIELDS.get(k, k): v for k, v in run.items() if v is not None}
+    run = {k: v for k, v in run.items() if v is not None}
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         family=family,
@@ -203,7 +204,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         ("instance.family", cfg.family),
         *[(f"instance.{k}", str(v)) for k, v in sorted(cfg.instance.items())],
         *[(f"schedules.{i}", s) for i, s in enumerate(cfg.schedules)],
-        *[(f"run.{k}", str(getattr(cfg, _RUN_FIELDS.get(k, k)))) for k in _RUN_TYPES],
+        *[(f"run.{k}", str(getattr(cfg, k))) for k in _RUN_TYPES],
         *[(f"acceptance.{k}", v) for k, v in cfg.acceptance],
     ]
     return hashlib.sha256("".join(f"{k}={v}\n" for k, v in parts).encode()).hexdigest()
@@ -228,12 +229,12 @@ class InstanceBundle:
 def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
     """Build the configured instance through the family table."""
     family = ig.family(cfg.family)
-    params = family.parse(cfg.instance)
     if cfg.algorithm == "chain":
+        params = family.parse(cfg.instance)
         return InstanceBundle(graph=None, alpha=None, chain_params=family.chain(params))
-    inst = family.build(params, cfg.seed)
-    if cfg.alpha_override is not None:
-        alpha, method = cfg.alpha_override, "override"
+    inst = family.make(cfg.instance, cfg.seed)
+    if cfg.alpha is not None:
+        alpha, method = cfg.alpha, "override"
     else:
         alpha, method = inst.alpha(), family.alpha_method
     template = None
@@ -399,8 +400,8 @@ def run_experiment(
     nworkers = worker_count(workers)
     started = time.time()
     bundle = build_instance(cfg)
-    if bundle.graph is not None:
-        bundle.graph.neighbor_lists  # build once, handed to every worker
+    if cfg.algorithm in ("ump", "ct", "degree-greedy"):
+        bundle.graph.neighbor_lists  # their trials read it: build once, hand to every worker
 
     ids = list(range(cfg.total_trials))
     if nworkers > 1 and len(ids) > 1:

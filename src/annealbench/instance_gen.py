@@ -58,10 +58,6 @@ class BlowupParams:
         if not (0.0 <= self.p < 1.0):
             raise ValueError("p must lie in [0, 1)")
 
-    @property
-    def num_blowup_vertices(self) -> int:
-        return self.k * self.n + self.ell * self.n
-
 
 @dataclass(frozen=True)
 class DenseParams:
@@ -94,22 +90,6 @@ class DenseDerivation:
 
 
 @dataclass(frozen=True)
-class RelationReport:
-    """Which of the blowup parameter relations hold (warnings, not errors)."""
-
-    p_lower_ok: bool  # p >= 50 ln(k) / n
-    p_upper_ok: bool  # p <= 0.1
-    ell_ok: bool  # ell >= 10 k p n
-    p_lower_bound: float
-    ell_lower_bound: float
-    messages: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return self.p_lower_ok and self.p_upper_ok and self.ell_ok
-
-
-@dataclass(frozen=True)
 class CloudMeta:
     """Layout of the clouds of a bipartite blowup.
 
@@ -124,10 +104,6 @@ class CloudMeta:
     @property
     def num_clouds(self) -> int:
         return self.copies * self.base_n
-
-    def members(self, cloud: int) -> range:
-        start = cloud * self.cloud_size
-        return range(start, start + self.cloud_size)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +135,8 @@ def _bernoulli_indices(total: int, p: float, gen: np.random.Generator) -> np.nda
 
 def gen_base_bipartite(n: int, k: int, p: float, seed: int = 0) -> Graph:
     """Random bipartite base: |L| = n, |R| = k*n, iid edge probability p."""
+    if min(n, k) < 1 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"want n, k >= 1 and p in [0, 1], got n={n}, k={k}, p={p}")
     left, right = n, k * n
     gen = rngmod.stream(seed, rngmod.DOMAIN_INSTANCE, _TAG_BASE_BIPARTITE)
     idx = _bernoulli_indices(left * right, p, gen)
@@ -195,28 +173,22 @@ def gen_clique_blowup(params: BlowupParams, base: Graph | None = None) -> Graph:
             np.full(k * n, NO_GROUP, np.int64),
         ]
     )
-    return build_graph(
-        n * ell + k * n, edges, labels=side, groups=group, kind="clique-blowup"
-    )
+    return build_graph(n * ell + k * n, edges, labels=side, groups=group)
 
 
-def validate_relations(params: BlowupParams) -> RelationReport:
-    """Check the blowup parameter relations; violations are warnings only."""
+def validate_relations(params: BlowupParams) -> tuple[str, ...]:
+    """The blowup parameter relations that fail: p >= 50 ln(k)/n, p <= 0.1
+    and ell >= 10 k p n.  They are warnings, not errors."""
     p_lower = 50.0 * math.log(params.k) / params.n if params.k > 1 else 0.0
     ell_lower = 10.0 * params.k * params.p * params.n
-    p_lower_ok = params.p >= p_lower
-    p_upper_ok = params.p <= 0.1
-    ell_ok = params.ell >= ell_lower
     messages = []
-    if not p_lower_ok:
+    if params.p < p_lower:
         messages.append(f"p={params.p} below 50 ln(k)/n = {p_lower:.6g}")
-    if not p_upper_ok:
+    if params.p > 0.1:
         messages.append(f"p={params.p} above 0.1")
-    if not ell_ok:
+    if params.ell < ell_lower:
         messages.append(f"ell={params.ell} below 10*k*p*n = {ell_lower:.6g}")
-    return RelationReport(
-        p_lower_ok, p_upper_ok, ell_ok, p_lower, ell_lower, tuple(messages)
-    )
+    return tuple(messages)
 
 
 def derive_dense_params(dense: DenseParams, seed: int = 0) -> DenseDerivation:
@@ -243,7 +215,7 @@ def derive_dense_params(dense: DenseParams, seed: int = 0) -> DenseDerivation:
         if abs(before - after) > _FP_GUARD
     )
     params = BlowupParams(n=n, k=k, ell=ell, p=exact_p, seed=seed)
-    warnings = validate_relations(params).messages
+    warnings = validate_relations(params)
     return DenseDerivation(params, exact_n, exact_k, exact_ell, exact_p, rounded, warnings)
 
 
@@ -256,6 +228,8 @@ def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> tuple[Gra
     """
     if base.side is None:
         raise NotBipartite("bipartite blowup needs a labeled base")
+    if min(cloud_size, copies) < 1:
+        raise ValueError(f"cloud_size and copies must be >= 1, got {cloud_size}, {copies}")
     K = int(cloud_size)
     meta = CloudMeta(cloud_size=K, copies=int(copies), base_n=base.n)
     u, w = base.edge_array().T
@@ -286,7 +260,7 @@ def gen_star_tree(k: int) -> Graph:
         raise ValueError("k must be >= 1")
     edges = [(0, i) for i in range(1, k + 1)]
     edges += [(i, k + i) for i in range(1, k + 1)]
-    return build_graph(2 * k + 1, edges, kind="star-tree")
+    return build_graph(2 * k + 1, edges)
 
 
 def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
@@ -310,13 +284,13 @@ def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
         apex_v = copies * span
         edges += [(apex_v, c * span) for c in range(copies)]
         group = np.concatenate([group, np.array([NO_GROUP], np.int64)])
-    return build_graph(n, edges, groups=group, kind="hard-tree")
+    return build_graph(n, edges, groups=group)
 
 
 def gen_random_balanced_bipartite(n: int, d: float, seed: int = 0) -> Graph:
     """2n vertices, sides assigned uniformly, cross edges with probability d/n."""
-    if d >= n:
-        raise ValueError("d must be < n")
+    if not 0 <= d < n:
+        raise ValueError(f"want 0 <= d < n, got d={d}, n={n}")
     gen = rngmod.stream(seed, rngmod.DOMAIN_INSTANCE, _TAG_BALANCED)
     side = (gen.random(2 * n) < 0.5).astype(np.int8)  # 0 = L, 1 = R
     left = np.flatnonzero(side == SIDE_L)
@@ -345,7 +319,7 @@ def gen_appendix_anchor(n: int) -> Graph:
     hub = 2 * n
     a, b = np.triu_indices(hub + 1, 1)
     keep = (n <= b) & (b < hub) | (b == hub) & (a < n)  # I-C, C-C and I-hub
-    return build_graph(hub + 1, np.stack([a[keep], b[keep]], axis=1), kind="anchor")
+    return build_graph(hub + 1, np.stack([a[keep], b[keep]], axis=1))
 
 
 def gen_appendix_multicopy(n: int, eps: float) -> Graph:
@@ -354,15 +328,15 @@ def gen_appendix_multicopy(n: int, eps: float) -> Graph:
     s = floor(n**eps).  Unit c occupies ``[c*(n+s), (c+1)*(n+s))`` with the
     independent block first; group ids mark the unit.  alpha = n * s.
     """
-    s = int(math.floor(n**eps + _FP_GUARD))
+    s = multicopy_block_size(n, eps) if n >= 1 else 0
     if s < 1:
-        raise ValueError("n**eps must be >= 1")
+        raise ValueError("n and n**eps must be >= 1")
     span = n + s
     a, b = np.triu_indices(span, 1)
     unit = np.stack([a[b >= s], b[b >= s]], axis=1)  # all pairs but block-block
     edges = (unit + (np.arange(n) * span)[:, None, None]).reshape(-1, 2)
     group = np.repeat(np.arange(n, dtype=np.int64), span)
-    return build_graph(n * span, edges, groups=group, kind="multicopy")
+    return build_graph(n * span, edges, groups=group)
 
 
 def multicopy_block_size(n: int, eps: float) -> int:
@@ -441,6 +415,15 @@ class Family:
     def parse(self, raw: Mapping[str, object]) -> dict:
         return parse_params(self.schema, raw, f"family {self.name}")
 
+    def make(self, raw: Mapping[str, object], seed: int) -> Instance:
+        """The member of parameters ``raw`` and ``seed``; a value out of the
+        generator's range raises :class:`ConfigError` naming the family."""
+        params = self.parse(raw)
+        try:
+            return self.build(params, seed)
+        except ValueError as exc:
+            raise ConfigError(f"family {self.name}: {exc}") from None
+
 
 def family(name: str) -> Family:
     if name not in FAMILIES:
@@ -484,7 +467,7 @@ def _clique_blowup(p: dict, seed: int) -> Instance:
         graph,
         lambda: params.k * params.n,
         blowup=None if explicit else params,
-        notes=validate_relations(params).messages,
+        notes=validate_relations(params),
     )
 
 

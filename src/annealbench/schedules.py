@@ -36,30 +36,21 @@ class HistoryDigest:
     occupied: bytearray | None = None
 
 
-AdaptiveRule = Callable[[int, HistoryDigest], tuple[float, int]]
-
-ADAPTIVE_RULES: dict[str, AdaptiveRule] = {}
-
-
-def adaptive_rule(name: str) -> Callable[[AdaptiveRule], AdaptiveRule]:
-    def register(fn: AdaptiveRule) -> AdaptiveRule:
-        ADAPTIVE_RULES[name] = fn
-        return fn
-
-    return register
-
-
-@adaptive_rule("plateau")
 def _plateau(t: int, digest: HistoryDigest) -> tuple[float, int]:
     """Cool while the maximum improves, reheat fully on a long stall."""
     stalled = (t - digest.step_of_max) > 4096
     return (1.0 if stalled else 256.0), 1024
 
 
-@adaptive_rule("milestone")
 def _milestone(t: int, digest: HistoryDigest) -> tuple[float, int]:
     """Fugacity grows with the best size found so far."""
     return min(4.0 ** (1 + digest.max_size // 8), 1e9), 512
+
+
+ADAPTIVE_RULES: dict[str, Callable[[int, HistoryDigest], tuple[float, int]]] = {
+    "plateau": _plateau,
+    "milestone": _milestone,
+}
 
 
 def _check_lambda(lam: float) -> float:

@@ -126,7 +126,7 @@ def test_run_greedy_algorithm(tmp_path):
     assert rows[0]["max_size"] == "2"
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--alpha"])
+@pytest.mark.parametrize("flag", ["--trials", "--alpha", "--thresholds"])
 def test_run_rejects_values_below_one(tmp_path, capsys, flag):
     graph = str(tmp_path / "anchor.graph")
     main(["gen", "--family", "anchor", "--param", "n=4", "--out", graph])

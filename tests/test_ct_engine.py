@@ -52,7 +52,7 @@ def fields(rec: dy.TrialRecord) -> tuple:
     return (
         rec.steps, rec.max_size, rec.step_of_max, rec.final_size, rec.hitting_steps,
         rec.snapshots, rec.final_left, rec.final_right, rec.root_added, rec.probe_count,
-        rec.final_state, rec.argmax_state,
+        rec.final_state,
     )
 
 
@@ -192,7 +192,7 @@ def test_jump_bytes_do_not_depend_on_chunk(monkeypatch):
     chunks = (1, 7, dy._CHUNK)
     base, cfg = small_blowup(events=30_000)
     rec = dy.RecorderConfig(
-        thresholds=(5, 20), keep_final_state=True, keep_argmax_state=True, probe_step=777,
+        thresholds=(5, 20), keep_final_state=True, probe_step=777,
         probe_vertices=(0, 1, 2), snapshot_every=1000,
     )
     for chain in CHAINS:
@@ -224,12 +224,13 @@ def test_bytes_do_not_depend_on_recorder_marks():
     a run's trajectory is the same whether the recorder looks at it every
     step or rarely."""
     base, cfg = small_blowup(events=30_000)
-    rare = dy.RecorderConfig(thresholds=(5, 20), keep_final_state=True, keep_argmax_state=True)
+    rare = dy.RecorderConfig(thresholds=(5, 20), keep_final_state=True)
     often = replace(rare, snapshot_every=1, probe_step=777, probe_vertices=(0, 1), check_every=13)
     for chain in CHAINS:
         for spec in ("fixed:2", "fixed:400", "geometric:1:2:5000", "adaptive:plateau"):
             a, b = (fields(run(chain, base, cfg, parse_schedule(spec), 3, r)) for r in (rare, often))
-            assert a[:5] + a[-2:] == b[:5] + b[-2:], (chain, spec)
+            # all but the snapshots and the probe count
+            assert a[:5] + a[6:9] + a[10:] == b[:5] + b[6:9] + b[10:], (chain, spec)
 
 
 class _Recording:
@@ -278,12 +279,12 @@ def test_greedy_saturates_then_skips_to_the_budget():
 def test_early_stop_one_event_and_no_events():
     base, cfg = small_blowup(events=100_000)
     one_cfg = dy.WeightedCTConfig.blowup_implicit(base, 10, events=1)
-    early = dy.RecorderConfig(early_stop_size=12, keep_argmax_state=True)
+    early = dy.RecorderConfig(early_stop_size=12, keep_final_state=True)
     for chain in CHAINS:
         stop = run(chain, base, cfg, FugacitySchedule.fixed(2.0), 7, early)
         assert stop.max_size == stop.final_size == 12
         assert stop.steps == stop.step_of_max < 100_000
-        assert len(stop.argmax_state) == 12
+        assert len(stop.final_state) == 12 and gc.is_independent(base, stop.final_state)
 
         one = run(chain, base, one_cfg, FugacitySchedule.fixed(2.0), 7)
         assert (one.steps, one.final_size, one.step_of_max) == (1, 1, 1)  # the empty set has p = 1
@@ -291,24 +292,28 @@ def test_early_stop_one_event_and_no_events():
     # no events: the continuous-time chain only (run_ump needs steps >= 1)
 
     none_cfg = dy.WeightedCTConfig.blowup_implicit(base, 10, horizon=1e-12)  # Poisson(~0) events
-    keep = dy.RecorderConfig(keep_final_state=True, keep_argmax_state=True)
+    keep = dy.RecorderConfig(keep_final_state=True)
     empty = dy.run_ct_ump(base, none_cfg, FugacitySchedule.fixed(2.0), seed=7, recorder=keep)
     assert (empty.steps, empty.max_size, empty.final_left, empty.final_right) == (0, 0, 0, 0)
-    assert empty.final_state == empty.argmax_state == frozenset()
+    assert empty.final_state == frozenset()
     stepped = dy.run_ct_ump(base, none_cfg, FugacitySchedule.fixed(2.0), seed=7, recorder=STEP)
     assert (stepped.steps, stepped.final_left, stepped.right_touched) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("spec", ["fixed:1", "fixed:16", "adaptive:plateau"])
 def test_kept_states_are_independent_and_sides_add_up(spec):
+    """The final state is independent and matches the size and side counts;
+    per-step snapshots see the maximum at ``step_of_max`` first, and their
+    side counts add up to the size."""
     base, cfg = small_blowup(events=50_000)
-    rec = dy.RecorderConfig(keep_final_state=True, keep_argmax_state=True, check_every=997)
+    rec = dy.RecorderConfig(keep_final_state=True, snapshot_every=1, check_every=997)
     for chain, seed in itertools.product(CHAINS, range(5)):
         out = run(chain, base, cfg, parse_schedule(spec), seed, rec)
         assert gc.is_independent(base, out.final_state)
-        assert gc.is_independent(base, out.argmax_state)
         assert len(out.final_state) == out.final_size
-        assert len(out.argmax_state) == out.max_size
+        assert max(size for _, size, _, _ in out.snapshots) == out.max_size
+        assert next(t for t, size, _, _ in out.snapshots if size == out.max_size) == out.step_of_max
+        assert all(size == left + right for _, size, left, right in out.snapshots)
         sides = base.side[sorted(out.final_state)]
         assert out.final_left == int(np.sum(sides == gc.SIDE_L))
         assert out.final_right == int(np.sum(sides == gc.SIDE_R))

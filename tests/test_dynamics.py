@@ -152,10 +152,13 @@ def test_engine_debug_invariant_check():
     dy.run_ump(g, FIX2, 3000, seed=5, recorder=rec)  # raises on any violation
 
 
-@pytest.mark.parametrize("key", ["snapshot_every", "probe_step", "check_every", "early_stop_size"])
+@pytest.mark.parametrize(
+    "key", ["snapshot_every", "probe_step", "check_every", "early_stop_size", "thresholds"]
+)
 def test_recorder_rejects_a_negative_mark(key):
     with pytest.raises(ValueError, match=key):
-        dy.RecorderConfig(**{key: -3})
+        # a threshold of 0 is met by the empty set before any step
+        dy.RecorderConfig(**{key: (4, 0) if key == "thresholds" else -3})
 
 
 # -- basic behaviors ---------------------------------------------------------
@@ -233,18 +236,18 @@ def test_threshold_hits_are_monotone():
     assert [hits[k] for k in sorted(hits)] == sorted(hits[k] for k in hits)
 
 
-def test_early_stop_and_argmax_state():
+def test_early_stop_and_final_state():
     g = gc.build_graph(10, [])
     rec = dy.run_ump(
         g,
         GREEDY,
         10_000,
         seed=8,
-        recorder=dy.RecorderConfig(early_stop_size=4, keep_argmax_state=True),
+        recorder=dy.RecorderConfig(early_stop_size=4, keep_final_state=True),
     )
     assert rec.max_size == 4
     assert rec.steps < 10_000
-    assert len(rec.argmax_state) == 4
+    assert len(rec.final_state) == 4
     assert rec.step_of_max == rec.steps
 
 

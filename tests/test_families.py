@@ -2,8 +2,9 @@
 
 ``annealbench gen`` and ``harness.build_instance`` build through the same
 table, so where both produce a graph the graphs are equal; the table's
-alpha matches an exact oracle (or bounds it from below); and a missing or
-unknown parameter is a ConfigError naming the key.
+alpha matches an exact oracle (or bounds it from below); a missing or
+unknown parameter is a ConfigError naming the key, and a value out of a
+generator's range a ConfigError naming the family.
 """
 
 from __future__ import annotations
@@ -41,28 +42,54 @@ VARIANTS = [
     ("clique-blowup", {"n": "3", "k": "2", "p": "0.5", "ell": "2"}, gc.alpha_bruteforce),
 ]
 MEMBERS = [(name, params, oracle) for name, (params, oracle) in CASES.items()] + VARIANTS
+# Values that parse but that the family's generator rejects.
+BLOWUP = {"base_n": "3", "base_k": "1", "base_p": "0.5"}
+OUT_OF_RANGE = [
+    ("star-tree", {"k": "0"}),
+    ("hard-tree", {"k": "2", "copies": "0"}),
+    ("anchor", {"n": "1"}),
+    ("multicopy", {"n": "0", "eps": "0.5"}),
+    ("multicopy", {"n": "-4", "eps": "0.5"}),
+    ("base-bipartite", {"n": "3", "k": "2", "p": "1.5"}),
+    ("base-bipartite", {"n": "3", "k": "2", "p": "-0.1"}),
+    ("base-bipartite", {"n": "0", "k": "2", "p": "0.5"}),
+    ("base-bipartite", {"n": "3", "k": "0", "p": "0.5"}),
+    ("balanced-bipartite", {"n": "10", "d": "20"}),
+    ("balanced-bipartite", {"n": "10", "d": "-1"}),
+    ("clique-blowup", {"n": "3", "k": "2", "p": "1.5", "ell": "2"}),
+    ("bipartite-blowup", {**BLOWUP, "cloud_size": "-1", "copies": "2"}),
+    ("bipartite-blowup", {**BLOWUP, "cloud_size": "2", "copies": "0"}),
+]
 
 
 def test_cases_cover_the_table():
     assert set(CASES) == set(ig.FAMILIES)
 
 
-def _config(name: str, params: dict, tmp_path) -> hz.ExperimentConfig:
+def _config_text(name: str, params: dict, tmp_path) -> str:
     lines = "\n".join(f"{k} = {v}" for k, v in params.items())
-    return hz.loads_config(
+    return (
         f"[experiment]\nname = t\nout_dir = {tmp_path / 'out'}\n\n"
         f"[instance]\nfamily = {name}\n{lines}\n\n"
         f"[schedules]\nspecs = fixed:2\n\n[run]\nsteps = 10\nseed = {SEED}\n"
     )
 
 
-@pytest.mark.parametrize("name,params,oracle", MEMBERS)
-def test_gen_and_experiment_build_the_same_graph(name, params, oracle, tmp_path):
-    path = tmp_path / "g.graph"
+def _config(name: str, params: dict, tmp_path) -> hz.ExperimentConfig:
+    return hz.loads_config(_config_text(name, params, tmp_path))
+
+
+def _gen_argv(name: str, params: dict, path) -> list[str]:
     argv = ["gen", "--family", name, "--seed", str(SEED), "--out", str(path)]
     for key, value in params.items():
         argv += ["--param", f"{key}={value}"]
-    assert main(argv) == 0
+    return argv
+
+
+@pytest.mark.parametrize("name,params,oracle", MEMBERS)
+def test_gen_and_experiment_build_the_same_graph(name, params, oracle, tmp_path):
+    path = tmp_path / "g.graph"
+    assert main(_gen_argv(name, params, path)) == 0
     bundle = hz.build_instance(_config(name, params, tmp_path))
     graph = bundle.graph
     if bundle.ct_template is not None:
@@ -106,6 +133,17 @@ def test_missing_and_unknown_keys_raise(name, tmp_path):
         fam.parse({**params, "bogus": "1"})
     with pytest.raises(ConfigError, match="bogus"):
         _config(name, {**params, "bogus": "1"}, tmp_path)
+
+
+@pytest.mark.parametrize("name,params", OUT_OF_RANGE)
+def test_out_of_range_values_name_the_family(name, params, tmp_path, capsys):
+    assert main(_gen_argv(name, params, tmp_path / "g.graph")) == 2
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(_config_text(name, params, tmp_path))
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: family {name}: ") == 2 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg"]
 
 
 def test_values_are_parsed_strictly():

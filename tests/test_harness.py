@@ -281,6 +281,8 @@ def test_bundled_configs_parse():
         ("seed = 99", "seed = 99\nsnapshot_every = -5", "snapshot_every"),
         ("seed = 99", "seed = 99\nearly_stop_size = -1", "early_stop_size"),
         ("seed = 99", "seed = 99\nearly_stop_size = 0", "early_stop_size"),
+        ("thresholds = 2,3", "thresholds = 0,-2", "thresholds"),
+        ("thresholds = 2,3", "thresholds = 2,0", "thresholds"),
     ],
 )
 def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, match):
@@ -427,6 +429,24 @@ def test_pool_under_spawn_matches_serial(tmp_path):
         assert (tmp_path / "spawn" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "algorithm,built", [("ump", True), ("degree-greedy", True), ("greedy", False)]
+)
+def test_neighbor_lists_are_built_only_for_trials_that_read_them(
+    tmp_path, monkeypatch, algorithm, built
+):
+    """``run_experiment`` builds ``neighbor_lists`` before the trials, to be
+    handed to every worker, only where the trials read them: randomized
+    greedy reads ``neighbor_arrays``, and a star tree's alpha is a closed
+    form."""
+    bundles = []
+    build = hz.build_instance
+    monkeypatch.setattr(hz, "build_instance", lambda cfg: bundles.append(build(cfg)) or bundles[0])
+    cfg = _cfg(tmp_path, TINY_CFG.replace("algorithm = ump", f"algorithm = {algorithm}"))
+    hz.run_experiment(cfg, workers=1)
+    assert ("neighbor_lists" in vars(bundles[0].graph)) == built
 
 
 # -- engine in the manifest -------------------------------------------------------

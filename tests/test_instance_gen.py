@@ -56,7 +56,6 @@ def test_clique_blowup_vertex_count():
     params = ig.BlowupParams(n=10, k=2, ell=5, p=0.3, seed=3)
     g = ig.gen_clique_blowup(params)
     assert g.n == 10 * 5 + 2 * 10
-    assert params.num_blowup_vertices == 70
 
 
 def test_clique_blowup_degenerate_isolated():
@@ -92,21 +91,21 @@ def test_clique_blowup_group_ids_mark_cliques():
 
 
 def test_relations_all_satisfied():
-    rep = ig.validate_relations(ig.BlowupParams(n=2000, k=8, ell=8320, p=0.052))
-    assert rep.all_ok
+    assert ig.validate_relations(ig.BlowupParams(n=2000, k=8, ell=8320, p=0.052)) == ()
 
 
 def test_relations_ell_violated():
-    rep = ig.validate_relations(ig.BlowupParams(n=100, k=8, ell=10, p=0.02))
-    assert not rep.ell_ok
-    assert rep.ell_lower_bound == pytest.approx(160.0)
-    assert rep.p_upper_ok
+    assert ig.validate_relations(ig.BlowupParams(n=100, k=8, ell=10, p=0.02)) == (
+        "p=0.02 below 50 ln(k)/n = 1.03972",
+        "ell=10 below 10*k*p*n = 160",
+    )
 
 
 def test_relations_p_upper_violated():
-    rep = ig.validate_relations(ig.BlowupParams(n=10, k=2, ell=100, p=0.2))
-    assert not rep.p_upper_ok
-    assert rep.ell_ok
+    assert ig.validate_relations(ig.BlowupParams(n=10, k=2, ell=100, p=0.2)) == (
+        "p=0.2 below 50 ln(k)/n = 3.46574",
+        "p=0.2 above 0.1",
+    )
 
 
 # -- dense parameterization --------------------------------------------------
@@ -167,8 +166,7 @@ def test_bipartite_blowup_cloud_structure():
     g, meta = ig.gen_bipartite_blowup(base, cloud_size=4, copies=3)
     assert meta.num_clouds == base.n * 3
     for c in range(meta.num_clouds):
-        members = list(meta.members(c))
-        assert len(members) == 4
+        members = list(range(c * 4, (c + 1) * 4))
         assert gc.is_independent(g, members)
         assert all(g.group[v] == c for v in members)
 

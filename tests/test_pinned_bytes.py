@@ -1,8 +1,9 @@
-"""Pinned trajectory bytes of every bundled config.
+"""Pinned trajectory bytes of every bundled config and of two inline ones.
 
 Each config in ``src/annealbench/configs/`` runs at ``trials = 2`` and at
 most 2e5 steps or events, serially; the sha256 of its ``run.csv`` and
-``stats.csv`` and its ``config_hash`` must equal the values below.  A
+``stats.csv`` and its ``config_hash`` must equal the values below.  The
+inline configs pin outputs that no bundled config covers.  A
 change to the engine that claims to keep every byte of a run is held to
 this; a change that moves bytes on purpose must say so and re-pin them.
 """
@@ -82,3 +83,78 @@ def test_bundled_config_bytes_are_pinned(name, tmp_path):
     manifest = hz.run_experiment(cfg, workers=1)
     got = (_sha(tmp_path / "run.csv"), _sha(tmp_path / "stats.csv"), manifest.config_hash)
     assert got == PINNED[name]
+
+
+# Inline configs whose outputs no bundled config pins: the cloud tally
+# (``deload_final``) of a bipartite blowup, and the side tallies of the
+# continuous-time chain in ``stats.csv`` and ``traj.csv``.
+INLINE = {
+    "cloud_deload": """
+[experiment]
+name = cloud_deload
+[instance]
+family = bipartite-blowup
+base_n = 6
+base_k = 2
+base_p = 0.3
+cloud_size = 4
+copies = 3
+[schedules]
+specs = fixed:2, fixed:16, geometric:1:2:2000
+[run]
+algorithm = ump
+steps = 20000
+trials = 2
+seed = 31
+thresholds = 20,40
+""",
+    "ct_sides_traj": """
+[experiment]
+name = ct_sides_traj
+[instance]
+family = clique-blowup
+n = 20
+k = 3
+p = 0.1
+ell = 8
+[schedules]
+specs = fixed:1, fixed:16, adaptive:plateau
+[run]
+algorithm = ct
+events = 50000
+trials = 2
+seed = 47
+snapshot_every = 500
+thresholds = 30
+""",
+}
+
+# config -> (run.csv, stats.csv, traj.csv or None) sha256 and config_hash
+PINNED_INLINE = {
+    "cloud_deload": (
+        "1cb782c081a633a057d7b148b3476489e431d506750af6b1c1c89db182de39bd",
+        "009edd263557adfbd1e588cc1fd202f65826d7add5b28051b128c60628c9b711",
+        None,
+        "05c9a20b50f53c11f4eae279aaf04eca14724d6920e14dd5e699972d782758c9",
+    ),
+    "ct_sides_traj": (
+        "bad33768e1968a77736ac8e59a8f0df4bb8ecd44a262a7c9ad833215fcc3ce01",
+        "97942df87687c00c273521d0ddf039108611d5be796843b86a7090e0c050c4f7",
+        "8539f1be9677aa56582379d558c7e8344875c7983edf98faba5b498e3493d4fd",
+        "a489332197d04403f3ab613beb19d152a43e1e6d967b155425f01b64939dc354",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INLINE))
+def test_inline_config_bytes_are_pinned(name, tmp_path):
+    cfg = replace(hz.loads_config(INLINE[name]), out_dir=str(tmp_path))
+    manifest = hz.run_experiment(cfg, workers=1)
+    traj = tmp_path / "traj.csv"
+    got = (
+        _sha(tmp_path / "run.csv"),
+        _sha(tmp_path / "stats.csv"),
+        _sha(traj) if traj.exists() else None,
+        manifest.config_hash,
+    )
+    assert got == PINNED_INLINE[name]
