@@ -112,25 +112,28 @@ def _cmd_report(args) -> int:
     if alpha is None and rows and rows[0].get("alpha"):
         alpha = int(rows[0]["alpha"])
     try:
-        thresholds = tuple(float(x) for x in (args.thresholds or "").split(",") if x)
+        thresholds = [float(x) for x in (args.thresholds or "").split(",") if x]
+        finite = all(map(math.isfinite, thresholds))
     except ValueError:
-        thresholds = (math.nan,)
-    if not all(map(math.isfinite, thresholds)):
+        finite = False
+    if not finite:
         raise ConfigError(f"--thresholds must be finite numbers, got {args.thresholds!r}")
-    sizes = [int(r["max_size"]) for r in rows]
-    stats = oc.summarize(sizes, alpha=alpha, thresholds=thresholds)
+    mean = hz.statistic("max_size mean", "mean_max_le", rows, [])
+    stats, (lo, hi) = oc.summarize(mean.values, alpha=alpha), mean.interval
     lines = [
-        f"trials = {stats.count}",
-        f"max_size mean = {stats.mean:.4f} (95% CI {stats.mean_ci[0]:.4f}..{stats.mean_ci[1]:.4f})",
+        f"trials = {len(mean.values)}",
+        f"max_size mean = {mean.observed:.4f} (95% CI {lo:.4f}..{hi:.4f})",
         f"max_size std = {stats.std:.4f}",
     ]
     for q, v in stats.quantiles.items():
         lines.append(f"quantile {q:g} = {v:g}")
     if stats.ratio_mean is not None:
         lines.append(f"ratio mean = {stats.ratio_mean:.6f}")
-    for x, freq in stats.failure_frequency.items():
-        lo, hi = stats.failure_ci[x]
-        lines.append(f"frac(max_size > {x:g}) = {freq:.4f} (95% CI {lo:.4f}..{hi:.4f})")
+    for x in thresholds:  # max_size > x fails the check frac_max_le x
+        le = hz.statistic(f"max_size > {x:g}", "frac_max_le", rows, [x])
+        fails, total = le.total - le.successes, le.total
+        lo, hi = oc.wilson_interval(fails, total)
+        lines.append(f"frac(max_size > {x:g}) = {fails / total:.4f} (95% CI {lo:.4f}..{hi:.4f})")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:

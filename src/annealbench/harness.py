@@ -15,6 +15,9 @@ worker pool, and writes:
                    output files, the alpha with where it came from, and
                    the engine of a chain run (``jump`` or ``step``).
 
+``verdict`` and ``annealbench report`` take each ``[acceptance]`` statistic from
+``statistic``: a fraction with its Wilson interval or a mean with its normal one.
+
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
 worker count and any multiprocessing start method.  Pool workers receive
@@ -230,8 +233,7 @@ def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
     """Build the configured instance through the family table."""
     family = ig.family(cfg.family)
     if cfg.algorithm == "chain":
-        params = family.parse(cfg.instance)
-        return InstanceBundle(graph=None, alpha=None, chain_params=family.chain(params))
+        return InstanceBundle(None, None, chain_params=family.chain_params(cfg.instance))
     inst = family.make(cfg.instance, cfg.seed)
     if cfg.alpha is not None:
         alpha, method = cfg.alpha, "override"
@@ -477,6 +479,7 @@ class VerdictRow:
     observed: float
     target: float
     passed: bool
+    interval: tuple[float, float]  # the 95% interval of observed
 
 
 @dataclass
@@ -488,58 +491,63 @@ class VerdictReport:
         return all(r.passed for r in self.rows)
 
     def to_text(self) -> str:
-        out = []
-        for r in self.rows:
-            status = "PASS" if r.passed else "FAIL"
-            out.append(
-                f"[{status}] {r.check}: {r.kind} observed={r.observed:.6g} "
-                f"target={r.target:.6g}"
-            )
-        return "\n".join(out) + "\n"
+        return "".join(
+            f"[{'PASS' if r.passed else 'FAIL'}] {r.check}: {r.kind} observed={r.observed:.6g} "
+            f"(95% CI {r.interval[0]:.6g}..{r.interval[1]:.6g}) target={r.target:.6g}\n"
+            for r in self.rows
+        )
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(("check", "kind", "observed", "target", "passed"))
-        for r in self.rows:
-            writer.writerow(
-                (r.check, r.kind, repr(r.observed), repr(r.target), int(r.passed))
-            )
+        writer.writerow(("check", "kind", "observed", "target", "passed", "ci_low", "ci_high"))
+        writer.writerows((r.check, r.kind, repr(r.observed), repr(r.target), int(r.passed),
+                          *map(repr, r.interval)) for r in self.rows)
         return buf.getvalue()
 
 
-def _frac(col: str, test):
-    """Fraction of the rows whose recorded ``col`` passes ``test(value, *args)``."""
-    return lambda rows, *args: sum(
-        1 for r in rows if r.get(col, "") != "" and test(float(r[col]), *args)
-    ) / len(rows)
-
-
-def _mean(col: str):
-    """Mean of the recorded values of ``col``; None when none is recorded."""
-
-    def mean(rows: list[dict]) -> float | None:
-        values = [float(r[col]) for r in rows if r.get(col, "") != ""]
-        return sum(values) / len(values) if values else None
-
-    return mean
-
-
 # Acceptance checks, one per config line ``NAME = KIND ARGS...``; the last
-# argument is the target.  kind -> (argument count, observed statistic of the
-# rows and the other arguments, True if it passes iff observed <= target, False
-# for >=).  So ``frac_max_le X F`` asks that the share of trials with
-# max_size <= X be >= F, and ``frac_discrepancy_gt_le X F`` that the share
-# with |L-R| > X be <= F.
+# argument is the target.  kind -> (argument count, column, test of a recorded
+# value and the other arguments, or None for the mean of the column, True if
+# it passes iff observed <= target, False for >=).  So ``frac_max_le X F``
+# asks that the share of trials with max_size <= X be >= F, and
+# ``frac_discrepancy_gt_le X F`` that the share with |L-R| > X be <= F.
 _CHECKS = {
-    "frac_max_le": (2, _frac("max_size", lambda v, x: v <= x), False),
-    "frac_max_ge": (2, _frac("max_size", lambda v, x: v >= x), False),
-    "frac_root_added_le": (1, _frac("root_added", lambda v: v == 1), True),
-    "frac_probe_ge": (2, _frac("probe_count", lambda v, x: v >= x), False),
-    "frac_discrepancy_gt_le": (2, _frac("discrepancy", lambda v, x: v > x), True),
-    "mean_ratio_le": (1, _mean("ratio"), True),
-    "mean_max_le": (1, _mean("max_size"), True),
+    "frac_max_le": (2, "max_size", lambda v, x: v <= x, False),
+    "frac_max_ge": (2, "max_size", lambda v, x: v >= x, False),
+    "frac_root_added_le": (1, "root_added", lambda v: v == 1, True),
+    "frac_probe_ge": (2, "probe_count", lambda v, x: v >= x, False),
+    "frac_discrepancy_gt_le": (2, "discrepancy", lambda v, x: v > x, True),
+    "mean_ratio_le": (1, "ratio", None, True),
+    "mean_max_le": (1, "max_size", None, True),
 }
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One check's observation of the trial rows with its 95% interval: the
+    fraction ``successes / total`` (Wilson) or the mean of ``values`` (normal)."""
+
+    observed: float
+    interval: tuple[float, float]
+    successes: int = 0
+    total: int = 0
+    values: tuple[float, ...] = ()
+
+
+def statistic(name: str, kind: str, rows: list[dict], args: list[float]) -> Statistic:
+    """Check ``name`` of kind ``kind`` with the arguments ``args`` before its target.
+    A row that lacks the column counts in a fraction's total (an early stop before
+    ``probe_step`` leaves ``probe_count`` empty); :class:`IncompleteRun` if none has it."""
+    _, col, test, _ = _CHECKS[kind]
+    values = [float(r[col]) for r in rows if r.get(col, "") != ""]
+    if not values:
+        raise IncompleteRun(f"check {name}: no trial row records {col} (report: pass --stats?)")
+    if test is None:
+        mean = sum(values) / len(values)
+        return Statistic(mean, oc.normal_mean_interval(values), values=tuple(values))
+    successes, total = sum(1 for v in values if test(v, *args)), len(rows)
+    return Statistic(successes / total, oc.wilson_interval(successes, total), successes, total)
 
 
 def _parse_check(name: str, spec: str) -> tuple[str, list[float]]:
@@ -557,16 +565,12 @@ def _parse_check(name: str, spec: str) -> tuple[str, list[float]]:
 
 def verdict(cfg: ExperimentConfig, rows: list[dict]) -> VerdictReport:
     """Evaluate the [acceptance] checks of a config (see ``_CHECKS``) against trial rows."""
-    if not rows:
-        raise IncompleteRun("no trial rows to judge")
     out: list[VerdictRow] = []
     for name, spec in cfg.acceptance:
         kind, (*args, target) = _parse_check(name, spec)
-        _, observe, upper = _CHECKS[kind]
-        obs = observe(rows, *args)
-        if obs is None:
-            raise IncompleteRun(f"check {name}: no values recorded")
-        out.append(VerdictRow(name, kind, obs, target, obs <= target if upper else obs >= target))
+        stat = statistic(name, kind, rows, args)
+        passed = stat.observed <= target if _CHECKS[kind][3] else stat.observed >= target
+        out.append(VerdictRow(name, kind, stat.observed, target, passed, stat.interval))
     return VerdictReport(out)
 
 

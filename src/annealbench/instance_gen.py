@@ -287,15 +287,21 @@ def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
     return build_graph(n, edges, groups=group)
 
 
-def gen_random_balanced_bipartite(n: int, d: float, seed: int = 0) -> Graph:
-    """2n vertices, sides assigned uniformly, cross edges with probability d/n."""
+def balanced_edge_prob(n: int, d: float) -> float:
+    """The cross-edge probability d/n of the balanced bipartite family."""
     if not 0 <= d < n:
         raise ValueError(f"want 0 <= d < n, got d={d}, n={n}")
+    return d / n
+
+
+def gen_random_balanced_bipartite(n: int, d: float, seed: int = 0) -> Graph:
+    """2n vertices, sides assigned uniformly, cross edges with probability d/n."""
+    p = balanced_edge_prob(n, d)
     gen = rngmod.stream(seed, rngmod.DOMAIN_INSTANCE, _TAG_BALANCED)
     side = (gen.random(2 * n) < 0.5).astype(np.int8)  # 0 = L, 1 = R
     left = np.flatnonzero(side == SIDE_L)
     right = np.flatnonzero(side == SIDE_R)
-    idx = _bernoulli_indices(left.size * right.size, d / n, gen)
+    idx = _bernoulli_indices(left.size * right.size, p, gen)
     edges = np.stack([left[idx // right.size], right[idx % right.size]], axis=1)
     return build_graph(2 * n, edges, labels=side, kind="balanced-bipartite")
 
@@ -328,9 +334,9 @@ def gen_appendix_multicopy(n: int, eps: float) -> Graph:
     s = floor(n**eps).  Unit c occupies ``[c*(n+s), (c+1)*(n+s))`` with the
     independent block first; group ids mark the unit.  alpha = n * s.
     """
-    s = multicopy_block_size(n, eps) if n >= 1 else 0
+    s = multicopy_block_size(n, eps) if n >= 1 and math.isfinite(eps) else 0
     if s < 1:
-        raise ValueError("n and n**eps must be >= 1")
+        raise ValueError(f"n and n**eps must be finite and >= 1, got n={n}, eps={eps}")
     span = n + s
     a, b = np.triu_indices(span, 1)
     unit = np.stack([a[b >= s], b[b >= s]], axis=1)  # all pairs but block-block
@@ -418,10 +424,16 @@ class Family:
     def make(self, raw: Mapping[str, object], seed: int) -> Instance:
         """The member of parameters ``raw`` and ``seed``; a value out of the
         generator's range raises :class:`ConfigError` naming the family."""
-        params = self.parse(raw)
+        return self._checked(self.build, raw, seed)
+
+    def chain_params(self, raw: Mapping[str, object]) -> tuple[int, float]:
+        """(n, p) of the greedy chain of parameters ``raw``, range-checked as ``make``."""
+        return self._checked(self.chain, raw)
+
+    def _checked(self, fn: Callable, raw: Mapping[str, object], *args):
         try:
-            return self.build(params, seed)
-        except ValueError as exc:
+            return fn(self.parse(raw), *args)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"family {self.name}: {exc}") from None
 
 
@@ -496,7 +508,7 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("balanced-bipartite", {"n": int, "d": float},
            lambda p, seed: _matched(gen_random_balanced_bipartite(p["n"], p["d"], seed=seed),
                                     balanced_bipartite_flags(p["n"], p["d"])),
-           MATCHING, chain=lambda p: (p["n"], p["d"] / p["n"])),
+           MATCHING, chain=lambda p: (p["n"], balanced_edge_prob(p["n"], p["d"]))),
     Family("clique-blowup",
            {"n": int, "k": int, "p": float, "ell": int, "mode": (_blowup_mode, "implicit")},
            _clique_blowup, LOWER_BOUND),

@@ -10,7 +10,7 @@ with normal / Wilson confidence intervals.  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -183,13 +183,8 @@ def normal_mean_interval(values: np.ndarray, z: float = _Z95) -> tuple[float, fl
 
 @dataclass
 class SummaryStats:
-    count: int
-    mean: float
     std: float
     quantiles: dict[float, float]
-    mean_ci: tuple[float, float]
-    failure_frequency: dict[float, float] = field(default_factory=dict)
-    failure_ci: dict[float, tuple[float, float]] = field(default_factory=dict)
     ratio_mean: float | None = None
 
 
@@ -199,30 +194,15 @@ def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def summarize(
-    max_sizes: list[int], alpha: int | None = None, thresholds: tuple[float, ...] = ()
-) -> SummaryStats:
-    """Aggregate the max sizes of a batch of trials.
-
-    ``thresholds`` are failure cutoffs on max size: the reported frequency
-    for ``x`` is the fraction of trials with ``max_size > x`` (Wilson CI).
-    With ``alpha`` given, the mean approximation ratio is reported too.
-    """
+def summarize(max_sizes: list[float], alpha: int | None = None) -> SummaryStats:
+    """Standard deviation and quartiles of a batch's max sizes, and with
+    ``alpha`` given the mean approximation ratio."""
     if not max_sizes:
         raise EmptyInput("no trial records")
     sizes = np.array(max_sizes, dtype=float)
     ordered = np.sort(sizes)
-    stats = SummaryStats(
-        count=len(sizes),
-        mean=float(sizes.mean()),
+    return SummaryStats(
         std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
         quantiles={q: empirical_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)},
-        mean_ci=normal_mean_interval(sizes),
+        ratio_mean=float((sizes / alpha).mean()) if alpha is not None and alpha > 0 else None,
     )
-    for x in thresholds:
-        fails = int(np.sum(sizes > x))
-        stats.failure_frequency[x] = fails / len(sizes)
-        stats.failure_ci[x] = wilson_interval(fails, len(sizes))
-    if alpha is not None and alpha > 0:
-        stats.ratio_mean = float((sizes / alpha).mean())
-    return stats

@@ -294,6 +294,9 @@ def test_criterion_4_early_mid_occupancy(tree_run):
         f"mean probe count {mean_obs:.3f} is more than {GATE_Z} standard errors "
         f"({se:.3f}) from the exact mean {mean:.3f}"
     )
+    assert row.interval == oc.wilson_interval(successes, total), (
+        f"verdict interval {row.interval} is not the 95% Wilson interval of {successes}/{total}"
+    )
     assert row.passed, f"frac {row.observed:.4f} below the gate {row.target}"
 
 
@@ -418,6 +421,9 @@ def test_criterion_7_chain_reaches_block(anchor_run):
     assert lo <= p_star <= hi, (
         f"exact p*={p_star:.5f} outside the z={GATE_Z} Wilson interval "
         f"[{lo:.4f},{hi:.4f}] of {successes}/{total}"
+    )
+    assert row.interval == oc.wilson_interval(successes, total), (
+        f"verdict interval {row.interval} is not the 95% Wilson interval of {successes}/{total}"
     )
     assert row.passed, f"frac {row.observed:.4f} below the gate {row.target}"
 

@@ -150,6 +150,85 @@ def test_run_rejects_a_malformed_graph_file(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+REPORT_RUN_CSV = """trial_id,seed,steps,max_size,step_of_max,alpha,ratio,root_added,deload_final
+0,100,50,3,10,8,0.375000,0,
+1,101,50,5,11,8,0.625000,1,
+2,102,50,4,12,8,0.500000,0,
+3,103,50,4,13,8,0.500000,1,
+4,104,50,6,14,8,0.750000,0,
+5,105,50,2,15,8,0.250000,1,
+6,106,50,5,16,8,0.625000,0,
+"""
+
+REPORT_STATS_CSV = """trial_id,schedule,final_size,final_left,final_right,right_touched,probe_count,hits,discrepancy,residual
+0,fixed:2,3,,,,0,,0,
+1,fixed:2,5,,,,1,,3,
+2,fixed:2,4,,,,2,,6,
+3,fixed:2,4,,,,3,,9,
+4,fixed:2,6,,,,4,,12,
+5,fixed:2,2,,,,5,,15,
+6,fixed:2,5,,,,6,,18,
+"""
+
+REPORT_TEXT = """trials = 7
+max_size mean = 4.1429 (95% CI 3.1463..5.1394)
+max_size std = 1.3452
+quantile 0 = 2
+quantile 0.25 = 3
+quantile 0.5 = 4
+quantile 0.75 = 5
+quantile 1 = 6
+ratio mean = 0.517857
+frac(max_size > 3) = 0.7143 (95% CI 0.3589..0.9178)
+frac(max_size > 4.5) = 0.4286 (95% CI 0.1582..0.7495)
+frac(max_size > 10) = 0.0000 (95% CI 0.0000..0.3543)
+frac(max_size > 0) = 1.0000 (95% CI 0.6457..1.0000)
+"""
+
+
+def test_report_text_is_pinned(tmp_path, capsys):
+    run_csv, stats_csv, out = tmp_path / "run.csv", tmp_path / "stats.csv", tmp_path / "report.txt"
+    run_csv.write_text(REPORT_RUN_CSV)
+    stats_csv.write_text(REPORT_STATS_CSV)
+    args = ["report", "--run", str(run_csv), "--stats", str(stats_csv)]
+    code = main([*args, "--thresholds", "3,4.5,10,0", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == REPORT_TEXT
+    assert out.read_text() == REPORT_TEXT
+
+
+def test_report_rejects_a_check_over_an_unrecorded_column(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"""
+[experiment]
+name = t
+out_dir = {tmp_path / "out"}
+
+[instance]
+family = balanced-bipartite
+n = 200
+d = 4
+
+[run]
+algorithm = chain
+trials = 3
+
+[acceptance]
+balanced = frac_discrepancy_gt_le 0 0.0
+""")
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 1
+    assert "[FAIL] balanced: frac_discrepancy_gt_le observed=1 " in capsys.readouterr().out
+    run_csv, stats_csv = str(tmp_path / "out" / "run.csv"), str(tmp_path / "out" / "stats.csv")
+    # discrepancy is a stats.csv column: without --stats no row records it.
+    assert main(["report", "--run", run_csv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "error: check balanced: no trial row records discrepancy" in captured.err
+    assert "--stats" in captured.err and "Traceback" not in captured.err
+    assert main(["report", "--run", run_csv, "--stats", stats_csv, "--config", str(cfg)]) == 1
+    assert "[FAIL] balanced: frac_discrepancy_gt_le observed=1 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("thresholds", ["abc", "3,x", "2,,1e", "nan", "3,inf"])
 def test_report_rejects_malformed_thresholds(tmp_path, capsys, thresholds):
     graph = str(tmp_path / "anchor.graph")

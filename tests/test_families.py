@@ -59,6 +59,9 @@ OUT_OF_RANGE = [
     ("clique-blowup", {"n": "3", "k": "2", "p": "1.5", "ell": "2"}),
     ("bipartite-blowup", {**BLOWUP, "cloud_size": "-1", "copies": "2"}),
     ("bipartite-blowup", {**BLOWUP, "cloud_size": "2", "copies": "0"}),
+    ("multicopy", {"n": "3", "eps": "inf"}),
+    ("multicopy", {"n": "3", "eps": "nan"}),
+    ("multicopy", {"n": "3", "eps": "1000"}),
 ]
 
 
@@ -165,3 +168,15 @@ def test_chain_needs_a_family_with_a_chain():
             "[experiment]\nname = t\n\n[instance]\nfamily = star-tree\nk = 3\n\n"
             "[run]\nalgorithm = chain\n"
         )
+
+
+@pytest.mark.parametrize("n,d", [("10", "20"), ("0", "0")])
+def test_chain_out_of_range_values_name_the_family(n, d, tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    text = _config_text("balanced-bipartite", {"n": n, "d": d}, tmp_path)
+    cfg.write_text(text.replace("[run]\n", "[run]\nalgorithm = chain\n"))
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: family balanced-bipartite: want 0 <= d < n, got d={float(d)}, n={n}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg"]

@@ -9,6 +9,7 @@ import pytest
 
 from annealbench import dynamics as dy
 from annealbench import harness as hz
+from annealbench import oracles as oc
 from annealbench.errors import ConfigError, IncompleteRun
 from annealbench.schedules import parse_schedule
 
@@ -185,6 +186,7 @@ def parse_verdict_csv(text: str) -> hz.VerdictReport:
                 observed=float(rec["observed"]),
                 target=float(rec["target"]),
                 passed=bool(int(rec["passed"])),
+                interval=(float(rec["ci_low"]), float(rec["ci_high"])),
             )
             for rec in csv.DictReader(io.StringIO(text))
         ]
@@ -197,6 +199,28 @@ def test_verdict_round_trips_through_csv(tmp_path):
     report = hz.verdict(cfg, manifest.rows)
     parsed = parse_verdict_csv(report.to_csv_text())
     assert parsed == report
+    for row in parsed.rows:
+        lo, hi = row.interval
+        assert 0.0 <= lo <= row.observed <= hi <= 1.0
+        assert f"observed={row.observed:.6g} (95% CI {lo:.6g}..{hi:.6g}) target" in report.to_text()
+
+
+def test_statistic_counts_and_intervals():
+    rows = [{"max_size": str(s), "probe_count": ""} for s in (1, 2, 3, 4)]
+    le = hz.statistic("le", "frac_max_le", rows, [2.5])
+    assert (le.successes, le.total, le.observed) == (2, 4, 0.5)
+    assert le.interval == oc.wilson_interval(2, 4)
+    mean = hz.statistic("mean", "mean_max_le", rows, [])
+    assert (mean.values, mean.observed) == ((1.0, 2.0, 3.0, 4.0), 2.5)
+    assert mean.interval == oc.normal_mean_interval([1.0, 2.0, 3.0, 4.0])
+    # A row without the column (an early stop before probe_step) still counts.
+    rows[0]["probe_count"] = "3"
+    probe = hz.statistic("probe", "frac_probe_ge", rows, [3])
+    assert (probe.successes, probe.total) == (1, 4)
+    with pytest.raises(IncompleteRun, match="check d: no trial row records discrepancy"):
+        hz.statistic("d", "frac_discrepancy_gt_le", rows, [0])
+    with pytest.raises(IncompleteRun, match="check r: no trial row records ratio"):
+        hz.statistic("r", "mean_ratio_le", rows, [])
 
 
 def test_verdict_requires_rows(tmp_path):
