@@ -60,18 +60,13 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.algorithm == "ump":  # the defaults of the two flags only ump reads
+        args.schedule = args.schedule or "fixed:1"
+        args.steps = 1000 if args.steps is None else args.steps
     cfg = hz.ExperimentConfig(
-        name="run",
-        family="",
-        instance={},
-        schedules=[args.schedule],
-        algorithm=args.algorithm,
-        steps=args.steps,
-        trials=args.trials,
-        seed=args.seed,
-        thresholds=args.thresholds,
-        early_stop_size=args.early_stop,
-        alpha=args.alpha,
+        "run", "", {}, [args.schedule] if args.schedule else [], algorithm=args.algorithm,
+        steps=args.steps, trials=args.trials, seed=args.seed, thresholds=args.thresholds,
+        early_stop_size=args.early_stop, watch_root=bool(args.watch), alpha=args.alpha,
     )
     cfg.validate_run()
     bundle = hz.InstanceBundle(gc.read_graph_file(args.graph), args.alpha, watch=args.watch)
@@ -163,11 +158,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run trials on a graph file")
     p_run.add_argument("--graph", required=True)
-    p_run.add_argument("--schedule", default="fixed:1")
+    p_run.add_argument("--schedule", help="ump only (default fixed:1)")
     p_run.add_argument(
         "--algorithm", choices=("ump", "greedy", "degree-greedy"), default="ump"
     )
-    p_run.add_argument("--steps", type=int, default=1000)
+    p_run.add_argument("--steps", type=int, help="ump only (default 1000)")
     p_run.add_argument("--trials", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--alpha", type=int)

@@ -1,8 +1,9 @@
 """Configuration-driven batch experiments.
 
-An experiment is described by one INI-style text file (diff-able and
-hashable); running it generates the instance, fans trials out over a
-worker pool, and writes:
+An experiment is one INI-style text file (diff-able and hashable).  Its
+``[run] algorithm`` is a row of ``_ALGORITHMS``: the trial function and the keys
+it reads, so setting any other key is a ConfigError.  Running it generates the
+instance, fans trials out over a worker pool, and writes:
 
 * ``run.csv``      the per-trial table with the fixed column order
                    trial_id, seed, steps, max_size, step_of_max, alpha,
@@ -73,9 +74,6 @@ STATS_CSV_COLUMNS = (
 
 TRAJ_CSV_COLUMNS = ("trial_id", "t", "size", "left", "right")
 
-_ALGORITHMS = ("ump", "ct", "greedy", "degree-greedy", "chain")
-
-
 def _horizon(text: str) -> str:
     if text != "burn":
         float(text)
@@ -117,27 +115,26 @@ class ExperimentConfig:
     def validate_run(self) -> None:
         """The checks of the run and its schedules, which need no instance
         family; ``annealbench run``, whose config has none, runs only these."""
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.alpha is not None and self.alpha < 1:
-            raise ConfigError("alpha must be >= 1")
-        if min(self.thresholds, default=1) < 1:
-            raise ConfigError(f"thresholds must be >= 1, got {self.thresholds}")
-        for key in ("snapshot_every", "probe_step", "early_stop_size"):
-            if getattr(self, key) is not None and getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == "ump" and (self.steps or 0) < 1:
-            raise ConfigError("ump runs need steps >= 1")
-        if self.algorithm == "ct" and not (self.events or self.horizon):
-            raise ConfigError("ct runs need events or horizon")
-        if self.events is not None and self.events < 1:
-            raise ConfigError("events must be >= 1")
+        _, reads, need, _ = _ALGORITHMS[self.algorithm]
+        unset = ExperimentConfig("", "", {}, [])  # every key at its default
+        unread = [k for k in (*_RUN_TYPES, "schedules") if getattr(self, k) != getattr(unset, k)
+                  and k not in ("algorithm", "trials", "seed", *reads)]
+        if unread:
+            raise ConfigError(f"algorithm {self.algorithm} does not read {', '.join(unread)}")
+        if need and sum(getattr(self, k) is not None for k in need) != 1:
+            raise ConfigError(f"{self.algorithm} runs need exactly one key of {list(need)}")
+        if "schedules" in reads and not self.schedules:
+            raise ConfigError("no schedules configured")
+        if min(self.thresholds, default=1) < 1:
+            raise ConfigError(f"thresholds must be >= 1, got {self.thresholds}")
+        for key in ("trials", "alpha", "steps", "events", "snapshot_every", "probe_step",
+                    "early_stop_size"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
             raise ConfigError("horizon must be a finite number > 0, or burn")
-        if self.algorithm in ("ump", "ct") and not self.schedules:
-            raise ConfigError("no schedules configured")
         for spec in self.schedules:
             try:
                 parse_schedule(spec)
@@ -154,14 +151,9 @@ class ExperimentConfig:
             _parse_check(name, spec)
 
     @property
-    def schedule_count(self) -> int:
-        if self.algorithm in ("greedy", "degree-greedy", "chain"):
-            return 1
-        return len(self.schedules)
-
-    @property
     def total_trials(self) -> int:
-        return self.trials * self.schedule_count
+        """One block of ``trials`` per schedule; an algorithm without schedules runs one."""
+        return self.trials * max(1, len(self.schedules))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -235,19 +227,17 @@ def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
     if cfg.algorithm == "chain":
         return InstanceBundle(None, None, chain_params=family.chain_params(cfg.instance))
     inst = family.make(cfg.instance, cfg.seed)
-    if cfg.alpha is not None:
-        alpha, method = cfg.alpha, "override"
-    else:
-        alpha, method = inst.alpha(), family.alpha_method
+    for key, has, what in (("probe_step", inst.probe, "probe vertices"),
+                           ("watch_root", inst.watch, "watch vertices"),
+                           ("track_touched", inst.graph.side is not None, "side labels")):
+        if getattr(cfg, key) and not has:
+            raise ConfigError(f"{key}: family {cfg.family} has no {what}")
+    alpha, method = (cfg.alpha, "override") if cfg.alpha else (inst.alpha(), family.alpha_method)
     template = None
     if inst.blowup is not None:
-        horizon = None
-        if cfg.horizon == "burn":
-            horizon = oc.burn_in_time(inst.blowup)
-        elif cfg.horizon:
-            horizon = float(cfg.horizon)
-        events = cfg.events if horizon is None else None
-        template = {"ell": inst.blowup.ell, "events": events, "horizon": horizon}
+        horizon = oc.burn_in_time(inst.blowup) if cfg.horizon == "burn" else cfg.horizon
+        template = {"ell": inst.blowup.ell, "events": cfg.events,
+                    "horizon": None if horizon is None else float(horizon)}
     elif cfg.algorithm == "ct":
         raise ConfigError("ct runs need an implicit clique-blowup instance")
     return InstanceBundle(
@@ -291,50 +281,63 @@ def run_one_trial(
     writes them empty.
     """
     seed = trial_seed(cfg.seed, trial_id)
-    row: dict[str, object] = {"trial_id": trial_id, "seed": seed}
-    if cfg.algorithm == "chain":
-        n, prob = bundle.chain_params
-        res = dy.run_greedy_chain(n, prob, seed)
-        row.update(
-            steps=2 * n,
-            max_size=res.total,
-            step_of_max=2 * n,
-            final_size=res.total,
-            final_left=res.left,
-            final_right=res.right,
-            discrepancy=res.discrepancy,
-            residual=f"{res.residual:.6f}",
-        )
-    elif cfg.algorithm == "greedy":
-        _, rec = dy.run_randomized_greedy(bundle.graph, seed)
-        row.update(_record_fields(rec))
-    elif cfg.algorithm == "degree-greedy":
-        size = len(dy.run_degree_greedy(bundle.graph))
-        row.update(steps=bundle.graph.n, max_size=size, step_of_max=size, final_size=size)
-    else:
-        spec = cfg.schedules[trial_id // cfg.trials if cfg.schedule_count > 1 else 0]
-        sched, recorder = parse_schedule(spec), _recorder_for(cfg, bundle)
-        if cfg.algorithm == "ct":
-            tpl = bundle.ct_template
-            ct_cfg = dy.WeightedCTConfig.blowup_implicit(
-                bundle.graph, tpl["ell"], horizon=tpl["horizon"], events=tpl["events"]
-            )
-            rec = dy.run_ct_ump(bundle.graph, ct_cfg, sched, seed, recorder=recorder)
-        else:
-            rec = dy.run_ump(bundle.graph, sched, cfg.steps, seed, recorder=recorder)
-        row.update(schedule=spec, snapshots=rec.snapshots, **_record_fields(rec))
-
+    trial = _ALGORITHMS[cfg.algorithm][0]
+    row = {"trial_id": trial_id, "seed": seed, **trial(cfg, bundle, trial_id, seed)}
     alpha = bundle.alpha
     row["alpha"] = alpha if alpha is not None else ""
     row["ratio"] = f"{row['max_size'] / alpha:.6f}" if alpha else ""
     return row
 
 
-def _engine(cfg: ExperimentConfig, bundle: InstanceBundle) -> str | None:
-    """The engine of a chain run (``ump`` or ``ct``; see ``dynamics.engine``)."""
-    if cfg.algorithm in ("ump", "ct"):
-        return dy.engine(_recorder_for(cfg, bundle))
-    return None
+# Trial functions (cfg, bundle, trial_id, seed) -> the row's measured fields.  They
+# look the engines up in ``dynamics`` at call time, so wrappers installed on that
+# module (the benchmark's tracing) see each call.
+
+
+def _chain_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
+    """A Metropolis run (``ump``) or its continuous-time form (``ct``)."""
+    spec = cfg.schedules[trial_id // cfg.trials]
+    sched, recorder = parse_schedule(spec), _recorder_for(cfg, bundle)
+    if cfg.algorithm == "ct":
+        tpl = bundle.ct_template
+        ct_cfg = dy.WeightedCTConfig.blowup_implicit(
+            bundle.graph, tpl["ell"], horizon=tpl["horizon"], events=tpl["events"]
+        )
+        rec = dy.run_ct_ump(bundle.graph, ct_cfg, sched, seed, recorder=recorder)
+    else:
+        rec = dy.run_ump(bundle.graph, sched, cfg.steps, seed, recorder=recorder)
+    return dict(schedule=spec, snapshots=rec.snapshots, **_record_fields(rec))
+
+
+def _greedy_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
+    return _record_fields(dy.run_randomized_greedy(bundle.graph, seed)[1])
+
+
+def _degree_greedy_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
+    size = len(dy.run_degree_greedy(bundle.graph))
+    return dict(steps=bundle.graph.n, max_size=size, step_of_max=size, final_size=size)
+
+
+def _greedy_chain_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
+    n, prob = bundle.chain_params
+    res = dy.run_greedy_chain(n, prob, seed)
+    return dict(steps=2 * n, max_size=res.total, step_of_max=2 * n, final_size=res.total,
+                final_left=res.left, final_right=res.right, discrepancy=res.discrepancy,
+                residual=f"{res.residual:.6f}")
+
+
+# [run] algorithm -> (trial function, the keys it reads besides algorithm, trials
+# and seed, the keys of which exactly one must be set, True if its trials read
+# ``graph.neighbor_lists``).  ``schedules`` stands for the [schedules] specs.
+_CHAIN_KEYS = ("schedules", "thresholds", "early_stop_size", "snapshot_every", "watch_root",
+               "probe_step", "track_touched", "alpha")  # read by both chain engines
+_ALGORITHMS = {
+    "ump": (_chain_trial, ("steps", *_CHAIN_KEYS), ("steps",), True),
+    "ct": (_chain_trial, ("events", "horizon", *_CHAIN_KEYS), ("events", "horizon"), True),
+    "greedy": (_greedy_trial, ("alpha",), (), False),
+    "degree-greedy": (_degree_greedy_trial, ("alpha",), (), True),
+    "chain": (_greedy_chain_trial, (), (), False),
+}
 
 
 def _record_fields(rec: dy.TrialRecord) -> dict:
@@ -402,8 +405,9 @@ def run_experiment(
     nworkers = worker_count(workers)
     started = time.time()
     bundle = build_instance(cfg)
-    if cfg.algorithm in ("ump", "ct", "degree-greedy"):
-        bundle.graph.neighbor_lists  # their trials read it: build once, hand to every worker
+    trial, _, _, neighbor_lists = _ALGORITHMS[cfg.algorithm]
+    if neighbor_lists:
+        bundle.graph.neighbor_lists  # its trials read it: build once, hand to every worker
 
     ids = list(range(cfg.total_trials))
     if nworkers > 1 and len(ids) > 1:
@@ -434,7 +438,7 @@ def run_experiment(
         master_seed=cfg.seed,
         alpha=bundle.alpha,
         alpha_method=bundle.alpha_method,
-        engine=_engine(cfg, bundle),
+        engine=dy.engine(_recorder_for(cfg, bundle)) if trial is _chain_trial else None,
         trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
         wall_clock=time.time() - started,
         files=[str(f) for f in files],

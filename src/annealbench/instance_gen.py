@@ -334,7 +334,10 @@ def gen_appendix_multicopy(n: int, eps: float) -> Graph:
     s = floor(n**eps).  Unit c occupies ``[c*(n+s), (c+1)*(n+s))`` with the
     independent block first; group ids mark the unit.  alpha = n * s.
     """
-    s = multicopy_block_size(n, eps) if n >= 1 and math.isfinite(eps) else 0
+    try:
+        s = multicopy_block_size(n, eps) if n >= 1 and math.isfinite(eps) else 0
+    except OverflowError:  # n**eps beyond the largest float
+        s = 0
     if s < 1:
         raise ValueError(f"n and n**eps must be finite and >= 1, got n={n}, eps={eps}")
     span = n + s

@@ -167,7 +167,9 @@ def wilson_interval(successes: int, total: int, z: float = _Z95) -> tuple[float,
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total))
-    return max(0.0, center - half), min(1.0, center + half)
+    # The ends are exact: rounding would leave 0 or 1 just outside the interval.
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == total else min(1.0, center + half))
 
 
 def normal_mean_interval(values: np.ndarray, z: float = _Z95) -> tuple[float, float]:

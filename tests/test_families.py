@@ -146,6 +146,8 @@ def test_out_of_range_values_name_the_family(name, params, tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"error: family {name}: ") == 2 and "Traceback" not in err
+    if name == "multicopy":
+        assert err.count(f"eps={float(params['eps'])}") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg"]
 
 
@@ -174,6 +176,7 @@ def test_chain_needs_a_family_with_a_chain():
 def test_chain_out_of_range_values_name_the_family(n, d, tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     text = _config_text("balanced-bipartite", {"n": n, "d": d}, tmp_path)
+    text = text.replace("[schedules]\nspecs = fixed:2\n\n", "").replace("steps = 10\n", "")
     cfg.write_text(text.replace("[run]\n", "[run]\nalgorithm = chain\n"))
     assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
     err = capsys.readouterr().err

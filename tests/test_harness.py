@@ -40,10 +40,22 @@ reach2 = frac_max_ge 2 0.9
 
 
 CT_INSTANCE = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
+LABELED = "family = base-bipartite\nn = 4\nk = 2\np = 0.4"  # has side labels
 
 
 def _cfg(tmp_path, text=TINY_CFG):
     return hz.loads_config(text.format(out=tmp_path / "out"))
+
+
+# The lines of TINY_CFG that only its chain run reads; a greedy run rejects them.
+CHAIN_ONLY = ("[schedules]\nspecs = fixed:2, greedy\n", "steps = 400\n", "watch_root = true\n",
+              "thresholds = 2,3\n")
+
+
+def _drop(text: str, lines) -> str:
+    for line in lines:
+        text = text.replace(line, "")
+    return text
 
 
 def test_load_config_fields(tmp_path):
@@ -421,8 +433,9 @@ for text in sys.argv[1:]:
 # Greedy on 600 vertices: each worker builds the graph's neighbor_arrays
 # itself, and the scan crosses its 256-position block edges.
 GREEDY_CFG = (
-    TINY_CFG.replace("family = star-tree\nk = 3", "family = balanced-bipartite\nn = 300\nd = 4")
-    .replace("algorithm = ump\nsteps = 400\ntrials = 3", "algorithm = greedy\ntrials = 4")
+    _drop(TINY_CFG, CHAIN_ONLY)
+    .replace("family = star-tree\nk = 3", "family = balanced-bipartite\nn = 300\nd = 4")
+    .replace("algorithm = ump\ntrials = 3", "algorithm = greedy\ntrials = 4")
     .replace("{out}", "{out}/greedy")
 )
 
@@ -468,7 +481,8 @@ def test_neighbor_lists_are_built_only_for_trials_that_read_them(
     bundles = []
     build = hz.build_instance
     monkeypatch.setattr(hz, "build_instance", lambda cfg: bundles.append(build(cfg)) or bundles[0])
-    cfg = _cfg(tmp_path, TINY_CFG.replace("algorithm = ump", f"algorithm = {algorithm}"))
+    text = TINY_CFG if algorithm == "ump" else _drop(TINY_CFG, CHAIN_ONLY)
+    cfg = _cfg(tmp_path, text.replace("algorithm = ump", f"algorithm = {algorithm}"))
     hz.run_experiment(cfg, workers=1)
     assert ("neighbor_lists" in vars(bundles[0].graph)) == built
 
@@ -480,7 +494,7 @@ def test_neighbor_lists_are_built_only_for_trials_that_read_them(
     "instance,run,engine",
     [
         ("family = star-tree\nk = 3", "", "jump"),
-        ("family = star-tree\nk = 3", "algorithm = ump\nsteps = 40\ntrack_touched = true", "step"),
+        (LABELED, "algorithm = ump\nsteps = 40\ntrack_touched = true", "step"),
         (CT_INSTANCE, "algorithm = ct\nevents = 500", "jump"),
         (CT_INSTANCE, "algorithm = ct\nevents = 500\ntrack_touched = true", "step"),
         ("family = star-tree\nk = 3", "algorithm = greedy", None),
@@ -489,7 +503,9 @@ def test_neighbor_lists_are_built_only_for_trials_that_read_them(
 def test_manifest_records_the_engine(tmp_path, instance, run, engine):
     text = TINY_CFG.replace("family = star-tree\nk = 3", instance)
     if run:
+        # Only the star tree has a root to watch; greedy reads no chain key.
         text = text.replace("algorithm = ump\nsteps = 400", run)
+        text = _drop(text, CHAIN_ONLY if engine is None else ["watch_root = true\n"])
     cfg = _cfg(tmp_path, text)
     cfg.acceptance = []
     manifest = hz.run_experiment(cfg, workers=1)

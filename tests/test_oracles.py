@@ -234,6 +234,9 @@ def test_wilson_interval_bounds():
     assert lo == 0.0 and 0.0 < hi < 0.06
     lo, hi = oc.wilson_interval(100, 100)
     assert hi == 1.0 and lo > 0.94
+    # The ends are exact, not a rounding away from them.
+    assert oc.wilson_interval(0, 500)[0] == 0.0
+    assert oc.wilson_interval(104, 104)[1] == 1.0
 
 
 # -- exact laws of the acceptance chains vs the full 2^n-state chain --------
