@@ -13,7 +13,6 @@ from pathlib import Path
 from . import graph_core as gc
 from . import harness as hz
 from . import instance_gen as ig
-from . import oracles as oc
 from .errors import AnnealBenchError, ConfigError
 
 
@@ -69,9 +68,10 @@ def _cmd_run(args) -> int:
         early_stop_size=args.early_stop, watch_root=bool(args.watch), alpha=args.alpha,
     )
     cfg.validate_run()
-    bundle = hz.InstanceBundle(gc.read_graph_file(args.graph), args.alpha, watch=args.watch)
+    inst = ig.Instance(gc.read_graph_file(args.graph), None, watch=args.watch)
+    bundle = hz.bundle_for(cfg, inst, None)
     rows = [hz.run_one_trial(cfg, bundle, i) for i in range(args.trials)]
-    hz._write_csv(Path(args.out), hz.RUN_CSV_COLUMNS, rows)
+    hz.write_csv(Path(args.out), hz.RUN_CSV_COLUMNS, rows)
     print(f"wrote {args.out} ({len(rows)} trials)")
     return 0
 
@@ -103,9 +103,6 @@ def _cmd_report(args) -> int:
     rows = hz.read_csv(args.run)
     if args.stats:
         rows = hz.merge_run_and_stats(rows, hz.read_csv(args.stats))
-    alpha = args.alpha
-    if alpha is None and rows and rows[0].get("alpha"):
-        alpha = int(rows[0]["alpha"])
     try:
         thresholds = [float(x) for x in (args.thresholds or "").split(",") if x]
         finite = all(map(math.isfinite, thresholds))
@@ -113,23 +110,7 @@ def _cmd_report(args) -> int:
         finite = False
     if not finite:
         raise ConfigError(f"--thresholds must be finite numbers, got {args.thresholds!r}")
-    mean = hz.statistic("max_size mean", "mean_max_le", rows, [])
-    stats, (lo, hi) = oc.summarize(mean.values, alpha=alpha), mean.interval
-    lines = [
-        f"trials = {len(mean.values)}",
-        f"max_size mean = {mean.observed:.4f} (95% CI {lo:.4f}..{hi:.4f})",
-        f"max_size std = {stats.std:.4f}",
-    ]
-    for q, v in stats.quantiles.items():
-        lines.append(f"quantile {q:g} = {v:g}")
-    if stats.ratio_mean is not None:
-        lines.append(f"ratio mean = {stats.ratio_mean:.6f}")
-    for x in thresholds:  # max_size > x fails the check frac_max_le x
-        le = hz.statistic(f"max_size > {x:g}", "frac_max_le", rows, [x])
-        fails, total = le.total - le.successes, le.total
-        lo, hi = oc.wilson_interval(fails, total)
-        lines.append(f"frac(max_size > {x:g}) = {fails / total:.4f} (95% CI {lo:.4f}..{hi:.4f})")
-    text = "\n".join(lines) + "\n"
+    text = hz.report_text(rows, args.alpha, thresholds)
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
@@ -190,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AnnealBenchError as exc:
+    except (AnnealBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,11 @@ instance, fans trials out over a worker pool, and writes:
                    output files, the alpha with where it came from, and
                    the engine of a chain run (``jump`` or ``step``).
 
-``verdict`` and ``annealbench report`` take each ``[acceptance]`` statistic from
-``statistic``: a fraction with its Wilson interval or a mean with its normal one.
+Every ``InstanceBundle`` comes from ``bundle_for``, for a family member
+(``build_instance``) and a graph file (``annealbench run``) alike, so both get
+the same checks.  ``verdict`` and ``report_text`` (``annealbench report``) take
+every figure from ``statistic``: a fraction with its Wilson interval or a mean
+with its normal one.
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
@@ -37,6 +40,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import dynamics as dy
@@ -226,29 +231,39 @@ def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
     family = ig.family(cfg.family)
     if cfg.algorithm == "chain":
         return InstanceBundle(None, None, chain_params=family.chain_params(cfg.instance))
-    inst = family.make(cfg.instance, cfg.seed)
+    return bundle_for(cfg, family.make(cfg.instance, cfg.seed), family)
+
+
+def bundle_for(
+    cfg: ExperimentConfig, inst: ig.Instance, family: ig.Family | None
+) -> InstanceBundle:
+    """The bundle of a built instance, checked against the run's keys.  ``family``
+    is None for a graph file (``annealbench run``): its alpha is then unknown
+    unless configured."""
     for key, has, what in (("probe_step", inst.probe, "probe vertices"),
                            ("watch_root", inst.watch, "watch vertices"),
                            ("track_touched", inst.graph.side is not None, "side labels")):
         if getattr(cfg, key) and not has:
             raise ConfigError(f"{key}: family {cfg.family} has no {what}")
-    alpha, method = (cfg.alpha, "override") if cfg.alpha else (inst.alpha(), family.alpha_method)
+    watch = inst.watch if cfg.watch_root else ()
+    for v in watch:
+        if not 0 <= v < inst.graph.n:
+            raise ConfigError(f"watch vertex {v} is not in the {inst.graph.n}-vertex graph")
+    if (inst.blowup is None) == (cfg.algorithm == "ct"):
+        raise ConfigError("ct runs need an implicit clique-blowup instance" if inst.blowup is None
+                          else "an implicit clique-blowup runs only ct: ump, greedy and "
+                          "degree-greedy need mode = explicit")
+    if cfg.alpha:
+        alpha, method = cfg.alpha, "override"
+    else:
+        alpha, method = (inst.alpha(), family.alpha_method) if family else (None, None)
     template = None
     if inst.blowup is not None:
         horizon = oc.burn_in_time(inst.blowup) if cfg.horizon == "burn" else cfg.horizon
         template = {"ell": inst.blowup.ell, "events": cfg.events,
                     "horizon": None if horizon is None else float(horizon)}
-    elif cfg.algorithm == "ct":
-        raise ConfigError("ct runs need an implicit clique-blowup instance")
-    return InstanceBundle(
-        graph=inst.graph,
-        alpha=alpha,
-        alpha_method=method,
-        watch=inst.watch if cfg.watch_root else (),
-        probe_vertices=inst.probe,
-        track_clouds=family.track_clouds,
-        ct_template=template,
-    )
+    return InstanceBundle(inst.graph, alpha, method, watch=watch, probe_vertices=inst.probe,
+                          track_clouds=bool(family and family.track_clouds), ct_template=template)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +438,8 @@ def run_experiment(
         raise IoError(f"cannot create output dir {out}: {exc}") from exc
 
     files = [out / "run.csv", out / "stats.csv"]
-    _write_csv(files[0], RUN_CSV_COLUMNS, rows)
-    _write_csv(files[1], STATS_CSV_COLUMNS, rows)
+    write_csv(files[0], RUN_CSV_COLUMNS, rows)
+    write_csv(files[1], STATS_CSV_COLUMNS, rows)
     if cfg.snapshot_every:
         files.append(out / "traj.csv")
         with open(files[2], "w", newline="") as fh:
@@ -448,7 +463,7 @@ def run_experiment(
     return manifest
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -576,6 +591,32 @@ def verdict(cfg: ExperimentConfig, rows: list[dict]) -> VerdictReport:
         passed = stat.observed <= target if _CHECKS[kind][3] else stat.observed >= target
         out.append(VerdictRow(name, kind, stat.observed, target, passed, stat.interval))
     return VerdictReport(out)
+
+
+def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) -> str:
+    """The ``annealbench report`` summary of trial rows: the mean, std and quartiles
+    of max_size, the mean ratio to ``alpha`` (by default the rows' alpha column),
+    and for each threshold x the share of trials with max_size > x."""
+    mean = statistic("max_size mean", "mean_max_le", rows, [])
+    sizes, (lo, hi) = np.array(mean.values), mean.interval
+    ordered = np.sort(sizes)
+    lines = [
+        f"trials = {len(sizes)}",
+        f"max_size mean = {mean.observed:.4f} (95% CI {lo:.4f}..{hi:.4f})",
+        f"max_size std = {sizes.std(ddof=1) if len(sizes) > 1 else 0.0:.4f}",
+        *(f"quantile {q:g} = {ordered[max(0, math.ceil(q * len(sizes)) - 1)]:g}"
+          for q in (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ]
+    if alpha is None and rows[0].get("alpha"):
+        alpha = int(rows[0]["alpha"])
+    if alpha is not None and alpha > 0:
+        lines.append(f"ratio mean = {(sizes / alpha).mean():.6f}")
+    for x in thresholds:  # max_size > x fails the check frac_max_le x
+        le = statistic(f"max_size > {x:g}", "frac_max_le", rows, [x])
+        fails, total = le.total - le.successes, le.total
+        lo, hi = oc.wilson_interval(fails, total)
+        lines.append(f"frac(max_size > {x:g}) = {fails / total:.4f} (95% CI {lo:.4f}..{hi:.4f})")
+    return "\n".join(lines) + "\n"
 
 
 def read_csv(path: str | Path) -> list[dict]:

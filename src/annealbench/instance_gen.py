@@ -405,7 +405,7 @@ class Instance:
     the vertices the recorder watches (``watch_root``) and probes."""
 
     graph: Graph
-    alpha: Callable[[], int]  # called only when no override is configured
+    alpha: Callable[[], int] | None  # called only with no override; None for a graph file
     watch: tuple[int, ...] = ()
     probe: tuple[int, ...] = ()
     blowup: BlowupParams | None = None  # set when ``graph`` is an implicit clique blowup's base

@@ -1,10 +1,10 @@
-"""Closed-form probabilistic oracles and summary statistics.
+"""Closed-form probabilistic oracles and confidence intervals.
 
 These are the analytic counterparts used to design experiments and score
 trial batches: hitting probabilities of biased walks, stationary laws of
 birth-death chains, the three-state branch chain, the balanced-bipartite
-independent-set threshold, burn-in window reports, and batch summaries
-with normal / Wilson confidence intervals.  Natural logarithms throughout.
+independent-set threshold, burn-in window reports, and normal / Wilson
+confidence intervals for batch statistics.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def burn_in_stats(trial: TrialRecord, params: BlowupParams) -> BurnInReport:
 
 
 # ---------------------------------------------------------------------------
-# Batch summaries
+# Confidence intervals
 
 
 def wilson_interval(successes: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -181,30 +181,3 @@ def normal_mean_interval(values: np.ndarray, z: float = _Z95) -> tuple[float, fl
         return mean, mean
     half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
     return mean - half, mean + half
-
-
-@dataclass
-class SummaryStats:
-    std: float
-    quantiles: dict[float, float]
-    ratio_mean: float | None = None
-
-
-def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
-    """Order statistic at level q: smallest x with F(x) >= q."""
-    idx = min(len(sorted_values) - 1, max(0, math.ceil(q * len(sorted_values)) - 1))
-    return float(sorted_values[idx])
-
-
-def summarize(max_sizes: list[float], alpha: int | None = None) -> SummaryStats:
-    """Standard deviation and quartiles of a batch's max sizes, and with
-    ``alpha`` given the mean approximation ratio."""
-    if not max_sizes:
-        raise EmptyInput("no trial records")
-    sizes = np.array(max_sizes, dtype=float)
-    ordered = np.sort(sizes)
-    return SummaryStats(
-        std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
-        quantiles={q: empirical_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)},
-        ratio_mean=float((sizes / alpha).mean()) if alpha is not None and alpha > 0 else None,
-    )

@@ -264,3 +264,52 @@ trials = 2
     assert code == 2
     assert f"--workers must be an integer >= 1, got {int(workers)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_watch_vertex_outside_the_graph(tmp_path, capsys):
+    graph = str(tmp_path / "star.graph")
+    main(["gen", "--family", "star-tree", "--param", "k=3", "--out", graph])  # 7 vertices
+    capsys.readouterr()
+    out_csv = tmp_path / "run.csv"
+    code = main(["run", "--graph", graph, "--watch", "0,99", "--out", str(out_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: watch vertex 99 is not in the 7-vertex graph" in err
+    assert "Traceback" not in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "anchor", "--param", "n=4", "--out", "{tmp}/missing/g.graph"],
+        ["alpha", "--graph", "{tmp}/missing.graph"],
+        ["run", "--graph", "{tmp}/missing.graph", "--out", "{tmp}/run.csv"],
+        ["report", "--run", "{tmp}/missing.csv", "--out", "{tmp}/report.txt"],
+    ],
+    ids=["gen", "alpha", "run", "report"],
+)
+def test_an_os_error_exits_2_without_a_traceback(tmp_path, capsys, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cli_reads_no_oracle_and_no_private_harness_name():
+    """The CLI is a shell over the harness: statistics and instance checks live there."""
+    import ast
+
+    import annealbench.cli
+
+    tree = ast.parse(Path(annealbench.cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+            assert not any(n.split(".")[-1] == "oracles" for n in names), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] == "oracles" for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id == "hz" and node.attr.startswith("_")), node.attr

@@ -71,10 +71,13 @@ def test_cases_cover_the_table():
 
 def _config_text(name: str, params: dict, tmp_path) -> str:
     lines = "\n".join(f"{k} = {v}" for k, v in params.items())
+    # An implicit clique blowup runs only ct.
+    implicit = name == "clique-blowup" and params.get("mode", "implicit") == "implicit"
+    run = "algorithm = ct\nevents = 10" if implicit else "steps = 10"
     return (
         f"[experiment]\nname = t\nout_dir = {tmp_path / 'out'}\n\n"
         f"[instance]\nfamily = {name}\n{lines}\n\n"
-        f"[schedules]\nspecs = fixed:2\n\n[run]\nsteps = 10\nseed = {SEED}\n"
+        f"[schedules]\nspecs = fixed:2\n\n[run]\n{run}\nseed = {SEED}\n"
     )
 
 

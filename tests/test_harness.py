@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from annealbench import dynamics as dy
@@ -235,6 +237,43 @@ def test_statistic_counts_and_intervals():
         hz.statistic("r", "mean_ratio_le", rows, [])
 
 
+# -- report text ----------------------------------------------------------------
+
+
+def _report_lines(rows: list[dict], alpha: int | None = None) -> dict[str, str]:
+    text = hz.report_text(rows, alpha, [])
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def test_report_of_one_row_has_std_zero_and_its_ratio():
+    lines = _report_lines([{"max_size": "5", "alpha": "10"}])  # alpha from the row
+    assert lines["max_size std"] == "0.0000"
+    assert lines["ratio mean"] == "0.500000"
+    assert _report_lines([{"max_size": "5", "alpha": "10"}], alpha=20)["ratio mean"] == "0.250000"
+
+
+def test_report_of_constant_rows_has_std_zero():
+    lines = _report_lines([{"max_size": "3"}] * 8)
+    assert lines["max_size std"] == "0.0000"
+    assert lines["max_size mean"] == "3.0000 (95% CI 3.0000..3.0000)"
+    assert oc.normal_mean_interval([3.0] * 8) == (3.0, 3.0)
+    assert "ratio mean" not in lines
+
+
+def test_report_quantiles_match_sort_oracle():
+    vals = np.random.default_rng(3).integers(0, 100, 57)
+    lines = _report_lines([{"max_size": str(v)} for v in vals])
+    ordered = np.sort(vals.astype(float))
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        idx = min(56, max(0, math.ceil(q * 57) - 1))
+        assert lines[f"quantile {q:g}"] == f"{ordered[idx]:g}"
+
+
+def test_report_of_no_rows_raises():
+    with pytest.raises(IncompleteRun, match="no trial row records max_size"):
+        hz.report_text([], None, [])
+
+
 def test_verdict_requires_rows(tmp_path):
     cfg = _cfg(tmp_path)
     with pytest.raises(IncompleteRun):
@@ -368,7 +407,8 @@ def test_large_seed_is_kept_exactly(tmp_path):
         ("family = star-tree\nk = 3", "", 4, "closed_form"),
         ("family = star-tree\nk = 3", "alpha = 7", 7, "override"),
         ("family = balanced-bipartite\nn = 30\nd = 3", "", None, "bipartite_matching"),
-        ("family = clique-blowup\nn = 5\nk = 2\np = 0.1\nell = 3", "", 10, "lower_bound"),
+        ("family = clique-blowup\nn = 5\nk = 2\np = 0.1\nell = 3\nmode = explicit", "", 10,
+         "lower_bound"),
     ],
 )
 def test_manifest_records_alpha_and_its_source(tmp_path, instance, extra, alpha, method):

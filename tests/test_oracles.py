@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from annealbench import oracles as oc
 from annealbench.dynamics import TrialRecord
 from annealbench.errors import (
-    EmptyInput,
     InsufficientRecord,
     InvalidChain,
     InvalidDrift,
@@ -199,34 +198,7 @@ def test_burn_in_stats_needs_fields():
         oc.burn_in_stats(rec, BlowupParams(n=10, k=2, ell=10, p=0.05))
 
 
-# -- summaries ---------------------------------------------------------------
-
-
-def test_summarize_single_record_ratio():
-    stats = oc.summarize([5], alpha=10)
-    assert stats.ratio_mean == pytest.approx(0.5)
-    assert stats.std == 0.0
-
-
-def test_summarize_constant_records_zero_variance():
-    stats = oc.summarize([3] * 8)
-    assert stats.std == 0.0
-    assert oc.normal_mean_interval([3.0] * 8) == (3.0, 3.0)
-
-
-def test_summarize_quantiles_match_sort_oracle():
-    gen = np.random.default_rng(3)
-    vals = gen.integers(0, 100, 57)
-    stats = oc.summarize(vals.tolist())
-    ordered = np.sort(vals.astype(float))
-    for q, got in stats.quantiles.items():
-        idx = min(56, max(0, math.ceil(q * 57) - 1))
-        assert got == ordered[idx]
-
-
-def test_summarize_empty_raises():
-    with pytest.raises(EmptyInput):
-        oc.summarize([])
+# -- intervals ---------------------------------------------------------------
 
 
 def test_wilson_interval_bounds():
