@@ -69,9 +69,10 @@ def removal_threshold(lam: float) -> float:
 # Trial records and recorder configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecorderConfig:
-    """What a simulation loop should measure while it runs."""
+    """What a simulation loop should measure while it runs; one is shared by
+    every trial of a run."""
 
     thresholds: tuple[int, ...] = ()
     snapshot_every: int | None = None  # default: no snapshots

@@ -58,7 +58,7 @@ class EmptyInput(AnnealBenchError):
 
 
 class ConfigError(AnnealBenchError):
-    """Experiment configuration is missing or inconsistent."""
+    """An experiment config, or a trial row it reads, is missing, malformed or inconsistent."""
 
 
 class IncompleteRun(AnnealBenchError):

@@ -386,22 +386,16 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
             continue
         parent[root] = -1
         stack = [root]
-        seen_here = 1
-        edges_here = 0
         while stack:
             u = stack.pop()
             order.append(u)
             for w in g.neighbor_lists[u]:
-                edges_here += 1
                 if w == parent[u]:
                     continue
-                if parent[w] != -2:
+                if parent[w] != -2:  # reached twice: the graph is simple, so a cycle
                     raise NotAForest("cycle detected")
                 parent[w] = u
-                seen_here += 1
                 stack.append(w)
-        if edges_here != 2 * (seen_here - 1):
-            raise NotAForest("cycle detected")
 
     dp_in = np.ones(g.n, dtype=np.int64)
     dp_out = np.zeros(g.n, dtype=np.int64)

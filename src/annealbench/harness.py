@@ -18,14 +18,16 @@ instance, fans trials out over a worker pool, and writes:
 
 Every ``InstanceBundle`` comes from ``bundle_for``, for a family member
 (``build_instance``) and a graph file (``annealbench run``) alike, so both get
-the same checks.  ``verdict`` and ``report_text`` (``annealbench report``) take
-every figure from ``statistic``: a fraction with its Wilson interval or a mean
-with its normal one.
+the same checks.  It holds all that a trial reads, built once per run: the
+recorder, the parsed schedules and an implicit blowup's ct config with its rate
+classes; a trial only indexes it and calls an engine.  ``verdict`` and
+``report_text`` (``annealbench report``) take every figure from ``statistic``: a
+fraction with its Wilson interval or a mean with its normal one.
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
 worker count and any multiprocessing start method.  Pool workers receive
-the config and the built instance once, through the pool initializer.
+the config and the built bundle once, through the pool initializer.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from . import instance_gen as ig
 from . import oracles as oc
 from . import rng as rngmod
 from .errors import ConfigError, IncompleteRun, InvalidFugacity, IoError
-from .schedules import parse_schedule
+from .schedules import FugacitySchedule, parse_schedule
 
 RUN_CSV_COLUMNS = (
     "trial_id",
@@ -140,11 +142,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
             raise ConfigError("horizon must be a finite number > 0, or burn")
-        for spec in self.schedules:
-            try:
-                parse_schedule(spec)
-            except InvalidFugacity as exc:
-                raise ConfigError(f"[schedules] {exc}") from exc
+        _parse_schedules(self.schedules)
 
     def validate(self) -> None:
         self.validate_run()
@@ -161,6 +159,13 @@ class ExperimentConfig:
         return self.trials * max(1, len(self.schedules))
 
 
+def _parse_schedules(specs: list[str]) -> tuple[FugacitySchedule, ...]:
+    try:
+        return tuple(parse_schedule(spec) for spec in specs)
+    except InvalidFugacity as exc:
+        raise ConfigError(f"[schedules] {exc}") from exc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
@@ -171,27 +176,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(text)
     try:
-        exp = parser["experiment"]
-        inst = dict(parser["instance"])
-        run = dict(parser["run"]) if parser.has_section("run") else {}
-    except KeyError as exc:
-        raise ConfigError(f"missing config section: {exc}") from exc
-    family = inst.pop("family", None)
+        parser.read_string(text, source="config")
+        sec = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:  # on one line, which names the config line at fault
+        raise ConfigError(" ".join(str(exc).replace("\\n'", "'").split())) from None
+    for name in ("experiment", "instance"):
+        if name not in sec:
+            raise ConfigError(f"missing config section: [{name}]")
+    family = sec["instance"].pop("family", None)
     if family is None:
         raise ConfigError("[instance] must set family")
-    specs = parser["schedules"].get("specs", "") if parser.has_section("schedules") else ""
-    run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, run, "[run]")
-    run = {k: v for k, v in run.items() if v is not None}
+    run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, sec.get("run", {}),
+                          "[run]")
     cfg = ExperimentConfig(
-        name=exp.get("name", "experiment"),
+        name=sec["experiment"].get("name", "experiment"),
         family=family,
-        instance=inst,
-        schedules=[s.strip() for s in specs.split(",") if s.strip()],
-        out_dir=exp.get("out_dir", "out"),
-        acceptance=sorted(parser["acceptance"].items()) if parser.has_section("acceptance") else [],
-        **run,
+        instance=sec["instance"],
+        schedules=[s.strip() for s in sec.get("schedules", {}).get("specs", "").split(",")
+                   if s.strip()],
+        out_dir=sec["experiment"].get("out_dir", "out"),
+        acceptance=sorted(sec.get("acceptance", {}).items()),
+        **{k: v for k, v in run.items() if v is not None},
     )
     cfg.validate()
     return cfg
@@ -216,13 +222,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class InstanceBundle:
+    """Everything the trials of a run read, built once by ``bundle_for``."""
+
     graph: gc.Graph | None
     alpha: int | None
     alpha_method: str | None = None  # a family table source, or "override"
-    watch: tuple[int, ...] = ()
-    probe_vertices: tuple[int, ...] = ()
-    track_clouds: bool = False
-    ct_template: dict | None = None  # clique size and horizon-or-events of an implicit blowup
+    recorder: dy.RecorderConfig | None = None
+    schedules: tuple[FugacitySchedule, ...] = ()  # one per [schedules] spec
+    ct: dy.WeightedCTConfig | None = None  # the ct run of an implicit blowup
+    ct_template: dict | None = None  # {"ell": clique size}; only the benchmark reads it
     chain_params: tuple[int, float] | None = None  # (n, p) for chain runs
 
 
@@ -257,13 +265,23 @@ def bundle_for(
         alpha, method = cfg.alpha, "override"
     else:
         alpha, method = (inst.alpha(), family.alpha_method) if family else (None, None)
-    template = None
+    recorder = dy.RecorderConfig(
+        thresholds=cfg.thresholds, snapshot_every=cfg.snapshot_every, watch=watch,
+        probe_step=cfg.probe_step, probe_vertices=inst.probe if cfg.probe_step else (),
+        early_stop_size=cfg.early_stop_size, track_touched=cfg.track_touched,
+        track_clouds=bool(family and family.track_clouds),
+    )
+    ct = template = None
     if inst.blowup is not None:
-        horizon = oc.burn_in_time(inst.blowup) if cfg.horizon == "burn" else cfg.horizon
-        template = {"ell": inst.blowup.ell, "events": cfg.events,
-                    "horizon": None if horizon is None else float(horizon)}
-    return InstanceBundle(inst.graph, alpha, method, watch=watch, probe_vertices=inst.probe,
-                          track_clouds=bool(family and family.track_clouds), ct_template=template)
+        burn = cfg.horizon == "burn"
+        if burn and inst.blowup.p <= 0:
+            raise ConfigError("horizon = burn needs p > 0: the burn-in time is 1 / (8 k p n)")
+        horizon = oc.burn_in_time(inst.blowup) if burn else cfg.horizon and float(cfg.horizon)
+        ct = dy.WeightedCTConfig.blowup_implicit(inst.graph, inst.blowup.ell, horizon, cfg.events)
+        ct.classes  # every trial reads them: build once, hand to every worker
+        template = {"ell": inst.blowup.ell}
+    return InstanceBundle(inst.graph, alpha, method, recorder=recorder, ct=ct, ct_template=template,
+                          schedules=_parse_schedules(cfg.schedules))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +293,7 @@ def trial_seed(master: int, trial_id: int) -> int:
 
 
 def _recorder_for(cfg: ExperimentConfig, bundle: InstanceBundle) -> dy.RecorderConfig:
-    return dy.RecorderConfig(
-        thresholds=cfg.thresholds,
-        snapshot_every=cfg.snapshot_every,
-        watch=bundle.watch,
-        probe_step=cfg.probe_step,
-        probe_vertices=bundle.probe_vertices if cfg.probe_step else (),
-        early_stop_size=cfg.early_stop_size,
-        track_touched=cfg.track_touched,
-        track_clouds=bundle.track_clouds,
-    )
+    return bundle.recorder  # kept for the benchmark, which reads the recorder through it
 
 
 def run_one_trial(
@@ -311,17 +320,13 @@ def run_one_trial(
 
 def _chain_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
     """A Metropolis run (``ump``) or its continuous-time form (``ct``)."""
-    spec = cfg.schedules[trial_id // cfg.trials]
-    sched, recorder = parse_schedule(spec), _recorder_for(cfg, bundle)
-    if cfg.algorithm == "ct":
-        tpl = bundle.ct_template
-        ct_cfg = dy.WeightedCTConfig.blowup_implicit(
-            bundle.graph, tpl["ell"], horizon=tpl["horizon"], events=tpl["events"]
-        )
-        rec = dy.run_ct_ump(bundle.graph, ct_cfg, sched, seed, recorder=recorder)
+    block = trial_id // cfg.trials
+    sched, recorder = bundle.schedules[block], bundle.recorder
+    if bundle.ct is not None:
+        rec = dy.run_ct_ump(bundle.graph, bundle.ct, sched, seed, recorder=recorder)
     else:
         rec = dy.run_ump(bundle.graph, sched, cfg.steps, seed, recorder=recorder)
-    return dict(schedule=spec, snapshots=rec.snapshots, **_record_fields(rec))
+    return dict(schedule=cfg.schedules[block], snapshots=rec.snapshots, **_record_fields(rec))
 
 
 def _greedy_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
@@ -453,7 +458,7 @@ def run_experiment(
         master_seed=cfg.seed,
         alpha=bundle.alpha,
         alpha_method=bundle.alpha_method,
-        engine=dy.engine(_recorder_for(cfg, bundle)) if trial is _chain_trial else None,
+        engine=dy.engine(bundle.recorder) if trial is _chain_trial else None,
         trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
         wall_clock=time.time() - started,
         files=[str(f) for f in files],
@@ -559,7 +564,7 @@ def statistic(name: str, kind: str, rows: list[dict], args: list[float]) -> Stat
     A row that lacks the column counts in a fraction's total (an early stop before
     ``probe_step`` leaves ``probe_count`` empty); :class:`IncompleteRun` if none has it."""
     _, col, test, _ = _CHECKS[kind]
-    values = [float(r[col]) for r in rows if r.get(col, "") != ""]
+    values = [_cell(r, col, float) for r in rows if r.get(col, "") != ""]
     if not values:
         raise IncompleteRun(f"check {name}: no trial row records {col} (report: pass --stats?)")
     if test is None:
@@ -567,6 +572,18 @@ def statistic(name: str, kind: str, rows: list[dict], args: list[float]) -> Stat
         return Statistic(mean, oc.normal_mean_interval(values), values=tuple(values))
     successes, total = sum(1 for v in values if test(v, *args)), len(rows)
     return Statistic(successes / total, oc.wilson_interval(successes, total), successes, total)
+
+
+def _cell(row: dict, col: str, kind: type) -> float:
+    """The ``col`` cell of a trial row as a finite float or an int (``kind``)."""
+    try:
+        value = kind(row[col])
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError):  # a short csv row reads None
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"trial_id {row.get('trial_id')}: {col} {row[col]!r} is not {what}")
 
 
 def _parse_check(name: str, spec: str) -> tuple[str, list[float]]:
@@ -608,7 +625,7 @@ def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) ->
           for q in (0.0, 0.25, 0.5, 0.75, 1.0)),
     ]
     if alpha is None and rows[0].get("alpha"):
-        alpha = int(rows[0]["alpha"])
+        alpha = _cell(rows[0], "alpha", int)
     if alpha is not None and alpha > 0:
         lines.append(f"ratio mean = {(sizes / alpha).mean():.6f}")
     for x in thresholds:  # max_size > x fails the check frac_max_le x

@@ -89,23 +89,6 @@ class DenseDerivation:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CloudMeta:
-    """Layout of the clouds of a bipartite blowup.
-
-    Cloud ``c`` covers vertices ``[c*K, (c+1)*K)``; cloud indices factor as
-    ``c = copy * base_n + base_vertex``.
-    """
-
-    cloud_size: int  # K
-    copies: int  # M
-    base_n: int
-
-    @property
-    def num_clouds(self) -> int:
-        return self.copies * self.base_n
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli pair sampling
 
@@ -219,19 +202,20 @@ def derive_dense_params(dense: DenseParams, seed: int = 0) -> DenseDerivation:
     return DenseDerivation(params, exact_n, exact_k, exact_ell, exact_p, rounded, warnings)
 
 
-def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> tuple[Graph, CloudMeta]:
+def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> Graph:
     """Replace each vertex of ``copies`` disjoint base copies by a cloud.
 
     A cloud is an independent set of ``cloud_size`` vertices; each base
     edge becomes a complete join between the two clouds.  The result stays
     bipartite and its alpha equals ``alpha(base) * cloud_size * copies``.
+    Cloud ``c = copy * base.n + base_vertex`` covers vertices
+    ``[c * cloud_size, (c + 1) * cloud_size)`` and is their group id.
     """
     if base.side is None:
         raise NotBipartite("bipartite blowup needs a labeled base")
     if min(cloud_size, copies) < 1:
         raise ValueError(f"cloud_size and copies must be >= 1, got {cloud_size}, {copies}")
     K = int(cloud_size)
-    meta = CloudMeta(cloud_size=K, copies=int(copies), base_n=base.n)
     u, w = base.edge_array().T
     shift = np.arange(copies)[:, None] * base.n
     cu = ((shift + u) * K).ravel()
@@ -239,15 +223,14 @@ def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> tuple[Gra
     a, b = np.divmod(np.arange(K * K), K)
     edges = np.stack([(cu[:, None] + a).ravel(), (cw[:, None] + b).ravel()], axis=1)
     side = np.repeat(np.tile(np.asarray(base.side, np.int8), copies), K)
-    group = np.repeat(np.arange(meta.num_clouds, dtype=np.int64), K)
-    g = build_graph(
+    group = np.repeat(np.arange(copies * base.n, dtype=np.int64), K)
+    return build_graph(
         base.n * K * copies,
         edges,
         labels=side,
         groups=group,
         kind="bipartite-blowup",
     )
-    return g, meta
 
 
 def gen_star_tree(k: int) -> Graph:
@@ -488,8 +471,8 @@ def _clique_blowup(p: dict, seed: int) -> Instance:
 
 def _cloud_blowup(p: dict, seed: int) -> Instance:
     base = gen_base_bipartite(p["base_n"], p["base_k"], p["base_p"], seed=seed)
-    g, meta = gen_bipartite_blowup(base, p["cloud_size"], p["copies"])
-    return Instance(g, lambda: gc.alpha_bipartite(base).alpha * meta.cloud_size * meta.copies)
+    g = gen_bipartite_blowup(base, p["cloud_size"], p["copies"])
+    return Instance(g, lambda: gc.alpha_bipartite(base).alpha * p["cloud_size"] * p["copies"])
 
 
 def _blowup_mode(text: str) -> str:

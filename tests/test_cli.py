@@ -266,6 +266,57 @@ trials = 2
     assert not (tmp_path / "out").exists()
 
 
+GOOD_CFG = """[experiment]
+name = t
+out_dir = {out}
+
+[instance]
+family = star-tree
+k = 3
+
+[run]
+algorithm = greedy
+trials = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [
+        ("k = 3\n", "k = 3\nk = 4\n", "[line 8]"),  # a duplicate key
+        ("k = 3\n", "k = 3\nk4\n", "[line 8]: 'k4'"),  # a line with no =
+        ("[experiment]", "name = t\n[experiment]", "line: 1 'name = t'"),  # before a section
+    ],
+    ids=["duplicate-key", "no-equals", "before-section"],
+)
+def test_a_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, old, new, line):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(GOOD_CFG.format(out=tmp_path / "out").replace(old, new, 1))
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "col,value,what",
+    [("alpha", "x", "an integer"), ("max_size", "abc", "a finite number"),
+     ("max_size", "nan", "a finite number"), ("max_size", "inf", "a finite number")],
+)
+def test_report_rejects_a_cell_that_is_not_a_number(tmp_path, capsys, col, value, what):
+    row = {"trial_id": "3", "seed": "1", "steps": "5", "max_size": "4", "alpha": "4"}
+    run_csv = tmp_path / "run.csv"
+    # report reads alpha from the first row
+    hz.write_csv(run_csv, hz.RUN_CSV_COLUMNS, [{**row, "trial_id": "7", col: value}, row])
+    code = main(["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: trial_id 7: {col} {value!r} is not {what}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_run_rejects_a_watch_vertex_outside_the_graph(tmp_path, capsys):
     graph = str(tmp_path / "star.graph")
     main(["gen", "--family", "star-tree", "--param", "k=3", "--out", graph])  # 7 vertices

@@ -45,6 +45,15 @@ CT_INSTANCE = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
 LABELED = "family = base-bipartite\nn = 4\nk = 2\np = 0.4"  # has side labels
 
 
+# ct on an implicit blowup (which has no root to watch).
+CT_CFG = (
+    TINY_CFG.replace("family = star-tree\nk = 3", CT_INSTANCE)
+    .replace("algorithm = ump\nsteps = 400", "algorithm = ct\nevents = 500")
+    .replace("watch_root = true\n", "")
+    .replace("{out}", "{out}/ct")
+)
+
+
 def _cfg(tmp_path, text=TINY_CFG):
     return hz.loads_config(text.format(out=tmp_path / "out"))
 
@@ -383,14 +392,14 @@ def test_malformed_schedule_spec_is_a_config_error(tmp_path, spec):
         ("horizon = -1", "horizon"),
         ("horizon = nan", "horizon"),
         ("events = -5", "events"),
+        ("horizon = burn", "horizon = burn needs p > 0"),  # burn-in time 1 / (8 k p n)
     ],
 )
 def test_ct_horizon_and_events_are_checked(tmp_path, run, match):
-    text = TINY_CFG.replace("family = star-tree\nk = 3", CT_INSTANCE).replace(
-        "algorithm = ump\nsteps = 400", f"algorithm = ct\n{run}"
-    )
+    # p = 0 is a valid blowup, but one with no burn-in window.
+    text = CT_CFG.replace("p = 0.2", "p = 0.0").replace("events = 500", run)
     with pytest.raises(ConfigError, match=match):
-        _cfg(tmp_path, text)
+        hz.build_instance(_cfg(tmp_path, text))
 
 
 def test_large_seed_is_kept_exactly(tmp_path):
@@ -486,11 +495,11 @@ def test_pool_under_spawn_matches_serial(tmp_path):
     import sys
 
     texts = []
-    for text in (TINY_CFG, GREEDY_CFG):
+    for text in (TINY_CFG, GREEDY_CFG, CT_CFG):
         serial = hz.loads_config(text.format(out=tmp_path / "serial"))
         hz.run_experiment(serial, workers=1)
         texts.append(text.format(out=tmp_path / "spawn"))
-    assert "algorithm = greedy" in texts[1]
+    assert "algorithm = greedy" in texts[1] and "algorithm = ct" in texts[2]
     env = {k: v for k, v in os.environ.items() if k != "ANNEALBENCH_WORKERS"}
     src = str(Path(hz.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -502,7 +511,8 @@ def test_pool_under_spawn_matches_serial(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    for name in ("run.csv", "stats.csv", "greedy/run.csv", "greedy/stats.csv"):
+    for name in ("run.csv", "stats.csv", "greedy/run.csv", "greedy/stats.csv", "ct/run.csv",
+                 "ct/stats.csv"):
         assert (tmp_path / "spawn" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
@@ -556,3 +566,67 @@ def test_manifest_records_the_engine(tmp_path, instance, run, engine):
     )
     header = (Path(cfg.out_dir) / "run.csv").read_text().splitlines()[0]
     assert header == ",".join(hz.RUN_CSV_COLUMNS)
+
+
+# -- trials build nothing ---------------------------------------------------------
+
+
+def test_a_seq_schedule_is_read_once_per_run(tmp_path, monkeypatch):
+    seq = tmp_path / "lam.txt"
+    seq.write_text("1.5\n3\n8\n" * 40)
+    text = TINY_CFG.replace("specs = fixed:2, greedy", f"specs = seq:{seq}, fixed:2")
+    kept = _cfg(tmp_path, text)
+    kept.out_dir = str(tmp_path / "kept")
+    hz.run_experiment(kept, workers=1)
+    build = hz.build_instance
+
+    def build_then_delete(cfg):
+        bundle = build(cfg)
+        seq.unlink(missing_ok=True)
+        return bundle
+
+    monkeypatch.setattr(hz, "build_instance", build_then_delete)
+    for workers in (1, 2):
+        seq.write_text("1.5\n3\n8\n" * 40)
+        cfg = _cfg(tmp_path, text)
+        cfg.out_dir = str(tmp_path / f"w{workers}")
+        hz.run_experiment(cfg, workers=workers)
+        assert not seq.exists()
+        for name in ("run.csv", "stats.csv"):
+            assert (tmp_path / f"w{workers}" / name).read_bytes() == (
+                tmp_path / "kept" / name
+            ).read_bytes()
+
+
+def test_a_ct_run_builds_its_rate_table_once(tmp_path, monkeypatch):
+    made = []
+    blowup_implicit = dy.WeightedCTConfig.blowup_implicit
+
+    def counted(*args, **kwargs):
+        made.append(blowup_implicit(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(dy.WeightedCTConfig, "blowup_implicit", staticmethod(counted))
+    text = CT_CFG.replace("trials = 3", "trials = 2")
+    cfg = _cfg(tmp_path, text)
+    assert cfg.total_trials == 4  # 2 schedules x 2 trials
+    manifest = hz.run_experiment(cfg, workers=1)
+    assert len(manifest.rows) == 4
+    assert len(made) == 1 and "classes" in vars(made[0])
+
+
+def test_no_trial_function_builds_a_schedule_recorder_or_rate_table():
+    """Trial functions only index the bundle: ``bundle_for`` builds what they read."""
+    import ast
+
+    banned = {"parse_schedule", "RecorderConfig", "WeightedCTConfig", "blowup_implicit",
+              "_recorder_for"}
+    trials = {row[0].__name__ for row in hz._ALGORITHMS.values()}
+    tree = ast.parse(Path(hz.__file__).read_text())
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in trials]
+    assert {d.name for d in defs} == trials
+    for fn in defs:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in banned, f"{fn.name} calls {name}"

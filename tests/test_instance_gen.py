@@ -145,7 +145,7 @@ def _labeled_path(n):
 
 def test_bipartite_blowup_single_edge():
     base = _labeled_path(2)
-    g, meta = ig.gen_bipartite_blowup(base, cloud_size=2, copies=1)
+    g = ig.gen_bipartite_blowup(base, cloud_size=2, copies=1)
     assert g.n == 4
     assert g.num_edges == 4  # K_{2,2}
     assert gc.alpha_bipartite(g).alpha == 2  # alpha(edge)=1 times K*M
@@ -153,9 +153,9 @@ def test_bipartite_blowup_single_edge():
 
 def test_bipartite_blowup_path3():
     base = _labeled_path(3)
-    g, meta = ig.gen_bipartite_blowup(base, cloud_size=3, copies=2)
+    g = ig.gen_bipartite_blowup(base, cloud_size=3, copies=2)
     assert g.n == 18
-    assert meta.num_clouds == 6
+    assert sorted(set(g.group.tolist())) == list(range(6))
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == 2 * 3 * 2  # alpha(P3)=2 by brute force below
     assert gc.alpha_bruteforce(base).alpha == 2
@@ -163,9 +163,9 @@ def test_bipartite_blowup_path3():
 
 def test_bipartite_blowup_cloud_structure():
     base = _labeled_path(3)
-    g, meta = ig.gen_bipartite_blowup(base, cloud_size=4, copies=3)
-    assert meta.num_clouds == base.n * 3
-    for c in range(meta.num_clouds):
+    g = ig.gen_bipartite_blowup(base, cloud_size=4, copies=3)
+    assert sorted(set(g.group.tolist())) == list(range(base.n * 3))
+    for c in range(base.n * 3):
         members = list(range(c * 4, (c + 1) * 4))
         assert gc.is_independent(g, members)
         assert all(g.group[v] == c for v in members)
@@ -315,7 +315,7 @@ def test_formula_alpha_hard_tree(k, copies):
 def test_formula_alpha_bipartite_blowup(seed, base_n, K, M):
     base = ig.gen_base_bipartite(base_n, 1, 0.4, seed=seed)
     alpha_base = gc.alpha_bipartite(base).alpha
-    g, _ = ig.gen_bipartite_blowup(base, K, M)
+    g = ig.gen_bipartite_blowup(base, K, M)
     expect = _table_alpha(
         "bipartite-blowup", base_n=base_n, base_k=1, base_p=0.4, cloud_size=K, copies=M, seed=seed
     )
