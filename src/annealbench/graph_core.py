@@ -12,7 +12,6 @@ re-checked with :func:`is_independent`.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -270,36 +269,35 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
     side = g.side
     if np.any(side == SIDE_NONE):
         raise NotBipartite("unlabeled vertices present")
-    u, w = g.edge_array().T
-    bad = np.flatnonzero(side[u] == side[w])
+    # Each edge from both ends, in CSR order: the first bad entry is the
+    # first same-side edge (u, w), u < w, in edge_array's order.
+    bad = np.flatnonzero(np.repeat(side, np.diff(g.adj_offsets)) == side[g.adj_targets])
     if bad.size:
-        raise NotBipartite(f"same-side edge ({u[bad[0]]},{w[bad[0]]})")
+        u = np.searchsorted(g.adj_offsets, bad[0], side="right") - 1
+        raise NotBipartite(f"same-side edge ({u},{g.adj_targets[bad[0]]})")
 
     adj = g.neighbor_lists
-    is_left = [s == SIDE_L for s in side.tolist()]
-    left = [v for v in range(g.n) if is_left[v]]
+    is_left = side == SIDE_L
+    left = np.flatnonzero(is_left).tolist()
     match = _hopcroft_karp(adj, left)
-    matching_size = sum(1 for v in left if match[v] != -1)
 
-    # Alternating BFS from unmatched left vertices.
+    # Alternating BFS, layer by layer, from the unmatched left vertices: a
+    # right vertex is reached over any edge, a left one over its matched edge.
+    # Every reached right vertex is matched, since the matching is maximum.
+    layer = [v for v in left if match[v] == -1]
+    matching_size = len(left) - len(layer)
     reached = bytearray(g.n)
-    queue = deque(v for v in left if match[v] == -1)
-    for v in queue:
-        reached[v] = 1
-    while queue:
-        u = queue.popleft()
-        if is_left[u]:
+    while layer:
+        nxt = []
+        for u in layer:
+            reached[u] = 1
             for w in adj[u]:
-                if not reached[w] and match[u] != w:
+                if not reached[w]:
                     reached[w] = 1
-                    queue.append(w)
-        else:
-            w = match[u]
-            if w != -1 and not reached[w]:
-                reached[w] = 1
-                queue.append(w)
+                    nxt.append(match[w])
+        layer = nxt
 
-    witness = frozenset(v for v in range(g.n) if is_left[v] == bool(reached[v]))
+    witness = frozenset(np.flatnonzero(is_left == np.frombuffer(reached, bool)).tolist())
     alpha = g.n - matching_size
     cert = AlphaCertificate(alpha, witness, METHOD_BIPARTITE_MATCHING)
     if len(witness) != alpha:
@@ -308,73 +306,64 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
 
 
 def _hopcroft_karp(adj: list[list[int]], left: list[int]) -> list[int]:
-    """Maximum matching; returns mate array over all vertices (-1 unmatched)."""
-    INF = float("inf")
-    match = [-1] * len(adj)
-    dist: dict[int, float] = {}
-    goal = INF
+    """Maximum matching; returns mate array over all vertices (-1 unmatched).
 
-    def bfs() -> bool:
-        nonlocal goal
-        queue = deque()
-        for u in left:
-            if match[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        goal = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= goal:
-                continue
-            for w in adj[u]:
-                mate = match[w]
-                if mate == -1:
-                    goal = min(goal, dist[u] + 1)
-                elif dist[mate] == INF:
-                    dist[mate] = dist[u] + 1
-                    queue.append(mate)
-        return goal != INF
-
-    def augment(root: int) -> bool:
-        """Depth-first search for an augmenting path from ``root`` along
-        the BFS layers, with an explicit stack: a frame is a vertex, its
-        neighbours and the index of the next one to try.  A dead end drops
-        out of the layers (dist = INF), as in the recursive form."""
-        stack = [[root, adj[root], 0]]
-        path: list[int] = []  # path[i]: the right vertex taken from stack[i]
-        while stack:
-            frame = stack[-1]
-            u, nbrs, i = frame
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
-                mate = match[w]
-                if mate == -1:
-                    if goal == dist[u] + 1:
-                        path.append(w)
-                        for (x, _, _), y in zip(stack, path):
-                            match[x] = y
-                            match[y] = x
-                        return True
-                elif dist[mate] == dist[u] + 1:
-                    frame[2] = i
-                    path.append(w)
-                    stack.append([mate, adj[mate], 0])
-                    break
-            else:
-                dist[u] = INF
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    while bfs():
-        for u in left:
-            if match[u] == -1:
-                augment(u)
-    return match
+    A greedy pass first gives each left vertex, in order, its first free
+    neighbour (Duff, Kaya & Ucar, ACM TOMS 38 (2011) 13); Hopcroft-Karp
+    phases then augment it along shortest alternating paths.
+    """
+    n = len(adj)
+    INF = n + 1
+    match = [-1] * n
+    for u in left:
+        for w in adj[u]:
+            if match[w] == -1:
+                match[u], match[w] = w, u
+                break
+    while True:
+        # BFS layer by layer from the free left vertices; ``goal`` is the
+        # layer one past the first left vertex with a free neighbour.
+        dist = [INF] * n
+        roots = layer = [u for u in left if match[u] == -1]
+        for u in roots:
+            dist[u] = 0
+        goal = 0
+        while layer and not goal:
+            nxt = []
+            for u in layer:
+                d = dist[u] + 1
+                for w in adj[u]:
+                    mate = match[w]
+                    if mate == -1:
+                        goal = d
+                    elif dist[mate] == INF:
+                        dist[mate] = d
+                        nxt.append(mate)
+            layer = nxt
+        if not goal:
+            return match
+        # Depth-first along the layers with an explicit stack of
+        # (vertex, neighbour iterator) frames; a dead end leaves the layers.
+        for root in roots:
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, nbrs = stack[-1]
+                d = dist[u] + 1
+                for w in nbrs:
+                    mate = match[w]
+                    if mate == -1:
+                        if d == goal:  # augment: each frame, top first, takes w and
+                            # hands its old mate down to the frame below
+                            for v, _ in reversed(stack):
+                                match[v], match[w], w = w, v, match[v]
+                            stack = []
+                            break
+                    elif dist[mate] == d:
+                        stack.append((mate, iter(adj[mate])))
+                        break
+                else:
+                    dist[u] = INF
+                    stack.pop()
 
 
 def alpha_tree(g: Graph) -> AlphaCertificate:

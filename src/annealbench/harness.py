@@ -175,7 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source="config")
         sec = {name: dict(parser[name]) for name in parser.sections()}
@@ -432,7 +432,7 @@ def run_experiment(
     ids = list(range(cfg.total_trials))
     if nworkers > 1 and len(ids) > 1:
         with mp.Pool(min(nworkers, len(ids)), _init_worker, (cfg, bundle)) as pool:
-            rows = pool.map(_pool_trial, ids, chunksize=1)
+            rows = pool.map(_pool_trial, ids, chunksize=-(-len(ids) // (8 * nworkers)))
     else:
         rows = [run_one_trial(cfg, bundle, i) for i in ids]
 
@@ -612,8 +612,9 @@ def verdict(cfg: ExperimentConfig, rows: list[dict]) -> VerdictReport:
 
 def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) -> str:
     """The ``annealbench report`` summary of trial rows: the mean, std and quartiles
-    of max_size, the mean ratio to ``alpha`` (by default the rows' alpha column),
-    and for each threshold x the share of trials with max_size > x."""
+    of max_size, the mean ratio to ``alpha`` (by default the rows' alpha column,
+    which every row must agree on), and for each threshold x the share of trials
+    with max_size > x."""
     mean = statistic("max_size mean", "mean_max_le", rows, [])
     sizes, (lo, hi) = np.array(mean.values), mean.interval
     ordered = np.sort(sizes)
@@ -624,8 +625,13 @@ def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) ->
         *(f"quantile {q:g} = {ordered[max(0, math.ceil(q * len(sizes)) - 1)]:g}"
           for q in (0.0, 0.25, 0.5, 0.75, 1.0)),
     ]
-    if alpha is None and rows[0].get("alpha"):
-        alpha = _cell(rows[0], "alpha", int)
+    if alpha is None and any(r.get("alpha") for r in rows):
+        alphas = [_cell(r, "alpha", int) for r in rows]
+        for r, a in zip(rows, alphas):
+            if a != alphas[0]:
+                raise ConfigError(f"trial_id {r.get('trial_id')}: alpha {a} differs from "
+                                  f"trial_id {rows[0].get('trial_id')}'s alpha {alphas[0]}")
+        alpha = alphas[0]
     if alpha is not None and alpha > 0:
         lines.append(f"ratio mean = {(sizes / alpha).mean():.6f}")
     for x in thresholds:  # max_size > x fails the check frac_max_le x

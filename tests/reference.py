@@ -12,6 +12,8 @@
   alike; the fast path skips blocked positions a block at a time.
 * The projection of an independent set of an explicit clique blowup onto
   its base graph, which criterion 2 compares with the implicit blowup.
+* Kuhn's augmenting-path matcher, the reference of the size of
+  ``graph_core._hopcroft_karp``'s maximum matching.
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ def build_graph_reference(n: int, edges) -> Graph:
         lo, hi = offsets[v], offsets[v + 1]
         targets[lo:hi] = np.sort(targets[lo:hi])
     return Graph(n, offsets, targets)
+
+
+def kuhn_matching_size(adj: list[list[int]], left: list[int]) -> int:
+    """Size of a maximum matching: one augmenting-path search per left
+    vertex from an empty matching, recursive, with no greedy start."""
+    mate: dict[int, int] = {}  # right vertex -> its left mate
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                if w not in mate or augment(mate[w], seen):
+                    mate[w] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in left)
 
 
 def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int], TrialRecord]:

@@ -307,12 +307,30 @@ def test_a_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, o
 def test_report_rejects_a_cell_that_is_not_a_number(tmp_path, capsys, col, value, what):
     row = {"trial_id": "3", "seed": "1", "steps": "5", "max_size": "4", "alpha": "4"}
     run_csv = tmp_path / "run.csv"
-    # report reads alpha from the first row
+    # the bad cell is in the first row
     hz.write_csv(run_csv, hz.RUN_CSV_COLUMNS, [{**row, "trial_id": "7", col: value}, row])
     code = main(["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")])
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: trial_id 7: {col} {value!r} is not {what}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [("x", "alpha 'x' is not an integer"), ("", "alpha '' is not an integer"),
+     ("5", "alpha 5 differs from trial_id 3's alpha 4")],
+    ids=["not-a-number", "empty", "differs"],
+)
+def test_report_checks_the_alpha_of_every_row(tmp_path, capsys, second, message):
+    row = {"trial_id": "3", "seed": "1", "steps": "5", "max_size": "4", "alpha": "4"}
+    run_csv = tmp_path / "run.csv"
+    hz.write_csv(run_csv, hz.RUN_CSV_COLUMNS, [row, {**row, "trial_id": "7", "alpha": second}])
+    code = main(["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: trial_id 7: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.txt").exists()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench.errors import CapExceeded, InvalidEdge, NotAForest, NotBipartite
-from reference import IndependentSetState, build_graph_reference
+from reference import IndependentSetState, build_graph_reference, kuhn_matching_size
 
 
 def path_graph(n):
@@ -238,6 +238,52 @@ def test_alpha_bipartite_long_augmenting_path(monkeypatch):
     assert cert.alpha == m
     assert cert.verify(g)
     assert sys.getrecursionlimit() == limit
+
+
+def _check_maximum_matching(n, left, right, edges):
+    labels = {v: gc.SIDE_L for v in left} | {v: gc.SIDE_R for v in right}
+    g = gc.build_graph(n, edges, labels=labels, kind="base-bipartite")
+    match = gc._hopcroft_karp(g.neighbor_lists, left)
+    matched = [u for u in left if match[u] != -1]
+    assert len(matched) == kuhn_matching_size(g.neighbor_lists, left)
+    for u in matched:
+        assert match[match[u]] == u and match[u] in g.neighbor_lists[u]
+    assert sum(m != -1 for m in match) == 2 * len(matched)
+    cert = gc.alpha_bipartite(g)
+    assert cert.alpha == n - len(matched) and cert.verify(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**36 - 1),
+    st.integers(0, 14),
+    st.integers(0, 14),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]),
+)
+def test_hopcroft_karp_matches_the_kuhn_reference(seed, nl, nr, density):
+    """Unbalanced or empty sides, isolated vertices, complete graphs; the
+    sides interleave in vertex order, so the greedy start varies."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(nl + nr)
+    left, right = sorted(order[:nl].tolist()), sorted(order[nl:].tolist())
+    edges = [(u, w) for u in left for w in right if rng.random() < density]
+    _check_maximum_matching(nl + nr, left, right, edges)
+
+
+def test_hopcroft_karp_repairs_a_greedy_start_that_is_not_maximum():
+    # The path 3 - 0 - 2 - 1: the greedy start gives 0 its first neighbour,
+    # 2, which leaves 1 with no free neighbour; one phase augments 1-2-0-3.
+    _check_maximum_matching(4, [0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
+
+
+def test_alpha_bipartite_of_the_bundled_greedy_instance_is_pinned():
+    """balanced-bipartite n=5000 d=16 at the seed of bipartite_greedy.cfg."""
+    from annealbench import instance_gen as ig
+
+    g = ig.family("balanced-bipartite").make({"n": "5000", "d": "16"}, 20260814).graph
+    cert = gc.alpha_bipartite(g)
+    assert cert.alpha == 5006
+    assert cert.verify(g)
 
 
 def test_alpha_bipartite_requires_labels():

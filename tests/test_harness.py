@@ -85,6 +85,10 @@ def test_config_requires_sections():
         hz.loads_config("[experiment]\nname = x\n")
 
 
+def test_a_percent_sign_in_a_config_value_is_read_literally(tmp_path):
+    assert _cfg(tmp_path, TINY_CFG.replace("name = tiny", "name = 50%")).name == "50%"
+
+
 def test_config_validates_algorithm(tmp_path):
     bad = TINY_CFG.replace("algorithm = ump", "algorithm = quantum")
     with pytest.raises(ConfigError):
@@ -480,11 +484,12 @@ for text in sys.argv[1:]:
 """
 
 # Greedy on 600 vertices: each worker builds the graph's neighbor_arrays
-# itself, and the scan crosses its 256-position block edges.
+# itself, and the scan crosses its 256-position block edges. Its 40 trials go
+# to a pool of 2 in tasks of 3.
 GREEDY_CFG = (
     _drop(TINY_CFG, CHAIN_ONLY)
     .replace("family = star-tree\nk = 3", "family = balanced-bipartite\nn = 300\nd = 4")
-    .replace("algorithm = ump\ntrials = 3", "algorithm = greedy\ntrials = 4")
+    .replace("algorithm = ump\ntrials = 3", "algorithm = greedy\ntrials = 40")
     .replace("{out}", "{out}/greedy")
 )
 
@@ -500,6 +505,7 @@ def test_pool_under_spawn_matches_serial(tmp_path):
         hz.run_experiment(serial, workers=1)
         texts.append(text.format(out=tmp_path / "spawn"))
     assert "algorithm = greedy" in texts[1] and "algorithm = ct" in texts[2]
+    hz.run_experiment(hz.loads_config(GREEDY_CFG.format(out=tmp_path / "pooled")), workers=2)
     env = {k: v for k, v in os.environ.items() if k != "ANNEALBENCH_WORKERS"}
     src = str(Path(hz.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -514,6 +520,10 @@ def test_pool_under_spawn_matches_serial(tmp_path):
     for name in ("run.csv", "stats.csv", "greedy/run.csv", "greedy/stats.csv", "ct/run.csv",
                  "ct/stats.csv"):
         assert (tmp_path / "spawn" / name).read_bytes() == (
+            tmp_path / "serial" / name
+        ).read_bytes()
+    for name in ("greedy/run.csv", "greedy/stats.csv"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (
             tmp_path / "serial" / name
         ).read_bytes()
 
