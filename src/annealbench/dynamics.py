@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from math import log, log1p
-from operator import mul
 
 import numpy as np
 
@@ -123,7 +122,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class RateClasses:
-    """Vertices grouped by equal (rate, multiplier), classes in sorted order.
+    """Vertices grouped by equal (rate, multiplier): one class, or two in
+    sorted order, which jump mode and :meth:`propose` spell out.
 
     ``of[v]`` is the class of ``v``; ``members`` lists the vertices class by
     class, ``counts[c]`` of them in class ``c``.
@@ -136,8 +136,9 @@ class RateClasses:
     counts: list[int]
 
     @staticmethod
+    @lru_cache(maxsize=8)
     def uniform(n: int) -> "RateClasses":
-        """The discrete chain's one class: every vertex at rate 1, multiplier 1."""
+        """The discrete chain's one class, shared read-only: rate 1, multiplier 1."""
         return RateClasses([0] * n, [1.0], [1.0], np.arange(n), [n])
 
     @cached_property
@@ -149,12 +150,12 @@ class RateClasses:
         return self.rates + [r * thr / m for r, m in zip(self.rates, self.multipliers)]
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        rates, counts = np.asarray(self.rates), np.asarray(self.counts)
-        weights = rates * counts
+    def _bounds(self) -> tuple[float, float, float]:
+        """Two classes: where their shares of the total rate end, and where the
+        second starts, as ``bounds - weights`` gives it."""
+        weights = np.asarray(self.rates) * self.counts
         bounds = np.cumsum(weights)
-        offsets = np.cumsum(counts) - counts
-        return bounds, bounds - weights, rates, counts, np.asarray(self.multipliers), offsets
+        return float(bounds[0]), float(bounds[1]), float(bounds[1] - weights[1])
 
     def propose(self, u: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
         """The proposals that the reals ``u`` make in step mode: a vertex
@@ -162,20 +163,23 @@ class RateClasses:
         uniform on [0, multiplier of the vertex), so that the vertex leaves
         when the coin is below ``1/lambda``.  One class: vertex
         ``members[floor(u*n)]``, coin the fractional part of ``u*n`` times
-        the multiplier.  Returns the vertices as an array and a list, and
-        the coins as a list."""
+        the multiplier.  Two: ``x = u*R`` falls in one class's share of the
+        total rate ``R``, and ``x`` less the start of that share gives the
+        member and coin the same way.  Returns the vertices as an array and
+        a list, and the coins as a list."""
         if len(self.counts) == 1:
             y = u * self.counts[0]
             i = y.astype(np.intp)
             coins = (y - i) * self.multipliers[0]
         else:
-            bounds, lows, rates, counts, mults, offsets = self._tables
-            x = u * bounds[-1]
-            c = np.minimum(np.searchsorted(bounds, x, side="right"), len(bounds) - 1)
-            y = (x - lows[c]) / rates[c]
-            i = np.minimum(y.astype(np.intp), counts[c] - 1)
-            coins = (y - i) * mults[c]
-            i += offsets[c]
+            (b0, b1, low1), (r0, r1), (m0, m1) = self._bounds, self.rates, self.multipliers
+            n0, n1 = self.counts
+            x = u * b1
+            second = x >= b0
+            y = (x - np.where(second, low1, 0.0)) / np.where(second, r1, r0)
+            i = np.minimum(y.astype(np.intp), np.where(second, n1 - 1, n0 - 1))
+            coins = (y - i) * np.where(second, m1, m0)
+            i += second * n0
         v = self.members[i]
         return v, v.tolist(), coins.tolist()
 
@@ -202,9 +206,11 @@ class RateClasses:
 # mark or step budget), a change lands on the cut, the block runs short of
 # two reals, p exceeds 1/4 or the run stops early.  The bytes are those of
 # one change per outer trip: each change reads the same two reals, the list
-# weight is summed from the integer list lengths in one order (a float total
-# kept by +-w would drift and move skip counts), and the pick keeps its
-# rounding fallback.
+# weight is summed from the integer list lengths left to right with `+` (a
+# float total kept by +-w would drift, and Python 3.12's `sum` compensates:
+# either would move skip counts), the pick (`_pick_two` for the two classes
+# there can be at most) subtracts as a loop over the lists would and keeps
+# its rounding fallback, and the weights change only with lambda.
 
 
 def _run_chain(
@@ -222,6 +228,7 @@ def _run_chain(
     blocked = [0] * n
     cls = classes.of
     nclasses = len(classes.rates)
+    single = nclasses == 1
     total_rate = classes.total_rate
     side_list = g.side.tolist() if g.side is not None else None
     grp_list = g.group.tolist() if (rec.track_clouds and g.group is not None) else None
@@ -274,7 +281,7 @@ def _run_chain(
     events = 0  # state changes so far
     skipped = 0  # proposals passed over in jump mode
     free = held = lists = pos = None  # jump mode's index
-    thr = 0.0
+    lam = thr = None
     weights: list[float] = []  # jump mode: per-member weight of each list
     change_at = 0  # jump mode: the step of the pending state change
     stale = True  # jump mode: no change is pending; draw the next one
@@ -287,15 +294,17 @@ def _run_chain(
         j = k
         at = change_at
         draw = stale
-        single = nclasses == 1
         if single:
             (free0, held0), (wf, wh) = lists, weights
+        else:
+            (free0, free1, held0, held1), (w0, w1, w2, w3) = lists, weights
         while True:
             if single:
                 sf, sh = wf * len(free0), wh * len(held0)
-                weight = sf + sh  # the sum below, in the same order
+                weight = sf + sh
             else:
-                weight = sum(map(mul, weights, map(len, lists)))
+                s0, s1, s2, s3 = w0 * len(free0), w1 * len(free1), w2 * len(held0), w3 * len(held1)
+                weight = s0 + s1 + s2 + s3
             if draw:
                 p = weight / total_rate
                 if p > _LEAVE_JUMP:
@@ -309,23 +318,14 @@ def _run_chain(
                 break
             x = reals[j] * weight
             j += 1
-            if single:
-                if x < sf:
-                    members, i = free0, int(x / wf)
-                elif x - sf < sh:
-                    members, i = held0, int((x - sf) / wh)
-                else:
-                    members, i = held0 if sh else free0, -1
+            if not single:
+                members, i = _pick_two(x, s0, s1, s2, s3, lists, weights)
+            elif x < sf:
+                members, i = free0, int(x / wf)
+            elif x - sf < sh:
+                members, i = held0, int((x - sf) / wh)
             else:
-                for w, members in zip(weights, lists):
-                    share = w * len(members)
-                    if x < share:
-                        i = int(x / w)
-                        break
-                    x -= share
-                else:  # rounding carried x past the last list: take its last member
-                    members = [m for w, m in zip(weights, lists) if w * len(m)][-1]
-                    i = -1
+                members, i = held0 if sh else free0, -1
             yield members[i] if i < len(members) else members[-1], -1.0, at
             t = at
             draw = True
@@ -341,10 +341,11 @@ def _run_chain(
         if t >= seg_end:
             digest.t, digest.size = t, size
             digest.max_size, digest.step_of_max = max_size, step_of_max
-            lam, hold = sched.segment(t, digest)
+            lam_t, hold = sched.segment(t, digest)
             seg_end = t + hold
-            thr = removal_threshold(lam)
-            weights = classes.weights(thr)
+            if lam_t != lam:
+                lam, thr = lam_t, removal_threshold(lam_t)
+                weights = classes.weights(thr)
             stale = True
         if k + 2 > end:
             block = np.concatenate((block[k:], gen.random(max(block_len, 2))))
@@ -499,6 +500,20 @@ def _run_chain(
     return record
 
 
+def _pick_two(x: float, s0, s1, s2, s3, lists: list, weights: list) -> tuple[list[int], int]:
+    """The list and index that ``x`` in [0, s0+s1+s2+s3) picks from two classes' four
+    lists with shares ``s``; past them all (rounding), the last list with a share, at -1."""
+    if x < s0:
+        return lists[0], int(x / weights[0])
+    if (x := x - s0) < s1:
+        return lists[1], int(x / weights[1])
+    if (x := x - s1) < s2:
+        return lists[2], int(x / weights[2])
+    if (x := x - s2) < s3:
+        return lists[3], int(x / weights[3])
+    return lists[3 if s3 else 2 if s2 else 1 if s1 else 0], -1
+
+
 def _jump_index(
     occ: bytearray, blocked: list[int], classes: RateClasses
 ) -> tuple[list[list[int]], list[int]]:
@@ -603,8 +618,9 @@ def run_ump(
 class WeightedCTConfig:
     """Per-vertex update rates and fugacity multipliers, plus a horizon.
 
-    Exactly one of ``horizon`` (continuous time, finite and > 0) or
-    ``events`` (jump count, >= 1) must be set.  With a horizon, the number
+    The (rate, multiplier) pairs form at most two :class:`RateClasses`, built
+    here once.  Exactly one of ``horizon`` (continuous time, finite and > 0)
+    or ``events`` (jump count, >= 1) must be set.  With a horizon, the number
     of events is Poisson with mean ``sum(rates) * horizon``; vertices ring
     proportionally to their rate and vertex ``v`` uses effective fugacity
     ``multipliers[v] * lambda_t``, with the schedule indexed by the number
@@ -631,6 +647,8 @@ class WeightedCTConfig:
             raise ValueError(f"horizon must be finite and > 0, not {self.horizon}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "multipliers", mults)
+        if len(self.classes.counts) > 2:
+            raise InvalidRate("rates and multipliers form more than two (rate, multiplier) classes")
 
     @property
     def total_rate(self) -> float:

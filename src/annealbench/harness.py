@@ -18,11 +18,11 @@ instance, fans trials out over a worker pool, and writes:
 
 Every ``InstanceBundle`` comes from ``bundle_for``, for a family member
 (``build_instance``) and a graph file (``annealbench run``) alike, so both get
-the same checks.  It holds all that a trial reads, built once per run: the
-recorder, the parsed schedules and an implicit blowup's ct config with its rate
-classes; a trial only indexes it and calls an engine.  ``verdict`` and
-``report_text`` (``annealbench report``) take every figure from ``statistic``: a
-fraction with its Wilson interval or a mean with its normal one.
+the same checks.  With the config's ``parsed_schedules`` it holds all that a
+trial reads, built once per run: the recorder, the schedules and a blowup's ct
+config with its rate classes; a trial only indexes them and calls an engine.
+``verdict`` and ``report_text`` (``annealbench report``) take every figure from
+``statistic``: a fraction with its Wilson interval or a mean with its normal one.
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
@@ -41,6 +41,7 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +143,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
             raise ConfigError("horizon must be a finite number > 0, or burn")
-        _parse_schedules(self.schedules)
+        self.parsed_schedules  # parses, and so checks, every spec
+
+    @cached_property
+    def parsed_schedules(self) -> tuple[FugacitySchedule, ...]:
+        """The [schedules] specs, parsed once: a ``seq:`` file is read here only."""
+        try:
+            return tuple(parse_schedule(spec) for spec in self.schedules)
+        except InvalidFugacity as exc:
+            raise ConfigError(f"[schedules] {exc}") from exc
 
     def validate(self) -> None:
         self.validate_run()
@@ -157,13 +166,6 @@ class ExperimentConfig:
     def total_trials(self) -> int:
         """One block of ``trials`` per schedule; an algorithm without schedules runs one."""
         return self.trials * max(1, len(self.schedules))
-
-
-def _parse_schedules(specs: list[str]) -> tuple[FugacitySchedule, ...]:
-    try:
-        return tuple(parse_schedule(spec) for spec in specs)
-    except InvalidFugacity as exc:
-        raise ConfigError(f"[schedules] {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -204,12 +206,13 @@ def loads_config(text: str) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the semantic fields only: formatting and comments drop out."""
+    """Hash of the semantic fields, a ``seq:`` file's values included: formatting drops out."""
     parts = [
         ("experiment.name", cfg.name),
         ("instance.family", cfg.family),
         *[(f"instance.{k}", str(v)) for k, v in sorted(cfg.instance.items())],
         *[(f"schedules.{i}", s) for i, s in enumerate(cfg.schedules)],
+        *[(f"seq.{i}", str(p.values)) for i, p in enumerate(cfg.parsed_schedules) if p.values],
         *[(f"run.{k}", str(getattr(cfg, k))) for k in _RUN_TYPES],
         *[(f"acceptance.{k}", v) for k, v in cfg.acceptance],
     ]
@@ -228,7 +231,6 @@ class InstanceBundle:
     alpha: int | None
     alpha_method: str | None = None  # a family table source, or "override"
     recorder: dy.RecorderConfig | None = None
-    schedules: tuple[FugacitySchedule, ...] = ()  # one per [schedules] spec
     ct: dy.WeightedCTConfig | None = None  # the ct run of an implicit blowup
     ct_template: dict | None = None  # {"ell": clique size}; only the benchmark reads it
     chain_params: tuple[int, float] | None = None  # (n, p) for chain runs
@@ -278,10 +280,8 @@ def bundle_for(
             raise ConfigError("horizon = burn needs p > 0: the burn-in time is 1 / (8 k p n)")
         horizon = oc.burn_in_time(inst.blowup) if burn else cfg.horizon and float(cfg.horizon)
         ct = dy.WeightedCTConfig.blowup_implicit(inst.graph, inst.blowup.ell, horizon, cfg.events)
-        ct.classes  # every trial reads them: build once, hand to every worker
         template = {"ell": inst.blowup.ell}
-    return InstanceBundle(inst.graph, alpha, method, recorder=recorder, ct=ct, ct_template=template,
-                          schedules=_parse_schedules(cfg.schedules))
+    return InstanceBundle(inst.graph, alpha, method, recorder=recorder, ct=ct, ct_template=template)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def run_one_trial(
 def _chain_trial(cfg, bundle, trial_id: int, seed: int) -> dict:
     """A Metropolis run (``ump``) or its continuous-time form (``ct``)."""
     block = trial_id // cfg.trials
-    sched, recorder = bundle.schedules[block], bundle.recorder
+    sched, recorder = cfg.parsed_schedules[block], bundle.recorder
     if bundle.ct is not None:
         rec = dy.run_ct_ump(bundle.graph, bundle.ct, sched, seed, recorder=recorder)
     else:

@@ -14,6 +14,10 @@
   its base graph, which criterion 2 compares with the implicit blowup.
 * Kuhn's augmenting-path matcher, the reference of the size of
   ``graph_core._hopcroft_karp``'s maximum matching.
+* The engine's any-number-of-classes code, which the two-class code of
+  ``dynamics`` is held to value for value: the step-mode proposals
+  (``propose_reference``, a ``searchsorted`` over the classes' shares) and
+  the jump-mode pick (``pick_reference``, a loop over the lists).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from annealbench import rng as rngmod
-from annealbench.dynamics import TrialRecord, removal_threshold
+from annealbench.dynamics import RateClasses, TrialRecord, removal_threshold
 from annealbench.errors import NotIndependent
 from annealbench.graph_core import Graph, is_independent
 from annealbench.instance_gen import BlowupParams
@@ -201,3 +205,33 @@ def phi_project(
             raise NotIndependent(f"two occupied members in clique {u}")
         out.add(u)
     return frozenset(out)
+
+
+def propose_reference(classes: RateClasses, u: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Step mode's proposals for any number of classes: ``x = u*R`` is looked
+    up among the ends of the classes' shares of the total rate, then the
+    member and the coin come from ``x`` less the start of its share."""
+    rates, counts = np.asarray(classes.rates), np.asarray(classes.counts)
+    weights = rates * counts
+    bounds = np.cumsum(weights)
+    lows, offsets = bounds - weights, np.cumsum(counts) - counts
+    x = u * bounds[-1]
+    c = np.minimum(np.searchsorted(bounds, x, side="right"), len(bounds) - 1)
+    y = (x - lows[c]) / rates[c]
+    i = np.minimum(y.astype(np.intp), counts[c] - 1)
+    coins = (y - i) * np.asarray(classes.multipliers)[c]
+    return classes.members[i + offsets[c]], coins.tolist()
+
+
+def pick_reference(x: float, lists: list[list[int]], weights: list[float]) -> tuple[list[int], int]:
+    """Jump mode's pick for any number of lists: the list whose share of the
+    weight holds what is left of ``x``, and the index the rest falls on; if
+    rounding carries ``x`` past every share, index -1 of the last list with
+    a share."""
+    for w, members in zip(weights, lists):
+        share = w * len(members)
+        if x < share:
+            return members, int(x / w)
+        x -= share
+    return [m for w, m in zip(weights, lists) if w * len(m)][-1], -1
+

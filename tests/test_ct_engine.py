@@ -7,7 +7,8 @@ touched vertices keeps step mode for the whole run.  Every test here runs
 both chains: ``ct``, the weighted chain, and ``ump``, the discrete chain on
 the same graph with unit weights.  They hold the engine to the exact law of
 the chain (``exact_laws.weighted_law``), to step mode's hitting steps, and
-to the recorder's contract.
+to the recorder's contract, and the engine's one- and two-class code to
+the any-number-of-classes references in ``reference.py``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
+from annealbench.errors import InvalidRate
 from annealbench.schedules import FugacitySchedule, parse_schedule
 from exact_laws import spider_mid_law_fixed, weighted_law
+from reference import pick_reference, propose_reference
 
 STEP = dy.RecorderConfig(track_touched=True)
 CHAINS = ("ct", "ump")
@@ -317,3 +322,81 @@ def test_kept_states_are_independent_and_sides_add_up(spec):
         sides = base.side[sorted(out.final_state)]
         assert out.final_left == int(np.sum(sides == gc.SIDE_L))
         assert out.final_right == int(np.sum(sides == gc.SIDE_R))
+
+
+# -- at most two rate classes, held to the any-class references ---------------------
+
+RATES = st.floats(0.05, 20.0)
+# x in [0, total): a fraction of the total, a share boundary, the float just
+# below the total, or the total itself (past every share: the rounding fallback)
+X_SPECS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda f: ("frac", f)),
+    st.sampled_from([("edge", 1), ("edge", 2), ("edge", 3), ("below", 0), ("total", 0)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lens=st.tuples(*[st.integers(0, 5)] * 4),
+    weights=st.tuples(RATES, RATES, st.just(0.0) | RATES, st.just(0.0) | RATES),
+    x_spec=X_SPECS,
+)
+# rounding carries the float just below the total past every share
+@example((4, 2, 4, 4), (1.9002506185491295, 8.946358212171585, 0.21084188322119127,
+                        1.0658504146223948), ("below", 0))
+# the index rounds up to the length of its list
+@example((1, 2, 3, 1), (1.1, 0.1, 0.15714285714285717, 0.06666666666666667), ("edge", 3))
+def test_two_class_pick_matches_the_any_class_loop(lens, weights, x_spec):
+    lists = [[10 * k + j for j in range(n)] for k, n in enumerate(lens)]
+    shares = [w * n for w, n in zip(weights, lens)]
+    total = shares[0] + shares[1] + shares[2] + shares[3]
+    if not total:  # the engine draws no change then
+        return
+    kind, arg = x_spec
+    if kind == "frac":
+        x = arg * total
+    elif kind == "edge":
+        x = sum(shares[:arg])
+    else:
+        x = math.nextafter(total, 0) if kind == "below" else total
+    members, i = dy._pick_two(x, *shares, lists, list(weights))
+    ref_members, ref_i = pick_reference(x, lists, list(weights))
+    assert members is ref_members and i == ref_i
+
+
+def two_classes(side: list[bool], rates, mults) -> dy.RateClasses:
+    """The classes of a weighted chain whose vertex v has the rate and multiplier
+    of class side[v]."""
+    pick = np.asarray(side, dtype=int)
+    return dy.WeightedCTConfig(np.take(rates, pick), np.take(mults, pick), events=1).classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    side=st.lists(st.booleans(), min_size=2, max_size=24).filter(lambda s: 0 < sum(s) < len(s)),
+    rates=st.tuples(RATES, RATES),
+    mults=st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0)),
+    reals=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+def test_two_class_propose_matches_the_searchsorted_reference(side, rates, mults, reals):
+    classes = two_classes(side, rates, mults)
+    if len(classes.counts) == 1:  # equal (rate, multiplier): one class
+        return
+    b0, b1, _ = classes._bounds
+    # u on the boundary between the classes, either side of it, 0 and the last real below 1
+    edge = b0 / b1
+    u = np.array(reals + [0.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 1),
+                          math.nextafter(1.0, 0)])
+    v, v_list, coins = classes.propose(u)
+    ref_v, ref_coins = propose_reference(classes, u)
+    assert v.tolist() == v_list == ref_v.tolist()
+    assert coins == ref_coins
+
+
+@pytest.mark.parametrize(
+    "rates, mults",
+    [([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])],
+)
+def test_more_than_two_rate_classes_are_rejected(rates, mults):
+    with pytest.raises(InvalidRate, match="more than two"):
+        dy.WeightedCTConfig(np.array(rates), np.array(mults), events=10)

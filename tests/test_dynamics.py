@@ -164,6 +164,11 @@ def test_recorder_rejects_a_negative_mark(key):
 # -- basic behaviors ---------------------------------------------------------
 
 
+def test_uniform_classes_are_built_once_per_size():
+    assert dy.RateClasses.uniform(7) is dy.RateClasses.uniform(7)
+    assert dy.RateClasses.uniform(7).counts == [7]
+
+
 def test_empty_graph_saturates():
     g = gc.build_graph(5, [])
     # P(missing some vertex after 200 draws) <= 5 * (4/5)^200 ~ 8e-20

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import csv
 import io
 import math
@@ -606,6 +607,27 @@ def test_a_seq_schedule_is_read_once_per_run(tmp_path, monkeypatch):
             assert (tmp_path / f"w{workers}" / name).read_bytes() == (
                 tmp_path / "kept" / name
             ).read_bytes()
+
+
+def test_a_seq_file_is_opened_once_per_run_and_its_values_enter_the_hash(tmp_path, monkeypatch):
+    seq = tmp_path / "lam.txt"
+    seq.write_text("1.5\n3\n8\n")
+    text = TINY_CFG.replace("specs = fixed:2, greedy", f"specs = seq:{seq}, fixed:2")
+    reads = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == str(seq):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    manifest = hz.run_experiment(_cfg(tmp_path, text), workers=1)
+    assert len(reads) == 1  # loading, validating twice, building and hashing: one read
+    seq.write_text("1.5\n3\n9\n")
+    assert hz.config_hash(_cfg(tmp_path, text)) != manifest.config_hash
+    seq.write_text("1.5\n3\n8\n")
+    assert hz.config_hash(_cfg(tmp_path, text)) == manifest.config_hash
 
 
 def test_a_ct_run_builds_its_rate_table_once(tmp_path, monkeypatch):
