@@ -24,7 +24,11 @@ def _key_value(pair: str) -> tuple[str, str]:
 
 
 def _cmd_gen(args) -> int:
-    params = dict(args.param or [])
+    params: dict[str, str] = {}
+    for key, value in args.param or []:
+        if key in params:
+            raise ConfigError(f"--param {key} is given twice")
+        params[key] = value
     family = ig.family(args.family)
     inst = family.make(params, args.seed)
     for note in inst.notes:
@@ -100,6 +104,8 @@ def _judge(cfg: hz.ExperimentConfig, rows: list[dict], out: Path | None = None) 
 
 
 def _cmd_report(args) -> int:
+    if args.alpha is not None and args.alpha < 1:
+        raise ConfigError(f"--alpha must be >= 1, got {args.alpha}")
     rows = hz.read_csv(args.run)
     if args.stats:
         rows = hz.merge_run_and_stats(rows, hz.read_csv(args.stats))

@@ -6,9 +6,9 @@ leaves when the proposal's removal coin falls below ``1/lambda_t``.  On top
 of that rule sit:
 
 * :func:`run_ump`          discrete chain, uniform vertex proposals;
-* :func:`run_ct_ump`       continuous-time chain with per-vertex rates and
-                           per-vertex fugacity multipliers, simulated as its
-                           embedded jump chain;
+* :func:`run_ct_ump`       continuous-time chain with an update rate and a
+                           fugacity multiplier per side of a labelled graph,
+                           simulated as its embedded jump chain;
 * :func:`run_randomized_greedy` / :func:`run_degree_greedy` greedy baselines;
 * :func:`run_coupled_monotone`  two coupled chains whose order is checked
                            after every event;
@@ -311,7 +311,10 @@ def _run_chain(
                     leave = True
                     break
                 # the step of the next change, after Geometric(p) no-ops
-                at = t + 1 + int(log(1.0 - reals[j]) / log1p(-p)) if weight else math.inf
+                try:
+                    at = t + 1 + int(log(1.0 - reals[j]) / log1p(-p)) if weight else math.inf
+                except OverflowError:  # p below about 1e-306: a gap past every float and every cut
+                    at = math.inf
                 j += 1
             if at > cut:
                 stale = False
@@ -616,55 +619,29 @@ def run_ump(
 
 @dataclass(frozen=True)
 class WeightedCTConfig:
-    """Per-vertex update rates and fugacity multipliers, plus a horizon.
+    """The weighted chain on a labelled graph: its rate classes and a horizon.
 
-    The (rate, multiplier) pairs form at most two :class:`RateClasses`, built
-    here once.  Exactly one of ``horizon`` (continuous time, finite and > 0)
-    or ``events`` (jump count, >= 1) must be set.  With a horizon, the number
-    of events is Poisson with mean ``sum(rates) * horizon``; vertices ring
-    proportionally to their rate and vertex ``v`` uses effective fugacity
-    ``multipliers[v] * lambda_t``, with the schedule indexed by the number
-    of rings so far.
+    Built by :meth:`for_sides`, where each side of the graph has one update
+    rate and one fugacity multiplier, so ``classes`` has one class or two.
+    Exactly one of ``horizon`` (continuous time, finite and > 0) or
+    ``events`` (jump count, >= 1) must be set.  With a horizon, the number
+    of events is Poisson with mean ``classes.total_rate * horizon``;
+    vertices ring proportionally to their rate and a vertex uses effective
+    fugacity (its multiplier) * ``lambda_t``, with the schedule indexed by
+    the number of rings so far.
     """
 
-    rates: np.ndarray
-    multipliers: np.ndarray
+    classes: RateClasses
     horizon: float | None = None
     events: int | None = None
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
-        mults = np.asarray(self.multipliers, dtype=float)
-        if np.any(rates <= 0) or not np.all(np.isfinite(rates)):
-            raise InvalidRate("update rates must be positive and finite")
-        if np.any(mults < 1.0):
-            raise InvalidFugacity("fugacity multipliers must be >= 1")
         if (self.horizon is None) == (self.events is None):
             raise ValueError("set exactly one of horizon or events")
         if self.events is not None and self.events < 1:
             raise ValueError(f"events must be >= 1, not {self.events}")
         if self.horizon is not None and not (0.0 < self.horizon < math.inf):
             raise ValueError(f"horizon must be finite and > 0, not {self.horizon}")
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "multipliers", mults)
-        if len(self.classes.counts) > 2:
-            raise InvalidRate("rates and multipliers form more than two (rate, multiplier) classes")
-
-    @property
-    def total_rate(self) -> float:
-        return float(np.sum(self.rates))
-
-    @cached_property
-    def classes(self) -> RateClasses:
-        # complex numbers sort by real part, then imaginary part
-        keys, of = np.unique(self.rates + 1j * self.multipliers, return_inverse=True)
-        return RateClasses(
-            of.tolist(),
-            keys.real.tolist(),
-            keys.imag.tolist(),
-            np.argsort(of, kind="stable"),
-            np.bincount(of, minlength=len(keys)).tolist(),
-        )
 
     @staticmethod
     def for_sides(
@@ -676,11 +653,32 @@ class WeightedCTConfig:
         horizon: float | None = None,
         events: int | None = None,
     ) -> "WeightedCTConfig":
+        """Left vertices ring at ``rate_left`` with multiplier ``mult_left``,
+        all others at ``rate_right`` with ``mult_right``.  The classes are
+        sorted by (rate, multiplier); equal sides are one class, and a side
+        with no vertices has none."""
         if g.side is None:
             raise InvalidRate("side-based config needs a labeled graph")
-        rates = np.where(g.side == SIDE_L, rate_left, rate_right).astype(float)
-        mults = np.where(g.side == SIDE_L, mult_left, mult_right).astype(float)
-        return WeightedCTConfig(rates, mults, horizon=horizon, events=events)
+        if not all(0.0 < rate < math.inf for rate in (rate_left, rate_right)):
+            raise InvalidRate(f"update rates {rate_left}, {rate_right} must be positive and finite")
+        if not all(mult >= 1.0 for mult in (mult_left, mult_right)):  # False for NaN, unlike min()
+            raise InvalidFugacity(f"fugacity multipliers {mult_left}, {mult_right} must be >= 1")
+        left = g.side == SIDE_L
+        lkey, rkey = (float(rate_left), float(mult_left)), (float(rate_right), float(mult_right))
+        keys = sorted({key for key, on in ((lkey, left), (rkey, ~left)) if on.any()})
+        rank = {key: c for c, key in enumerate(keys)}  # a side with no vertices reads no rank
+        of = np.where(left, rank.get(lkey, 0), rank.get(rkey, 0))
+        classes = RateClasses(
+            of.tolist(),
+            [rate for rate, _ in keys],
+            [mult for _, mult in keys],
+            np.argsort(of, kind="stable"),
+            np.bincount(of, minlength=len(keys)).tolist(),
+        )
+        with np.errstate(over="ignore"):
+            if not math.isfinite(classes.total_rate):
+                raise InvalidRate(f"the total update rate of the {g.n} vertices overflows a float")
+        return WeightedCTConfig(classes, horizon=horizon, events=events)
 
     @staticmethod
     def blowup_implicit(
@@ -716,14 +714,14 @@ def run_ct_ump(
     is that of :func:`run_ump` (see :func:`engine`); jump mode skips the
     events that change nothing in law, and the record still counts them.
     """
-    if base.side is None:
-        raise InvalidRate("continuous-time chain expects a labeled base graph")
+    if len(cfg.classes.of) != base.n:
+        raise InvalidRate(f"config covers {len(cfg.classes.of)} vertices, graph has {base.n}")
     rec = recorder or RecorderConfig()
     gen = rngmod.stream(seed)
     if cfg.events is not None:
         n_events = int(cfg.events)
     else:
-        n_events = int(gen.poisson(cfg.total_rate * cfg.horizon))
+        n_events = int(gen.poisson(cfg.classes.total_rate * cfg.horizon))
     return _run_chain(base, sched, n_events, gen, rec, seed, cfg.classes)
 
 

@@ -26,11 +26,6 @@ SIDE_NONE = -1
 
 NO_GROUP = -1
 
-# Families whose bipartition is validated at construction time.
-BIPARTITE_KINDS = frozenset(
-    {"base-bipartite", "bipartite-blowup", "balanced-bipartite"}
-)
-
 METHOD_BRUTE_FORCE = "brute_force"
 METHOD_BIPARTITE_MATCHING = "bipartite_matching"
 METHOD_TREE_DP = "tree_dp"
@@ -92,16 +87,16 @@ def build_graph(
     edges: Iterable[tuple[int, int]] | np.ndarray,
     labels: dict[int, int] | np.ndarray | None = None,
     groups: dict[int, int] | np.ndarray | None = None,
-    kind: str = "generic",
+    bipartite: bool = False,
 ) -> Graph:
     """Construct a :class:`Graph`, deduplicating edges.
 
     ``edges`` is an ``(m, 2)`` integer array or any iterable of pairs;
     ``(u, v)`` and ``(v, u)`` name the same edge.  Raises
     :class:`InvalidEdge` on a self-loop or an endpoint outside ``[0, n)``,
-    and :class:`NotBipartite` if ``kind`` is a bipartite family and an
-    edge joins two vertices of the same side; each names the first such
-    edge of the input.
+    and :class:`NotBipartite` if ``bipartite`` is set and an edge joins
+    two vertices of the same side; each names the first such edge of the
+    input.
     """
     n = int(num_vertices)
     if n < 0:
@@ -119,9 +114,9 @@ def build_graph(
     side = _per_vertex_array(n, labels, np.int8, SIDE_NONE)
     group = _per_vertex_array(n, groups, np.int64, NO_GROUP)
 
-    if kind in BIPARTITE_KINDS:
+    if bipartite:
         if side is None:
-            raise NotBipartite(f"kind {kind!r} requires side labels")
+            raise NotBipartite("a bipartite graph requires side labels")
         bad = np.flatnonzero((side[u] == side[v]) & (side[u] != SIDE_NONE))
         if bad.size:
             a, b = sorted((int(u[bad[0]]), int(v[bad[0]])))

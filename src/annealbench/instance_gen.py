@@ -125,7 +125,7 @@ def gen_base_bipartite(n: int, k: int, p: float, seed: int = 0) -> Graph:
     idx = _bernoulli_indices(left * right, p, gen)
     edges = np.stack([idx // right, n + idx % right], axis=1)
     side = np.repeat(np.array([SIDE_L, SIDE_R], np.int8), [left, right])
-    return build_graph(left + right, edges, labels=side, kind="base-bipartite")
+    return build_graph(left + right, edges, labels=side, bipartite=True)
 
 
 def gen_clique_blowup(params: BlowupParams, base: Graph | None = None) -> Graph:
@@ -224,13 +224,7 @@ def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> Graph:
     edges = np.stack([(cu[:, None] + a).ravel(), (cw[:, None] + b).ravel()], axis=1)
     side = np.repeat(np.tile(np.asarray(base.side, np.int8), copies), K)
     group = np.repeat(np.arange(copies * base.n, dtype=np.int64), K)
-    return build_graph(
-        base.n * K * copies,
-        edges,
-        labels=side,
-        groups=group,
-        kind="bipartite-blowup",
-    )
+    return build_graph(base.n * K * copies, edges, labels=side, groups=group, bipartite=True)
 
 
 def gen_star_tree(k: int) -> Graph:
@@ -286,7 +280,7 @@ def gen_random_balanced_bipartite(n: int, d: float, seed: int = 0) -> Graph:
     right = np.flatnonzero(side == SIDE_R)
     idx = _bernoulli_indices(left.size * right.size, p, gen)
     edges = np.stack([left[idx // right.size], right[idx % right.size]], axis=1)
-    return build_graph(2 * n, edges, labels=side, kind="balanced-bipartite")
+    return build_graph(2 * n, edges, labels=side, bipartite=True)
 
 
 def balanced_bipartite_flags(n: int, d: float) -> tuple[str, ...]:

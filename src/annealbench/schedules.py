@@ -44,7 +44,7 @@ def _plateau(t: int, digest: HistoryDigest) -> tuple[float, int]:
 
 def _milestone(t: int, digest: HistoryDigest) -> tuple[float, int]:
     """Fugacity grows with the best size found so far."""
-    return min(4.0 ** (1 + digest.max_size // 8), 1e9), 512
+    return min(4.0 ** min(1 + digest.max_size // 8, 15), 1e9), 512  # 4**15 > 1e9
 
 
 ADAPTIVE_RULES: dict[str, Callable[[int, HistoryDigest], tuple[float, int]]] = {
@@ -123,8 +123,10 @@ class FugacitySchedule:
                 hold = 1 << 62
             return lam, hold
         if self.kind == "geometric":
-            level = t // self.block
-            lam = self.start * self.factor**level
+            try:
+                lam = self.start * self.factor ** (t // self.block)
+            except OverflowError:  # past the largest float: no removals, for ever
+                lam = INF
             if lam >= self.cap:
                 return min(lam, self.cap), 1 << 62
             return lam, self.block - (t % self.block)

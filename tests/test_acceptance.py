@@ -154,7 +154,7 @@ def test_criterion_1_stationary_distribution():
 def test_criterion_2_projection_equivalence():
     params = ig.BlowupParams(n=2, k=1, ell=3, p=0.5, seed=0)
     labels = {0: gc.SIDE_L, 1: gc.SIDE_L, 2: gc.SIDE_R, 3: gc.SIDE_R}
-    base = gc.build_graph(4, [(0, 2)], labels=labels, kind="base-bipartite")
+    base = gc.build_graph(4, [(0, 2)], labels=labels, bipartite=True)
     blowup = ig.gen_clique_blowup(params, base=base)
     lam = 2.0
     horizon = 1.0
@@ -493,7 +493,7 @@ def _coupling_instance(seed: int):
     edges = [
         (u, nl + w) for u in range(nl) for w in range(nr) if gen.random() < 0.3
     ]
-    g = gc.build_graph(nl + nr, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(nl + nr, edges, labels=labels, bipartite=True)
     upper = list(range(nl))
     lower = [nl + w for w in range(nr) if gen.random() < 0.4]
     return g, upper, lower

@@ -243,6 +243,36 @@ def test_report_rejects_malformed_thresholds(tmp_path, capsys, thresholds):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-3"])
+def test_report_rejects_an_alpha_below_one(tmp_path, capsys, alpha):
+    run_csv, out = tmp_path / "run.csv", tmp_path / "report.txt"
+    run_csv.write_text(REPORT_RUN_CSV)
+    code = main(["report", "--run", str(run_csv), "--alpha", alpha, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--alpha must be >= 1, got {alpha}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_rejects_a_param_given_twice(tmp_path, capsys):
+    graph = tmp_path / "tree.graph"
+    code = main(["gen", "--family", "star-tree", "--param", "k=3", "--param", "k=4",
+                 "--out", str(graph)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--param k is given twice" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_completes_an_uncapped_ladder(tmp_path, capsys):
+    graph, out_csv = str(tmp_path / "star.graph"), str(tmp_path / "run.csv")
+    main(["gen", "--family", "star-tree", "--param", "k=5", "--out", graph])
+    code = main(["run", "--graph", graph, "--steps", "3000", "--schedule", "geometric:1:2:1",
+                 "--out", out_csv])
+    assert code == 0
+    assert hz.read_csv(out_csv)[0]["steps"] == "3000"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_experiment_rejects_a_worker_count_below_one(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.delenv("ANNEALBENCH_WORKERS", raising=False)

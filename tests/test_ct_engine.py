@@ -106,7 +106,9 @@ def test_jump_engine_matches_exact_law(spec, steps, tmp_path):
     rec = dy.RecorderConfig(keep_final_state=True, snapshot_every=steps)
     for chain in CHAINS:
         if chain == "ct":
-            exact = weighted_law(g, cfg.rates, cfg.multipliers, spec, steps)
+            of = cfg.classes.of
+            exact = weighted_law(g, np.take(cfg.classes.rates, of),
+                                 np.take(cfg.classes.multipliers, of), spec, steps)
         else:
             exact = weighted_law(g, np.ones(g.n), np.ones(g.n), spec, steps)
         counts = np.zeros(1 << g.n)
@@ -365,10 +367,11 @@ def test_two_class_pick_matches_the_any_class_loop(lens, weights, x_spec):
 
 
 def two_classes(side: list[bool], rates, mults) -> dy.RateClasses:
-    """The classes of a weighted chain whose vertex v has the rate and multiplier
-    of class side[v]."""
-    pick = np.asarray(side, dtype=int)
-    return dy.WeightedCTConfig(np.take(rates, pick), np.take(mults, pick), events=1).classes
+    """The classes of a weighted chain whose vertex v is on the right if side[v],
+    where the left side has rates[0] and mults[0] and the right rates[1] and mults[1]."""
+    labels = {v: gc.SIDE_R if right else gc.SIDE_L for v, right in enumerate(side)}
+    g = gc.build_graph(len(side), [], labels=labels)
+    return dy.WeightedCTConfig.for_sides(g, *rates, *mults, events=1).classes
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,10 +396,9 @@ def test_two_class_propose_matches_the_searchsorted_reference(side, rates, mults
     assert coins == ref_coins
 
 
-@pytest.mark.parametrize(
-    "rates, mults",
-    [([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])],
-)
-def test_more_than_two_rate_classes_are_rejected(rates, mults):
-    with pytest.raises(InvalidRate, match="more than two"):
-        dy.WeightedCTConfig(np.array(rates), np.array(mults), events=10)
+@pytest.mark.parametrize("built, run_on", [(16, 32), (32, 16)])
+def test_a_config_for_another_graph_is_rejected(built, run_on):
+    bases = {4 * n: ig.gen_base_bipartite(n, 3, 0.3, seed=5) for n in (4, 8)}
+    cfg = dy.WeightedCTConfig.blowup_implicit(bases[built], 10, events=100)
+    with pytest.raises(InvalidRate, match=f"config covers {built} vertices, graph has {run_on}"):
+        dy.run_ct_ump(bases[run_on], cfg, FugacitySchedule.fixed(2.0), seed=1)

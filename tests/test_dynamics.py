@@ -12,7 +12,7 @@ from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidFugacity, InvalidRate, NotIndependent
-from annealbench.schedules import FugacitySchedule, parse_schedule
+from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, HistoryDigest, parse_schedule
 from exact_laws import hardcore_distribution
 from reference import (
     IndependentSetState,
@@ -470,8 +470,13 @@ def test_ct_requires_positive_rates():
     g = labeled_path3()
     with pytest.raises(InvalidRate):
         dy.WeightedCTConfig.for_sides(g, 0.0, 1.0, horizon=1.0)
+    with pytest.raises(InvalidRate, match="overflows"):  # each rate finite, their sum not
+        dy.WeightedCTConfig.for_sides(g, 1.7e308, 1.7e308, events=10)
     with pytest.raises(InvalidFugacity):
         dy.WeightedCTConfig.for_sides(g, 1.0, 1.0, 0.5, 1.0, horizon=1.0)
+    for mults in ((math.nan, 1.0), (1.0, math.nan)):  # NaN fails no "< 1" check
+        with pytest.raises(InvalidFugacity, match="nan"):
+            dy.WeightedCTConfig.for_sides(g, 2.0, 1.0, *mults, events=5000)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +510,7 @@ def test_ct_blowup_implicit_fills_left_side():
 def _tiny_blowup():
     params = ig.BlowupParams(n=4, k=2, ell=3, p=0.3, seed=1)
     labels = {v: gc.SIDE_L if v < 4 else gc.SIDE_R for v in range(12)}
-    base = gc.build_graph(12, [(0, 4)], labels=labels, kind="base-bipartite")
+    base = gc.build_graph(12, [(0, 4)], labels=labels, bipartite=True)
     return params, base, ig.gen_clique_blowup(params, base=base)
 
 
@@ -538,7 +543,7 @@ def _coupling_instance(seed):
     edges = [
         (u, nl + w) for u in range(nl) for w in range(nr) if gen.random() < 0.3
     ]
-    g = gc.build_graph(nl + nr, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(nl + nr, edges, labels=labels, bipartite=True)
     upper = list(range(nl))
     lower = [nl + w for w in range(nr) if gen.random() < 0.4]
     return g, upper, lower
@@ -676,11 +681,27 @@ def test_schedule_segments():
     assert lam25 == 4.0 and hold25 == 5
     lam99, hold99 = geo.segment(99)
     assert lam99 == 8.0 and hold99 > 10**9
+    # an uncapped ladder past the largest float: no removals, for ever
+    assert parse_schedule("geometric:1:1e300:1").segment(2) == (math.inf, 1 << 62)
+    assert parse_schedule("geometric:1:2:1").segment(1024) == (math.inf, 1 << 62)
 
     seq = FugacitySchedule.sequence([1.0, 1.0, 3.0])
     assert seq.segment(0) == (1.0, 2)
     lam, hold = seq.segment(2)
     assert lam == 3.0 and hold > 10**9  # held at the last value
+
+
+def test_milestone_fugacity_stays_capped_for_a_huge_maximum():
+    rule = ADAPTIVE_RULES["milestone"]
+    assert rule(0, HistoryDigest(max_size=4096)) == rule(0, HistoryDigest(max_size=10**9)) == (1e9, 512)
+
+
+@pytest.mark.parametrize("spec", ["geometric:1:2:1", "fixed:1.7e308"])
+def test_a_huge_fugacity_runs_to_its_budget(spec):
+    # past lambda ~ 1e306 (step ~1017 of the ladder), a jump-mode gap overflows a float
+    for seed in range(5):
+        rec = dy.run_ump(ig.gen_star_tree(5), parse_schedule(spec), 3000, seed=seed)
+        assert rec.steps == 3000
 
 
 def test_schedule_rejects_bad_values():

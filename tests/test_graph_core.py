@@ -68,7 +68,7 @@ def test_build_rejects_out_of_range():
 def test_build_rejects_same_side_edge_for_bipartite_kind():
     with pytest.raises(NotBipartite):
         gc.build_graph(
-            2, [(0, 1)], labels={0: gc.SIDE_L, 1: gc.SIDE_L}, kind="base-bipartite"
+            2, [(0, 1)], labels={0: gc.SIDE_L, 1: gc.SIDE_L}, bipartite=True
         )
 
 
@@ -122,9 +122,9 @@ LR = {0: gc.SIDE_L, 1: gc.SIDE_R, 2: gc.SIDE_R, 3: gc.SIDE_L}
         (3, [(0, 1), (1, 3), (4, 0)], {}, InvalidEdge, r"edge \(1,3\) outside \[0,3\)"),
         (3, [(0, 1, 2)], {}, InvalidEdge, "must be pairs"),
         (-1, [], {}, InvalidEdge, "negative vertex count"),
-        (4, [(0, 1), (3, 0), (2, 1)], {"labels": LR, "kind": "base-bipartite"}, NotBipartite,
+        (4, [(0, 1), (3, 0), (2, 1)], {"labels": LR, "bipartite": True}, NotBipartite,
          r"same-side edge \(0,3\)"),
-        (4, [(0, 1)], {"kind": "balanced-bipartite"}, NotBipartite, "requires side labels"),
+        (4, [(0, 1)], {"bipartite": True}, NotBipartite, "requires side labels"),
         (4, [(0, 1)], {"labels": np.zeros(3, np.int8)}, InvalidEdge, "wrong length"),
         (4, [(0, 1)], {"groups": np.zeros(5, np.int64)}, InvalidEdge, "wrong length"),
         (4, [(0, 1)], {"labels": {4: gc.SIDE_L}}, InvalidEdge, "vertex 4 outside"),
@@ -207,7 +207,7 @@ def test_alpha_bipartite_complete_bipartite():
     # K_{3,3}: alpha is one full side.
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
     labels = {v: gc.SIDE_L if v < 3 else gc.SIDE_R for v in range(6)}
-    g = gc.build_graph(6, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(6, edges, labels=labels, bipartite=True)
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == 3
     assert cert.verify(g)
@@ -231,7 +231,7 @@ def test_alpha_bipartite_long_augmenting_path(monkeypatch):
     right = lambda j: 2 * m - 1 - j  # noqa: E731  (right vertex j, numbered downwards)
     edges = [(i, right(i)) for i in range(m)] + [(i, right(i + 1)) for i in range(m - 1)]
     labels = np.array([gc.SIDE_L] * m + [gc.SIDE_R] * m, dtype=np.int8)
-    g = gc.build_graph(2 * m, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(2 * m, edges, labels=labels, bipartite=True)
     limit = sys.getrecursionlimit()
     monkeypatch.setattr(sys, "setrecursionlimit", lambda n: pytest.fail("limit changed"))
     cert = gc.alpha_bipartite(g)
@@ -242,7 +242,7 @@ def test_alpha_bipartite_long_augmenting_path(monkeypatch):
 
 def _check_maximum_matching(n, left, right, edges):
     labels = {v: gc.SIDE_L for v in left} | {v: gc.SIDE_R for v in right}
-    g = gc.build_graph(n, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(n, edges, labels=labels, bipartite=True)
     match = gc._hopcroft_karp(g.neighbor_lists, left)
     matched = [u for u in left if match[u] != -1]
     assert len(matched) == kuhn_matching_size(g.neighbor_lists, left)
@@ -334,7 +334,7 @@ def test_bipartite_oracle_matches_bruteforce(seed, nl, nr):
     edges = [
         (u, nl + w) for u in range(nl) for w in range(nr) if rng.random() < 0.5
     ]
-    g = gc.build_graph(n, edges, labels=labels, kind="base-bipartite")
+    g = gc.build_graph(n, edges, labels=labels, bipartite=True)
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == gc.alpha_bruteforce(g).alpha
     assert cert.verify(g)

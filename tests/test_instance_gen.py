@@ -140,7 +140,7 @@ def test_derive_dense_rejects_bad_eps():
 def _labeled_path(n):
     labels = {v: gc.SIDE_L if v % 2 == 0 else gc.SIDE_R for v in range(n)}
     return gc.build_graph(n, [(i, i + 1) for i in range(n - 1)], labels=labels,
-                          kind="base-bipartite")
+                          bipartite=True)
 
 
 def test_bipartite_blowup_single_edge():
