@@ -67,11 +67,10 @@ def _cmd_run(args) -> int:
         args.schedule = args.schedule or "fixed:1"
         args.steps = 1000 if args.steps is None else args.steps
     cfg = hz.ExperimentConfig(
-        "run", "", {}, [args.schedule] if args.schedule else [], algorithm=args.algorithm,
+        "run", None, {}, (args.schedule,) if args.schedule else (), algorithm=args.algorithm,
         steps=args.steps, trials=args.trials, seed=args.seed, thresholds=args.thresholds,
         early_stop_size=args.early_stop, watch_root=bool(args.watch), alpha=args.alpha,
     )
-    cfg.validate_run()
     inst = ig.Instance(gc.read_graph_file(args.graph), None, watch=args.watch)
     bundle = hz.bundle_for(cfg, inst, None)
     rows = [hz.run_one_trial(cfg, bundle, i) for i in range(args.trials)]
@@ -81,9 +80,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = hz.load_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
+    cfg = hz.load_config(args.config, out_dir=args.out_dir)
     manifest = hz.run_experiment(cfg, workers=args.workers)
     print(f"ran {len(manifest.rows)} trials in {manifest.wall_clock:.1f}s")
     print(f"config hash {manifest.config_hash}")
@@ -106,9 +103,7 @@ def _judge(cfg: hz.ExperimentConfig, rows: list[dict], out: Path | None = None) 
 def _cmd_report(args) -> int:
     if args.alpha is not None and args.alpha < 1:
         raise ConfigError(f"--alpha must be >= 1, got {args.alpha}")
-    rows = hz.read_csv(args.run)
-    if args.stats:
-        rows = hz.merge_run_and_stats(rows, hz.read_csv(args.stats))
+    rows = hz.read_trials(args.run, args.stats)
     try:
         thresholds = [float(x) for x in (args.thresholds or "").split(",") if x]
         finite = all(map(math.isfinite, thresholds))

@@ -45,7 +45,7 @@ from .errors import (
     NotIndependent,
 )
 from .graph_core import SIDE_L, SIDE_R, Graph, is_independent
-from .schedules import FugacitySchedule, HistoryDigest
+from .schedules import FugacitySchedule, HistoryDigest, check_lambda
 
 _CHUNK = 1 << 15  # most reals drawn from a stream at once; bytes do not depend on it
 _NEVER = 1 << 62
@@ -59,9 +59,7 @@ _GREEDY_BLOCK = 256  # randomized greedy filters this many positions per numpy g
 
 def removal_threshold(lam: float) -> float:
     """Removal acceptance probability 1/lambda, with 1/inf = 0."""
-    if math.isnan(lam) or lam < 1.0:
-        raise InvalidFugacity(f"fugacity {lam} outside [1, inf]")
-    return 0.0 if math.isinf(lam) else 1.0 / lam
+    return 1.0 / check_lambda(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +103,8 @@ class TrialRecord:
     final_size: int
     hitting_steps: dict[int, int] = field(default_factory=dict)
     snapshots: list[tuple[int, int, int, int]] = field(default_factory=list)
-    final_left: int = -1
-    final_right: int = -1
+    final_left: int | None = None
+    final_right: int | None = None
     root_added: bool = False
     deload_final: int | None = None
     right_touched: int | None = None
@@ -487,8 +485,8 @@ def _run_chain(
         final_size=size,
         hitting_steps=hits,
         snapshots=marks.snapshots,
-        final_left=sides[SIDE_L] if side_list is not None else -1,
-        final_right=sides[SIDE_R] if side_list is not None else -1,
+        final_left=sides[SIDE_L] if side_list is not None else None,
+        final_right=sides[SIDE_R] if side_list is not None else None,
         root_added=root_added,
         probe_count=marks.probe_count,
         events=events,
@@ -849,7 +847,7 @@ def run_coupled_monotone(
     def try_update(state: bytearray, v: int, z: float) -> bool:
         """Apply the update rule; returns True if the state changed."""
         if state[v]:
-            if z <= thr:
+            if z < thr:
                 state[v] = 0
                 return True
             return False

@@ -40,7 +40,7 @@ import math
 import multiprocessing as mp
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -98,12 +98,15 @@ _RUN_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment, checked when made: a config that exists is valid.  ``family``
+    is None for ``annealbench run``, whose graph file has no family to check."""
+
     name: str
-    family: str
+    family: str | None
     instance: dict[str, str]
-    schedules: list[str]
+    schedules: tuple[str, ...] = ()
     algorithm: str = "ump"
     steps: int | None = None
     events: int | None = None
@@ -118,16 +121,14 @@ class ExperimentConfig:
     probe_step: int | None = None
     track_touched: bool = False
     alpha: int | None = None  # overrides the family's alpha
-    acceptance: list[tuple[str, str]] = field(default_factory=list)
+    acceptance: tuple[tuple[str, str], ...] = ()
 
-    def validate_run(self) -> None:
-        """The checks of the run and its schedules, which need no instance
-        family; ``annealbench run``, whose config has none, runs only these."""
+    def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         _, reads, need, _ = _ALGORITHMS[self.algorithm]
-        unset = ExperimentConfig("", "", {}, [])  # every key at its default
-        unread = [k for k in (*_RUN_TYPES, "schedules") if getattr(self, k) != getattr(unset, k)
+        default = {f.name: f.default for f in fields(self)}
+        unread = [k for k in (*_RUN_TYPES, "schedules") if getattr(self, k) != default[k]
                   and k not in ("algorithm", "trials", "seed", *reads)]
         if unread:
             raise ConfigError(f"algorithm {self.algorithm} does not read {', '.join(unread)}")
@@ -144,6 +145,13 @@ class ExperimentConfig:
         if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
             raise ConfigError("horizon must be a finite number > 0, or burn")
         self.parsed_schedules  # parses, and so checks, every spec
+        if self.family is not None:
+            family = ig.family(self.family)
+            family.parse(self.instance)
+            if self.algorithm == "chain" and family.chain is None:
+                raise ConfigError(f"family {self.family} has no chain abstraction")
+        for name, spec in self.acceptance:
+            _parse_check(name, spec)
 
     @cached_property
     def parsed_schedules(self) -> tuple[FugacitySchedule, ...]:
@@ -153,30 +161,22 @@ class ExperimentConfig:
         except InvalidFugacity as exc:
             raise ConfigError(f"[schedules] {exc}") from exc
 
-    def validate(self) -> None:
-        self.validate_run()
-        family = ig.family(self.family)
-        family.parse(self.instance)
-        if self.algorithm == "chain" and family.chain is None:
-            raise ConfigError(f"family {self.family} has no chain abstraction")
-        for name, spec in self.acceptance:
-            _parse_check(name, spec)
-
     @property
     def total_trials(self) -> int:
         """One block of ``trials`` per schedule; an algorithm without schedules runs one."""
         return self.trials * max(1, len(self.schedules))
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, out_dir: str | None = None) -> ExperimentConfig:
+    """The config in file ``path``; ``out_dir``, if given, replaces its own."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}") from exc
-    return loads_config(text)
+    return loads_config(text, out_dir)
 
 
-def loads_config(text: str) -> ExperimentConfig:
+def loads_config(text: str, out_dir: str | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source="config")
@@ -191,18 +191,16 @@ def loads_config(text: str) -> ExperimentConfig:
         raise ConfigError("[instance] must set family")
     run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, sec.get("run", {}),
                           "[run]")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         name=sec["experiment"].get("name", "experiment"),
         family=family,
         instance=sec["instance"],
-        schedules=[s.strip() for s in sec.get("schedules", {}).get("specs", "").split(",")
-                   if s.strip()],
-        out_dir=sec["experiment"].get("out_dir", "out"),
-        acceptance=sorted(sec.get("acceptance", {}).items()),
+        schedules=tuple(s.strip() for s in sec.get("schedules", {}).get("specs", "").split(",")
+                        if s.strip()),
+        out_dir=out_dir or sec["experiment"].get("out_dir", "out"),
+        acceptance=tuple(sorted(sec.get("acceptance", {}).items())),
         **{k: v for k, v in run.items() if v is not None},
     )
-    cfg.validate()
-    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -361,20 +359,13 @@ _ALGORITHMS = {
 
 
 def _record_fields(rec: dy.TrialRecord) -> dict:
-    hits = ";".join(f"{k}:{v}" for k, v in sorted(rec.hitting_steps.items()))
-    return dict(
-        steps=rec.steps,
-        max_size=rec.max_size,
-        step_of_max=rec.step_of_max,
-        final_size=rec.final_size,
-        final_left=rec.final_left if rec.final_left >= 0 else "",
-        final_right=rec.final_right if rec.final_right >= 0 else "",
-        right_touched=rec.right_touched if rec.right_touched is not None else "",
-        probe_count=rec.probe_count if rec.probe_count is not None else "",
-        hits=hits,
-        root_added=int(rec.root_added),
-        deload_final=rec.deload_final if rec.deload_final is not None else "",
-    )
+    """The row cells of a record: a field the trial did not measure (None) is empty."""
+    row = {k: "" if getattr(rec, k) is None else getattr(rec, k)
+           for k in ("steps", "max_size", "step_of_max", "final_size", "final_left",
+                     "final_right", "right_touched", "probe_count", "deload_final")}
+    row["hits"] = ";".join(f"{k}:{v}" for k, v in sorted(rec.hitting_steps.items()))
+    row["root_added"] = int(rec.root_added)
+    return row
 
 
 # (cfg, bundle) of a pool worker process, set once by the pool initializer.
@@ -421,7 +412,6 @@ def run_experiment(
     cfg: ExperimentConfig, workers: int | None = None
 ) -> ExperimentManifest:
     """Generate the instance, run all trials, persist CSVs and manifest."""
-    cfg.validate()
     nworkers = worker_count(workers)
     started = time.time()
     bundle = build_instance(cfg)
@@ -648,8 +638,23 @@ def read_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def merge_run_and_stats(run_rows: list[dict], stats_rows: list[dict]) -> list[dict]:
-    by_id = {r["trial_id"]: dict(r) for r in run_rows}
-    for s in stats_rows:
-        by_id.setdefault(s["trial_id"], {}).update(s)
-    return [by_id[k] for k in sorted(by_id, key=int)]
+def read_trials(run: str | Path, stats: str | Path | None = None) -> list[dict]:
+    """The rows of a ``run.csv`` in file order, each merged with its row of a
+    ``stats.csv`` if given.  A trial_id twice in a file, or in only one file,
+    is a ConfigError."""
+    rows = _rows_by_id(run)
+    if stats:
+        extra = _rows_by_id(stats)
+        for k in {**rows, **extra}:  # each id once, in run.csv order first
+            if (k in rows) != (k in extra):
+                raise ConfigError(f"trial_id {k} is in {run if k in rows else stats} only")
+            rows[k].update(extra[k])
+    return list(rows.values())
+
+
+def _rows_by_id(path: str | Path) -> dict[str, dict]:
+    rows: dict[str, dict] = {}
+    for row in read_csv(path):
+        if rows.setdefault(row.get("trial_id"), row) is not row:
+            raise ConfigError(f"trial_id {row.get('trial_id')} is twice in {path}")
+    return rows

@@ -136,7 +136,7 @@ def burn_in_time(params: BlowupParams) -> float:
 
 def burn_in_stats(trial: TrialRecord, params: BlowupParams) -> BurnInReport:
     """Score one weighted-chain trial stopped at the burn-in horizon."""
-    if trial.final_left < 0 or trial.right_touched is None:
+    if trial.final_left is None or trial.right_touched is None:
         raise InsufficientRecord(
             "trial lacks side occupancy or touch counts; "
             "run with side labels and track_touched"

@@ -53,7 +53,7 @@ ADAPTIVE_RULES: dict[str, Callable[[int, HistoryDigest], tuple[float, int]]] = {
 }
 
 
-def _check_lambda(lam: float) -> float:
+def check_lambda(lam: float) -> float:
     if math.isnan(lam) or lam < 1.0:
         raise InvalidFugacity(f"fugacity {lam} outside [1, inf]")
     return float(lam)
@@ -72,7 +72,7 @@ class FugacitySchedule:
 
     @staticmethod
     def fixed(lam: float) -> "FugacitySchedule":
-        return FugacitySchedule(kind="fixed", lam=_check_lambda(lam))
+        return FugacitySchedule(kind="fixed", lam=check_lambda(lam))
 
     @staticmethod
     def infinite() -> "FugacitySchedule":
@@ -80,7 +80,7 @@ class FugacitySchedule:
 
     @staticmethod
     def sequence(values) -> "FugacitySchedule":
-        vals = tuple(_check_lambda(v) for v in values)
+        vals = tuple(check_lambda(v) for v in values)
         if not vals:
             raise InvalidFugacity("sequence schedule needs at least one value")
         return FugacitySchedule(kind="sequence", values=vals)
@@ -91,10 +91,10 @@ class FugacitySchedule:
             raise InvalidFugacity("geometric schedule needs factor >= 1, block >= 1")
         return FugacitySchedule(
             kind="geometric",
-            start=_check_lambda(start),
+            start=check_lambda(start),
             factor=float(factor),
             block=int(block),
-            cap=_check_lambda(cap),
+            cap=check_lambda(cap),
         )
 
     @staticmethod
@@ -134,7 +134,7 @@ class FugacitySchedule:
             if digest is None:
                 digest = HistoryDigest(t=t)
             lam, hold = ADAPTIVE_RULES[self.rule](t, digest)
-            return _check_lambda(lam), max(1, int(hold))
+            return check_lambda(lam), max(1, int(hold))
         raise InvalidFugacity(f"unknown schedule kind {self.kind!r}")
 
 

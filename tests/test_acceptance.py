@@ -42,6 +42,7 @@ import math
 import os
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,7 @@ def _bundled_config(name: str, out_dir: Path) -> hz.ExperimentConfig:
     import importlib.resources as res
 
     text = (res.files("annealbench") / "configs" / name).read_text()
-    cfg = hz.loads_config(text)
-    cfg.out_dir = str(out_dir)
-    return cfg
+    return replace(hz.loads_config(text), out_dir=str(out_dir))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,61 @@ balanced = frac_discrepancy_gt_le 0 0.0
     assert "--stats" in captured.err and "Traceback" not in captured.err
     assert main(["report", "--run", run_csv, "--stats", stats_csv, "--config", str(cfg)]) == 1
     assert "[FAIL] balanced: frac_discrepancy_gt_le observed=1 " in capsys.readouterr().out
+
+
+# stats.csv rows of trials 0-3 against a 2-trial run.csv; the first run.csv twice.
+SHORT_RUN_CSV = "".join(REPORT_RUN_CSV.splitlines(keepends=True)[:3])
+LONG_STATS_CSV = "".join(REPORT_STATS_CSV.splitlines(keepends=True)[:5])
+
+
+@pytest.mark.parametrize(
+    "run,stats,flags,message",
+    [
+        (SHORT_RUN_CSV, LONG_STATS_CSV, [], "trial_id 2 is in {stats} only"),
+        (SHORT_RUN_CSV, LONG_STATS_CSV, ["--alpha", "10"], "trial_id 2 is in {stats} only"),
+        (REPORT_RUN_CSV, LONG_STATS_CSV, [], "trial_id 4 is in {run} only"),
+        (SHORT_RUN_CSV + SHORT_RUN_CSV.splitlines()[2] + "\n", None, [],
+         "trial_id 1 is twice in {run}"),
+        (REPORT_RUN_CSV, REPORT_STATS_CSV + REPORT_STATS_CSV.splitlines()[1] + "\n", [],
+         "trial_id 0 is twice in {stats}"),
+    ],
+    ids=["stats-only", "stats-only-alpha", "run-only", "run-twice", "stats-twice"],
+)
+def test_report_rejects_trial_ids_that_do_not_pair_up(tmp_path, capsys, run, stats, flags,
+                                                       message):
+    paths = {"run": tmp_path / "run.csv", "stats": tmp_path / "stats.csv"}
+    paths["run"].write_text(run)
+    argv = ["report", "--run", str(paths["run"]), *flags, "--out", str(tmp_path / "r.txt")]
+    if stats is not None:
+        paths["stats"].write_text(stats)
+        argv += ["--stats", str(paths["stats"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(**paths)}\n" and captured.out == ""
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_experiment_out_dir_opens_a_seq_file_once(tmp_path, capsys, monkeypatch):
+    seq = tmp_path / "lam.txt"
+    seq.write_text("1.5\n3\n8\n")
+    cfg = tmp_path / "seq.cfg"
+    cfg.write_text(GOOD_CFG.format(out=tmp_path / "own").replace(
+        "algorithm = greedy", f"algorithm = ump\nsteps = 20\n\n[schedules]\nspecs = seq:{seq}"))
+    reads, real_open = [], builtins.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == str(seq):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    argv = ["experiment", "--config", str(cfg), "--workers", "1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "given")]) == 0
+    assert len(reads) == 1
+    assert (tmp_path / "given" / "run.csv").exists() and not (tmp_path / "own").exists()
+    assert main(argv) == 0 and len(reads) == 2  # once more for the run without --out-dir
+    assert (tmp_path / "own" / "run.csv").read_bytes() == (
+        tmp_path / "given" / "run.csv").read_bytes()
 
 
 @pytest.mark.parametrize("thresholds", ["abc", "3,x", "2,,1e", "nan", "3,inf"])

@@ -565,6 +565,25 @@ def test_coupled_run_identical_starts_stay_identical():
     assert rep.ordered_throughout
 
 
+def test_coupled_run_never_removes_at_infinite_fugacity(monkeypatch):
+    """At lambda = inf the removal threshold is 0 and ``z < thr`` never holds,
+    also for a draw of exactly 0.0, as in the engine and ``tests/reference.py``."""
+
+    class Zeros:  # every draw 0: vertex 0, lazy coins that update, z = 0.0
+        def integers(self, low, high, m):
+            return np.zeros(m, dtype=np.int64)
+
+        def random(self, m):
+            return np.zeros(m)
+
+    monkeypatch.setattr(dy.rngmod, "stream", lambda seed: Zeros())
+    g = gc.build_graph(2, [(0, 1)], labels={0: gc.SIDE_L, 1: gc.SIDE_R}, bipartite=True)
+    # Independent clocks: the upper chain updates vertex 0 (side L) first.  Were
+    # it removed, upper's L-occupancy would no longer contain lower's.
+    rep = dy.run_coupled_monotone(g, [0], [0], lam=math.inf, events=50, seed=0, control=True)
+    assert rep.events == 50 and rep.ordered_throughout
+
+
 def test_decoupled_control_breaks_order():
     broken = 0
     for seed in range(10):

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_load_config_fields(tmp_path):
     cfg = _cfg(tmp_path)
     assert cfg.name == "tiny"
     assert cfg.family == "star-tree"
-    assert cfg.schedules == ["fixed:2", "greedy"]
+    assert cfg.schedules == ("fixed:2", "greedy")
     assert cfg.trials == 3
     assert cfg.total_trials == 6
     assert cfg.thresholds == (2, 3)
@@ -94,6 +95,23 @@ def test_config_validates_algorithm(tmp_path):
     bad = TINY_CFG.replace("algorithm = ump", "algorithm = quantum")
     with pytest.raises(ConfigError):
         _cfg(tmp_path, bad)
+
+
+def test_a_config_is_frozen_and_checked_when_made(tmp_path):
+    cfg = _cfg(tmp_path)
+    with pytest.raises(FrozenInstanceError):
+        cfg.schedules = ("fixed:3",)
+    with pytest.raises(FrozenInstanceError):
+        cfg.out_dir = str(tmp_path / "elsewhere")
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        replace(cfg, trials=0)
+    with pytest.raises(ConfigError, match=r"\[schedules\] schedule spec 'fixed:0.5'"):
+        replace(cfg, schedules=("fixed:0.5",))
+    assert replace(cfg, schedules=("fixed:3",)).parsed_schedules == (parse_schedule("fixed:3"),)
+    # A graph file (annealbench run) has no family: only the family checks are skipped.
+    assert hz.ExperimentConfig("run", None, {}, algorithm="greedy").total_trials == 1
+    with pytest.raises(ConfigError, match="algorithm greedy does not read schedules"):
+        hz.ExperimentConfig("run", None, {}, ("fixed:2",), algorithm="greedy")
 
 
 def test_config_hash_ignores_formatting(tmp_path):
@@ -120,10 +138,8 @@ def test_run_experiment_writes_expected_files(tmp_path):
 
 
 def test_run_experiment_deterministic_across_workers(tmp_path):
-    cfg1 = _cfg(tmp_path)
-    cfg1.out_dir = str(tmp_path / "w1")
-    cfg2 = _cfg(tmp_path)
-    cfg2.out_dir = str(tmp_path / "w2")
+    cfg1 = replace(_cfg(tmp_path), out_dir=str(tmp_path / "w1"))
+    cfg2 = replace(_cfg(tmp_path), out_dir=str(tmp_path / "w2"))
     hz.run_experiment(cfg1, workers=1)
     hz.run_experiment(cfg2, workers=2)
     assert (Path(cfg1.out_dir) / "run.csv").read_bytes() == (
@@ -135,15 +151,13 @@ def test_run_experiment_deterministic_across_workers(tmp_path):
 
 
 def test_snapshots_are_written_to_traj_csv(tmp_path):
-    plain = _cfg(tmp_path)
-    plain.out_dir = str(tmp_path / "plain")
+    plain = replace(_cfg(tmp_path), out_dir=str(tmp_path / "plain"))
     hz.run_experiment(plain, workers=1)
     assert not (tmp_path / "plain" / "traj.csv").exists()
     text = TINY_CFG.replace("seed = 99", "seed = 99\nsnapshot_every = 37")
     outs = {}
     for workers in (1, 2):
-        cfg = _cfg(tmp_path, text)
-        cfg.out_dir = str(tmp_path / f"w{workers}")
+        cfg = replace(_cfg(tmp_path, text), out_dir=str(tmp_path / f"w{workers}"))
         manifest = hz.run_experiment(cfg, workers=workers)
         out = Path(cfg.out_dir)
         assert manifest.files[-1] == str(out / "traj.csv")
@@ -189,7 +203,7 @@ def test_verdict_kinds(tmp_path):
         }
         for i in range(4)
     ]
-    cfg.acceptance = [
+    cfg = replace(cfg, acceptance=(
         ("a", "frac_max_le 3 0.5"),
         ("b", "frac_max_ge 4 0.5"),
         ("c", "frac_root_added_le 0.0"),
@@ -197,10 +211,10 @@ def test_verdict_kinds(tmp_path):
         ("e", "frac_discrepancy_gt_le 15 0.5"),
         ("f", "mean_ratio_le 0.6"),
         ("g", "mean_max_le 3.6"),
-    ]
+    ))
     report = hz.verdict(cfg, rows)
     assert [r.passed for r in report.rows] == [True] * 7
-    cfg.acceptance = [("too_strict", "frac_max_le 2 0.9")]
+    cfg = replace(cfg, acceptance=(("too_strict", "frac_max_le 2 0.9"),))
     assert not hz.verdict(cfg, rows).all_passed
 
 
@@ -296,9 +310,8 @@ def test_verdict_requires_rows(tmp_path):
 
 def test_verdict_unknown_kind(tmp_path):
     cfg = _cfg(tmp_path)
-    cfg.acceptance = [("x", "frac_flux_capacitor 1 2")]
-    with pytest.raises(ConfigError):
-        hz.verdict(cfg, [{"max_size": 1}])
+    with pytest.raises(ConfigError, match="unknown acceptance check kind"):
+        replace(cfg, acceptance=(("x", "frac_flux_capacitor 1 2"),))
 
 
 def test_read_and_merge_csvs(tmp_path):
@@ -306,10 +319,11 @@ def test_read_and_merge_csvs(tmp_path):
     hz.run_experiment(cfg, workers=1)
     out = Path(cfg.out_dir)
     run_rows = hz.read_csv(out / "run.csv")
-    stats_rows = hz.read_csv(out / "stats.csv")
-    merged = hz.merge_run_and_stats(run_rows, stats_rows)
+    merged = hz.read_trials(out / "run.csv", out / "stats.csv")
     assert len(merged) == cfg.total_trials
     assert "schedule" in merged[0] and "max_size" in merged[0]
+    assert [r["trial_id"] for r in merged] == [r["trial_id"] for r in run_rows]
+    assert hz.read_trials(out / "run.csv") == run_rows
 
 
 def test_chain_experiment_rows(tmp_path):
@@ -429,8 +443,7 @@ def test_manifest_records_alpha_and_its_source(tmp_path, instance, extra, alpha,
     text = TINY_CFG.replace("family = star-tree\nk = 3", instance).replace(
         "watch_root = true", extra
     )
-    cfg = _cfg(tmp_path, text)
-    cfg.acceptance = []
+    cfg = replace(_cfg(tmp_path, text), acceptance=())
     manifest = hz.run_experiment(cfg, workers=1)
     lines = (Path(cfg.out_dir) / "manifest.txt").read_text().splitlines()
     assert f"alpha = {manifest.alpha}" in lines
@@ -567,8 +580,7 @@ def test_manifest_records_the_engine(tmp_path, instance, run, engine):
         # Only the star tree has a root to watch; greedy reads no chain key.
         text = text.replace("algorithm = ump\nsteps = 400", run)
         text = _drop(text, CHAIN_ONLY if engine is None else ["watch_root = true\n"])
-    cfg = _cfg(tmp_path, text)
-    cfg.acceptance = []
+    cfg = replace(_cfg(tmp_path, text), acceptance=())
     manifest = hz.run_experiment(cfg, workers=1)
     assert manifest.engine == engine
     lines = (Path(cfg.out_dir) / "manifest.txt").read_text().splitlines()
@@ -586,8 +598,7 @@ def test_a_seq_schedule_is_read_once_per_run(tmp_path, monkeypatch):
     seq = tmp_path / "lam.txt"
     seq.write_text("1.5\n3\n8\n" * 40)
     text = TINY_CFG.replace("specs = fixed:2, greedy", f"specs = seq:{seq}, fixed:2")
-    kept = _cfg(tmp_path, text)
-    kept.out_dir = str(tmp_path / "kept")
+    kept = replace(_cfg(tmp_path, text), out_dir=str(tmp_path / "kept"))
     hz.run_experiment(kept, workers=1)
     build = hz.build_instance
 
@@ -599,8 +610,7 @@ def test_a_seq_schedule_is_read_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(hz, "build_instance", build_then_delete)
     for workers in (1, 2):
         seq.write_text("1.5\n3\n8\n" * 40)
-        cfg = _cfg(tmp_path, text)
-        cfg.out_dir = str(tmp_path / f"w{workers}")
+        cfg = replace(_cfg(tmp_path, text), out_dir=str(tmp_path / f"w{workers}"))
         hz.run_experiment(cfg, workers=workers)
         assert not seq.exists()
         for name in ("run.csv", "stats.csv"):
@@ -623,7 +633,7 @@ def test_a_seq_file_is_opened_once_per_run_and_its_values_enter_the_hash(tmp_pat
 
     monkeypatch.setattr(builtins, "open", counted)
     manifest = hz.run_experiment(_cfg(tmp_path, text), workers=1)
-    assert len(reads) == 1  # loading, validating twice, building and hashing: one read
+    assert len(reads) == 1  # loading (which checks), building and hashing: one read
     seq.write_text("1.5\n3\n9\n")
     assert hz.config_hash(_cfg(tmp_path, text)) != manifest.config_hash
     seq.write_text("1.5\n3\n8\n")
