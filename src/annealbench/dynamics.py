@@ -828,7 +828,6 @@ def run_coupled_monotone(
         raise InvalidRate("coupled run expects a labeled graph")
     n = bprime.n
     adj = bprime.neighbor_lists
-    side = bprime.side.tolist()
     thr = removal_threshold(lam)
 
     up = bytearray(n)
@@ -843,64 +842,83 @@ def run_coupled_monotone(
         raise NotIndependent("lower start is not independent")
 
     gen = rngmod.stream(seed)
-
-    def try_update(state: bytearray, v: int, z: float) -> bool:
-        """Apply the update rule; returns True if the state changed."""
-        if state[v]:
-            if z < thr:
-                state[v] = 0
-                return True
-            return False
-        for w in adj[v]:
-            if state[w]:
-                return False
-        state[v] = 1
-        return True
-
-    def violates(v: int) -> bool:
-        if side[v] == 0:
-            return lo[v] == 1 and up[v] == 0
-        return up[v] == 1 and lo[v] == 0
-
+    # The order is broken at v iff the chains differ there and lower holds
+    # v on side L or upper holds it on side R: lo[v] == left[v] != up[v].
+    left = (bprime.side == SIDE_L).tolist()
     violations = 0
     first: int | None = None
     t = 0
     while t < events:
         m = min(_CHUNK, events - t)
-        if control:
+        if control:  # each chain on its own clock, checked after its own update
             v_up = gen.integers(0, n, m).tolist()
             v_lo = gen.integers(0, n, m).tolist()
             c_up = gen.random(m).tolist()
             c_lo = gen.random(m).tolist()
             z_up = gen.random(m).tolist()
             z_lo = gen.random(m).tolist()
-        else:
-            vs = gen.integers(0, n, m).tolist()
-            cs = gen.random(m).tolist()
-            zs = gen.random(m).tolist()
-        for i in range(m):
-            t += 1
-            bad = False
-            if control:
-                if c_up[i] < 0.5:
-                    try_update(up, v_up[i], z_up[i])
-                    bad = violates(v_up[i])
-                if c_lo[i] < 0.5:
-                    try_update(lo, v_lo[i], z_lo[i])
-                    bad = bad or violates(v_lo[i])
-            else:
-                v = vs[i]
-                if up[v] == lo[v]:
-                    if cs[i] >= 0.5:
-                        try_update(up, v, zs[i])
-                        try_update(lo, v, zs[i])
-                else:
-                    if cs[i] < 0.5:
-                        try_update(up, v, zs[i])
+            for vu, vl, cu, cl, zu, zl in zip(v_up, v_lo, c_up, c_lo, z_up, z_lo):
+                t += 1
+                bad = False
+                if cu < 0.5:
+                    if up[vu]:
+                        if zu < thr:
+                            up[vu] = 0
                     else:
-                        try_update(lo, v, zs[i])
-                bad = violates(v)
-            if bad:
+                        for w in adj[vu]:
+                            if up[w]:
+                                break
+                        else:
+                            up[vu] = 1
+                    bad = lo[vu] == left[vu] != up[vu]
+                if cl < 0.5:
+                    if lo[vl]:
+                        if zl < thr:
+                            lo[vl] = 0
+                    else:
+                        for w in adj[vl]:
+                            if lo[w]:
+                                break
+                        else:
+                            lo[vl] = 1
+                    bad = bad or lo[vl] == left[vl] != up[vl]
+                if bad:
+                    violations += 1
+                    if first is None:
+                        first = t
+            continue
+        # One clock: where the chains agree at v they share the coin and the
+        # draw, where they differ the coin picks the one that updates.
+        vs = gen.integers(0, n, m).tolist()
+        cs = gen.random(m).tolist()
+        zs = gen.random(m).tolist()
+        for v, c, z in zip(vs, cs, zs):
+            t += 1
+            if up[v] != lo[v]:
+                state = up if c < 0.5 else lo
+            elif c < 0.5:
+                continue
+            elif up[v]:  # both hold v: the shared draw removes it from both or neither
+                if z < thr:
+                    up[v] = lo[v] = 0
+                continue
+            else:  # neither holds v: each adds it if its own neighbours allow
+                for w in adj[v]:
+                    if up[w]:
+                        break
+                else:
+                    up[v] = 1
+                state = lo
+            if state[v]:
+                if z < thr:
+                    state[v] = 0
+            else:
+                for w in adj[v]:
+                    if state[w]:
+                        break
+                else:
+                    state[v] = 1
+            if lo[v] == left[v] != up[v]:
                 violations += 1
                 if first is None:
                     first = t

@@ -271,16 +271,19 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
         u = np.searchsorted(g.adj_offsets, bad[0], side="right") - 1
         raise NotBipartite(f"same-side edge ({u},{g.adj_targets[bad[0]]})")
 
+    # Search from the smaller side (L on a tie): a matching that covers it
+    # is maximum, so the search stops with no final exhaustive phase.
     adj = g.neighbor_lists
-    is_left = side == SIDE_L
-    left = np.flatnonzero(is_left).tolist()
-    match = _hopcroft_karp(adj, left)
+    searched = side == (SIDE_L if 2 * np.count_nonzero(side == SIDE_L) <= g.n else SIDE_R)
+    roots = np.flatnonzero(searched).tolist()
+    match = _max_matching(adj, roots)
 
-    # Alternating BFS, layer by layer, from the unmatched left vertices: a
-    # right vertex is reached over any edge, a left one over its matched edge.
-    # Every reached right vertex is matched, since the matching is maximum.
-    layer = [v for v in left if match[v] == -1]
-    matching_size = len(left) - len(layer)
+    # Alternating BFS, layer by layer, from the unmatched search-side
+    # vertices: an other-side vertex is reached over any edge, a search-side
+    # one over its matched edge.  Every reached other-side vertex is matched,
+    # since the matching is maximum.
+    layer = [v for v in roots if match[v] == -1]
+    alpha = g.n - len(roots) + len(layer)  # n minus the matching's size
     reached = bytearray(g.n)
     while layer:
         nxt = []
@@ -292,73 +295,64 @@ def alpha_bipartite(g: Graph) -> AlphaCertificate:
                     nxt.append(match[w])
         layer = nxt
 
-    witness = frozenset(np.flatnonzero(is_left == np.frombuffer(reached, bool)).tolist())
-    alpha = g.n - matching_size
+    witness = frozenset(np.flatnonzero(searched == np.frombuffer(reached, bool)).tolist())
     cert = AlphaCertificate(alpha, witness, METHOD_BIPARTITE_MATCHING)
     if len(witness) != alpha:
         raise AssertionError("Koenig witness size mismatch")
     return cert
 
 
-def _hopcroft_karp(adj: list[list[int]], left: list[int]) -> list[int]:
-    """Maximum matching; returns mate array over all vertices (-1 unmatched).
+def _max_matching(adj: list[list[int]], side: list[int]) -> list[int]:
+    """Maximum matching searched from ``side``; returns the mate array over
+    all vertices (-1 unmatched).
 
-    A greedy pass first gives each left vertex, in order, its first free
-    neighbour (Duff, Kaya & Ucar, ACM TOMS 38 (2011) 13); Hopcroft-Karp
-    phases then augment it along shortest alternating paths.
+    A greedy pass gives each vertex of ``side``, in order, its first free
+    neighbour; Pothen-Fan phases with lookahead and fairness (PF+: Pothen &
+    Fan, ACM TOMS 16 (1990) 303; Duff, Kaya & Ucar, ACM TOMS 38 (2011) 13)
+    then augment it until a phase finds no augmenting path.
     """
     n = len(adj)
-    INF = n + 1
     match = [-1] * n
-    for u in left:
+    for u in side:
         for w in adj[u]:
             if match[w] == -1:
                 match[u], match[w] = w, u
                 break
-    while True:
-        # BFS layer by layer from the free left vertices; ``goal`` is the
-        # layer one past the first left vertex with a free neighbour.
-        dist = [INF] * n
-        roots = layer = [u for u in left if match[u] == -1]
-        for u in roots:
-            dist[u] = 0
-        goal = 0
-        while layer and not goal:
-            nxt = []
-            for u in layer:
-                d = dist[u] + 1
-                for w in adj[u]:
-                    mate = match[w]
-                    if mate == -1:
-                        goal = d
-                    elif dist[mate] == INF:
-                        dist[mate] = d
-                        nxt.append(mate)
-            layer = nxt
-        if not goal:
-            return match
-        # Depth-first along the layers with an explicit stack of
-        # (vertex, neighbour iterator) frames; a dead end leaves the layers.
-        for root in roots:
-            stack = [(root, iter(adj[root]))]
+    look = [0] * n  # neighbours of u before look[u] are matched, and stay so
+    seen = [0] * n  # the last phase that reached each other-side vertex
+    free, phase = [u for u in side if match[u] == -1], 0
+    while free:
+        phase += 1
+        scan = iter if phase % 2 else reversed  # fairness: alternate the order
+        for root in free:
+            # Depth-first with an explicit stack of (vertex, neighbour
+            # iterator) frames; each entered vertex first looks ahead for a
+            # free neighbour, which ends the path.
+            u, stack = root, [(root, scan(adj[root]))]
             while stack:
-                u, nbrs = stack[-1]
-                d = dist[u] + 1
-                for w in nbrs:
-                    mate = match[w]
-                    if mate == -1:
-                        if d == goal:  # augment: each frame, top first, takes w and
-                            # hands its old mate down to the frame below
-                            for v, _ in reversed(stack):
-                                match[v], match[w], w = w, v, match[v]
-                            stack = []
+                nbrs, k = adj[u], look[u]
+                while k < len(nbrs) and match[nbrs[k]] != -1:
+                    k += 1
+                look[u] = k
+                if k < len(nbrs):  # augment: each frame, top first, takes w
+                    w = nbrs[k]  # and hands its old mate down to the frame below
+                    for v, _ in reversed(stack):
+                        match[v], match[w], w = w, v, match[v]
+                    break
+                while stack:
+                    for w in stack[-1][1]:
+                        if seen[w] != phase:
+                            seen[w] = phase
+                            u = match[w]
+                            stack.append((u, scan(adj[u])))
                             break
-                    elif dist[mate] == d:
-                        stack.append((mate, iter(adj[mate])))
-                        break
-                else:
-                    dist[u] = INF
-                    stack.pop()
+                    else:
+                        stack.pop()
+                        continue
+                    break
+        still = [u for u in free if match[u] == -1]
+        free = still if len(still) < len(free) else []  # a phase that augments nothing ends it
+    return match
 
 
 def alpha_tree(g: Graph) -> AlphaCertificate:
@@ -453,50 +447,54 @@ def _int(tok: str, below: int | None = None) -> int:
 
 
 def graph_from_text(text: str) -> Graph:
-    n = claimed_edges = None
-    edges: list[int] = []  # u0, v0, u1, v1, ...
-    labels: dict[int, int] = {}
-    groups: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tag, *args = raw.split() or ["c"]
-        try:
-            if tag == "c":
-                continue
-            if tag == "p":
-                if n is not None or len(args) != 3 or args[0] != "is":
-                    raise ValueError("want one problem line 'p is <n> <m>'")
-                n, claimed_edges = _int(args[1]), _int(args[2])
-                if min(n, claimed_edges) < 0:
-                    raise ValueError("negative count")
-            elif tag not in ("e", "l", "g") or len(args) != 2:
-                raise ValueError("want 'e <u> <v>', 'l <v> <L|R>' or 'g <v> <group>'")
-            elif n is None:
-                raise ValueError("comes before the problem line")
-            elif tag == "e":
-                u, v = _int(args[0], n), _int(args[1], n)
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                edges += (u, v)
-            elif tag == "l":
-                if args[1] not in ("L", "R"):
-                    raise ValueError(f"side {args[1]!r} is not L or R")
-                labels[_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
-            else:
-                groups[_int(args[0], n)] = _int(args[1])
-        except ValueError as exc:
-            raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None
-    if n is None:
-        raise InvalidEdge("missing problem line")
-    g = build_graph(
-        n,
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        labels=labels or None,
-        groups=groups or None,
-    )
+    lines = text.splitlines()
+    # The first pass checks the e lines in bulk.  If any check fails, a second
+    # pass checks each e line as it comes, to name the first bad line of any tag.
+    for careful in (False, True):
+        n = claimed_edges = None
+        e_toks: list[str] = []  # u0, v0, u1, v1, ...
+        labels: dict[int, int] = {}
+        groups: dict[int, int] = {}
+        for lineno, raw in enumerate(lines, 1):
+            tag, *args = raw.split() or ["c"]
+            try:
+                if tag == "c":
+                    continue
+                if tag == "p":
+                    if n is not None or len(args) != 3 or args[0] != "is":
+                        raise ValueError("want one problem line 'p is <n> <m>'")
+                    n, claimed_edges = _int(args[1]), _int(args[2])
+                    if min(n, claimed_edges) < 0:
+                        raise ValueError("negative count")
+                elif tag not in ("e", "l", "g") or len(args) != 2:
+                    raise ValueError("want 'e <u> <v>', 'l <v> <L|R>' or 'g <v> <group>'")
+                elif n is None:
+                    raise ValueError("comes before the problem line")
+                elif tag == "e":
+                    if careful and (u := _int(args[0], n)) == _int(args[1], n):
+                        raise ValueError(f"self-loop at vertex {u}")
+                    e_toks += args
+                elif tag == "l":
+                    if args[1] not in ("L", "R"):
+                        raise ValueError(f"side {args[1]!r} is not L or R")
+                    labels[_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
+                else:
+                    groups[_int(args[0], n)] = _int(args[1])
+            except ValueError as exc:
+                if careful:
+                    raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None
+                break
+        else:
+            if n is None:
+                raise InvalidEdge("missing problem line")
+            flat = " ".join(e_toks)
+            if careful or re.fullmatch(r"[0-9 ]*", flat):  # no sign; a huge value stays >= n
+                edges = np.fromstring(flat, dtype=np.int64, sep=" ").reshape(-1, 2)
+                if careful or not np.any((edges[:, 0] == edges[:, 1]) | (edges >= n).any(1)):
+                    break
+    g = build_graph(n, edges, labels=labels or None, groups=groups or None)
     if g.num_edges != claimed_edges:
-        raise InvalidEdge(
-            f"problem line claims {claimed_edges} edges, file has {g.num_edges}"
-        )
+        raise InvalidEdge(f"problem line claims {claimed_edges} edges, file has {g.num_edges}")
     return g
 
 

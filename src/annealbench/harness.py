@@ -654,7 +654,11 @@ def read_trials(run: str | Path, stats: str | Path | None = None) -> list[dict]:
 
 def _rows_by_id(path: str | Path) -> dict[str, dict]:
     rows: dict[str, dict] = {}
-    for row in read_csv(path):
-        if rows.setdefault(row.get("trial_id"), row) is not row:
-            raise ConfigError(f"trial_id {row.get('trial_id')} is twice in {path}")
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "trial_id" not in (reader.fieldnames or ()):
+            raise ConfigError(f"{path} has no trial_id column")
+        for row in reader:
+            if rows.setdefault(row["trial_id"], row) is not row:
+                raise ConfigError(f"trial_id {row['trial_id']} is twice in {path}")
     return rows

@@ -372,7 +372,7 @@ def parse_params(schema: dict, raw: Mapping[str, object], where: str) -> dict:
 # Family table
 
 CLOSED_FORM = "closed_form"
-MATCHING = gc.METHOD_BIPARTITE_MATCHING  # exact, Koenig via Hopcroft-Karp
+MATCHING = gc.METHOD_BIPARTITE_MATCHING  # exact, Koenig via maximum matching
 LOWER_BOUND = "lower_bound"
 
 

@@ -6,6 +6,9 @@
   proposal reads one real ``u`` of the trial's stream: the vertex is
   ``floor(u*n)`` and the removal coin is the fractional part of ``u*n``.
 * A set-based graph builder, the reference of ``graph_core.build_graph``.
+* The graph file parser that checks one line at a time, the reference of
+  ``graph_core.graph_from_text``, which checks the edge lines in bulk:
+  the same ``Graph`` arrays, and the same message for the same bad line.
 * Randomized greedy as the plain scan: every position of the permutation
   in order, one bool-mask assignment per added vertex.  It is what
   ``dynamics.run_randomized_greedy`` is held to, set and ``TrialRecord``
@@ -13,21 +16,27 @@
 * The projection of an independent set of an explicit clique blowup onto
   its base graph, which criterion 2 compares with the implicit blowup.
 * Kuhn's augmenting-path matcher, the reference of the size of
-  ``graph_core._hopcroft_karp``'s maximum matching.
+  ``graph_core._max_matching``'s maximum matching, searched from either side.
 * The engine's any-number-of-classes code, which the two-class code of
   ``dynamics`` is held to value for value: the step-mode proposals
   (``propose_reference``, a ``searchsorted`` over the classes' shares) and
   the jump-mode pick (``pick_reference``, a loop over the lists).
+* The coupled pair of chains with its update rule and order check as
+  closures, the reference of ``dynamics.run_coupled_monotone``'s inlined
+  loop, report for report; ``coupling_instance`` is the start that the
+  coupled-chain tests share.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from annealbench import rng as rngmod
-from annealbench.dynamics import RateClasses, TrialRecord, removal_threshold
-from annealbench.errors import NotIndependent
-from annealbench.graph_core import Graph, is_independent
+from annealbench.dynamics import _CHUNK, CouplingReport, RateClasses, TrialRecord, removal_threshold
+from annealbench.errors import InvalidEdge, NotIndependent
+from annealbench.graph_core import SIDE_L, SIDE_R, Graph, build_graph, is_independent
 from annealbench.instance_gen import BlowupParams
 from annealbench.schedules import FugacitySchedule, HistoryDigest
 
@@ -145,6 +154,60 @@ def build_graph_reference(n: int, edges) -> Graph:
     return Graph(n, offsets, targets)
 
 
+def graph_from_text_reference(text: str) -> Graph:
+    """``graph_core.graph_from_text`` one line at a time: every token of every
+    line is checked with a regex as it comes, and the first bad line raises."""
+
+    def as_int(tok: str, below: int | None = None) -> int:
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ValueError(f"{tok!r} is not an integer")
+        val = int(tok)
+        if below is not None and not 0 <= val < below:
+            raise ValueError(f"vertex {val} outside [0,{below})")
+        return val
+
+    n = claimed_edges = None
+    edges: list[int] = []  # u0, v0, u1, v1, ...
+    labels: dict[int, int] = {}
+    groups: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tag, *args = raw.split() or ["c"]
+        try:
+            if tag == "c":
+                continue
+            if tag == "p":
+                if n is not None or len(args) != 3 or args[0] != "is":
+                    raise ValueError("want one problem line 'p is <n> <m>'")
+                n, claimed_edges = as_int(args[1]), as_int(args[2])
+                if min(n, claimed_edges) < 0:
+                    raise ValueError("negative count")
+            elif tag not in ("e", "l", "g") or len(args) != 2:
+                raise ValueError("want 'e <u> <v>', 'l <v> <L|R>' or 'g <v> <group>'")
+            elif n is None:
+                raise ValueError("comes before the problem line")
+            elif tag == "e":
+                u, v = as_int(args[0], n), as_int(args[1], n)
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                edges += (u, v)
+            elif tag == "l":
+                if args[1] not in ("L", "R"):
+                    raise ValueError(f"side {args[1]!r} is not L or R")
+                labels[as_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
+            else:
+                groups[as_int(args[0], n)] = as_int(args[1])
+        except ValueError as exc:
+            raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None
+    if n is None:
+        raise InvalidEdge("missing problem line")
+    g = build_graph(
+        n, np.array(edges, dtype=np.int64).reshape(-1, 2), labels=labels or None, groups=groups or None
+    )
+    if g.num_edges != claimed_edges:
+        raise InvalidEdge(f"problem line claims {claimed_edges} edges, file has {g.num_edges}")
+    return g
+
+
 def kuhn_matching_size(adj: list[list[int]], left: list[int]) -> int:
     """Size of a maximum matching: one augmenting-path search per left
     vertex from an empty matching, recursive, with no greedy start."""
@@ -235,3 +298,97 @@ def pick_reference(x: float, lists: list[list[int]], weights: list[float]) -> tu
         x -= share
     return [m for w, m in zip(weights, lists) if w * len(m)][-1], -1
 
+
+
+def coupling_instance(seed: int):
+    """A random 8 + 12 bipartite graph, upper holding all of L and lower a
+    random part of R: the start of the coupled-chain tests."""
+    gen = np.random.default_rng(seed)
+    nl, nr = 8, 12
+    labels = {v: SIDE_L if v < nl else SIDE_R for v in range(nl + nr)}
+    edges = [(u, nl + w) for u in range(nl) for w in range(nr) if gen.random() < 0.3]
+    g = build_graph(nl + nr, edges, labels=labels, bipartite=True)
+    upper = list(range(nl))
+    lower = [nl + w for w in range(nr) if gen.random() < 0.4]
+    return g, upper, lower
+
+
+def run_coupled_monotone_reference(
+    bprime: Graph, upper_init, lower_init, lam: float, events: int, seed: int, control: bool = False
+) -> CouplingReport:
+    """``dynamics.run_coupled_monotone`` with its update rule and order
+    check as the closures ``try_update`` and ``violates``, called once per
+    chain update and once per check."""
+    n = bprime.n
+    adj = bprime.neighbor_lists
+    side = bprime.side.tolist()
+    thr = removal_threshold(lam)
+    up = bytearray(n)
+    lo = bytearray(n)
+    for v in upper_init:
+        up[int(v)] = 1
+    for v in lower_init:
+        lo[int(v)] = 1
+    gen = rngmod.stream(seed)
+
+    def try_update(state: bytearray, v: int, z: float) -> bool:
+        """Apply the update rule; returns True if the state changed."""
+        if state[v]:
+            if z < thr:
+                state[v] = 0
+                return True
+            return False
+        for w in adj[v]:
+            if state[w]:
+                return False
+        state[v] = 1
+        return True
+
+    def violates(v: int) -> bool:
+        if side[v] == 0:
+            return lo[v] == 1 and up[v] == 0
+        return up[v] == 1 and lo[v] == 0
+
+    violations = 0
+    first: int | None = None
+    t = 0
+    while t < events:
+        m = min(_CHUNK, events - t)
+        if control:
+            v_up = gen.integers(0, n, m).tolist()
+            v_lo = gen.integers(0, n, m).tolist()
+            c_up = gen.random(m).tolist()
+            c_lo = gen.random(m).tolist()
+            z_up = gen.random(m).tolist()
+            z_lo = gen.random(m).tolist()
+        else:
+            vs = gen.integers(0, n, m).tolist()
+            cs = gen.random(m).tolist()
+            zs = gen.random(m).tolist()
+        for i in range(m):
+            t += 1
+            bad = False
+            if control:
+                if c_up[i] < 0.5:
+                    try_update(up, v_up[i], z_up[i])
+                    bad = violates(v_up[i])
+                if c_lo[i] < 0.5:
+                    try_update(lo, v_lo[i], z_lo[i])
+                    bad = bad or violates(v_lo[i])
+            else:
+                v = vs[i]
+                if up[v] == lo[v]:
+                    if cs[i] >= 0.5:
+                        try_update(up, v, zs[i])
+                        try_update(lo, v, zs[i])
+                else:
+                    if cs[i] < 0.5:
+                        try_update(up, v, zs[i])
+                    else:
+                        try_update(lo, v, zs[i])
+                bad = violates(v)
+            if bad:
+                violations += 1
+                if first is None:
+                    first = t
+    return CouplingReport(events=t, violation_events=violations, first_violation=first)

@@ -63,7 +63,7 @@ from exact_laws import (
     spider_mid_law,
     weighted_law,
 )
-from reference import phi_project
+from reference import coupling_instance, phi_project
 
 pytestmark = pytest.mark.acceptance
 
@@ -485,19 +485,6 @@ def test_criterion_8_chain_reaches_most_blocks(multicopy_mp_run):
 # -- criterion 9: coupling property suite --------------------------------------
 
 
-def _coupling_instance(seed: int):
-    gen = np.random.default_rng(seed)
-    nl, nr = 8, 12
-    labels = {v: gc.SIDE_L if v < nl else gc.SIDE_R for v in range(nl + nr)}
-    edges = [
-        (u, nl + w) for u in range(nl) for w in range(nr) if gen.random() < 0.3
-    ]
-    g = gc.build_graph(nl + nr, edges, labels=labels, bipartite=True)
-    upper = list(range(nl))
-    lower = [nl + w for w in range(nr) if gen.random() < 0.4]
-    return g, upper, lower
-
-
 def test_criterion_9_coupling_suite():
     start = time.time()
     seeds = range(50)
@@ -505,7 +492,7 @@ def test_criterion_9_coupling_suite():
     runs = 0
     for lam in (1.0, 2.0, 10.0):
         for seed in seeds:
-            g, upper, lower = _coupling_instance(seed)
+            g, upper, lower = coupling_instance(seed)
             rep = dy.run_coupled_monotone(
                 g, upper, lower, lam=lam, events=10**5, seed=seed
             )
@@ -513,7 +500,7 @@ def test_criterion_9_coupling_suite():
             violations += rep.violation_events
     control_broken = 0
     for seed in seeds:
-        g, upper, lower = _coupling_instance(seed)
+        g, upper, lower = coupling_instance(seed)
         rep = dy.run_coupled_monotone(
             g, upper, lower, lam=2.0, events=10**5, seed=seed, control=True
         )

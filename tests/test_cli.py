@@ -245,8 +245,12 @@ LONG_STATS_CSV = "".join(REPORT_STATS_CSV.splitlines(keepends=True)[:5])
          "trial_id 1 is twice in {run}"),
         (REPORT_RUN_CSV, REPORT_STATS_CSV + REPORT_STATS_CSV.splitlines()[1] + "\n", [],
          "trial_id 0 is twice in {stats}"),
+        ("max_size\n3\n5\n", None, [], "{run} has no trial_id column"),
+        ("max_size\n3\n", None, [], "{run} has no trial_id column"),
+        (REPORT_RUN_CSV, "final_size\n3\n", [], "{stats} has no trial_id column"),
     ],
-    ids=["stats-only", "stats-only-alpha", "run-only", "run-twice", "stats-twice"],
+    ids=["stats-only", "stats-only-alpha", "run-only", "run-twice", "stats-twice",
+         "run-no-id-two-rows", "run-no-id-one-row", "stats-no-id"],
 )
 def test_report_rejects_trial_ids_that_do_not_pair_up(tmp_path, capsys, run, stats, flags,
                                                        message):

@@ -16,7 +16,9 @@ from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, HistoryDiges
 from exact_laws import hardcore_distribution
 from reference import (
     IndependentSetState,
+    coupling_instance,
     phi_project,
+    run_coupled_monotone_reference,
     run_randomized_greedy_reference,
     run_ump_reference,
     ump_update,
@@ -536,22 +538,9 @@ def test_phi_project_rejects_dependent_input():
 # -- coupled monotone run ----------------------------------------------------
 
 
-def _coupling_instance(seed):
-    gen = np.random.default_rng(seed)
-    nl, nr = 8, 12
-    labels = {v: gc.SIDE_L if v < nl else gc.SIDE_R for v in range(nl + nr)}
-    edges = [
-        (u, nl + w) for u in range(nl) for w in range(nr) if gen.random() < 0.3
-    ]
-    g = gc.build_graph(nl + nr, edges, labels=labels, bipartite=True)
-    upper = list(range(nl))
-    lower = [nl + w for w in range(nr) if gen.random() < 0.4]
-    return g, upper, lower
-
-
 def test_coupled_run_preserves_order():
     for seed in range(6):
-        g, upper, lower = _coupling_instance(seed)
+        g, upper, lower = coupling_instance(seed)
         for lam in (1.0, 2.0):
             rep = dy.run_coupled_monotone(
                 g, upper, lower, lam=lam, events=20_000, seed=seed
@@ -559,8 +548,19 @@ def test_coupled_run_preserves_order():
             assert rep.ordered_throughout, (seed, lam, rep.first_violation)
 
 
+@pytest.mark.parametrize("control", [False, True], ids=["coupled", "control"])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
+def test_coupled_run_matches_the_closure_reference(lam, control):
+    """The inlined loop gives the report of the closure version, event for
+    event: the same violation count and the same first violation."""
+    for seed in range(6):
+        g, upper, lower = coupling_instance(seed)
+        args = (g, upper, lower, lam, 10**5, seed, control)
+        assert dy.run_coupled_monotone(*args) == run_coupled_monotone_reference(*args)
+
+
 def test_coupled_run_identical_starts_stay_identical():
-    g, upper, _ = _coupling_instance(3)
+    g, upper, _ = coupling_instance(3)
     rep = dy.run_coupled_monotone(g, upper, upper, lam=2.0, events=20_000, seed=5)
     assert rep.ordered_throughout
 
@@ -587,7 +587,7 @@ def test_coupled_run_never_removes_at_infinite_fugacity(monkeypatch):
 def test_decoupled_control_breaks_order():
     broken = 0
     for seed in range(10):
-        g, upper, lower = _coupling_instance(100 + seed)
+        g, upper, lower = coupling_instance(100 + seed)
         rep = dy.run_coupled_monotone(
             g, upper, lower, lam=2.0, events=20_000, seed=seed, control=True
         )

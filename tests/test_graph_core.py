@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench.errors import CapExceeded, InvalidEdge, NotAForest, NotBipartite
-from reference import IndependentSetState, build_graph_reference, kuhn_matching_size
+from reference import (
+    IndependentSetState,
+    build_graph_reference,
+    graph_from_text_reference,
+    kuhn_matching_size,
+)
 
 
 def path_graph(n):
@@ -222,9 +227,9 @@ def test_alpha_bipartite_c4():
 
 
 def test_alpha_bipartite_long_augmenting_path(monkeypatch):
-    """A path of 20,000 vertices numbered so that the first matching phase
-    takes every left vertex's wrong neighbour; the second phase then needs
-    one augmenting path through all 10,000 left vertices."""
+    """A path of 20,000 vertices numbered so that the greedy start gives
+    every left vertex its wrong neighbour; the first phase then needs one
+    augmenting path through all 10,000 left vertices."""
     import sys
 
     m = 10_000
@@ -243,14 +248,16 @@ def test_alpha_bipartite_long_augmenting_path(monkeypatch):
 def _check_maximum_matching(n, left, right, edges):
     labels = {v: gc.SIDE_L for v in left} | {v: gc.SIDE_R for v in right}
     g = gc.build_graph(n, edges, labels=labels, bipartite=True)
-    match = gc._hopcroft_karp(g.neighbor_lists, left)
-    matched = [u for u in left if match[u] != -1]
-    assert len(matched) == kuhn_matching_size(g.neighbor_lists, left)
-    for u in matched:
-        assert match[match[u]] == u and match[u] in g.neighbor_lists[u]
-    assert sum(m != -1 for m in match) == 2 * len(matched)
+    size = kuhn_matching_size(g.neighbor_lists, left)
+    for side in (left, right):
+        match = gc._max_matching(g.neighbor_lists, side)
+        matched = [u for u in side if match[u] != -1]
+        assert len(matched) == size
+        for u in matched:
+            assert match[match[u]] == u and match[u] in g.neighbor_lists[u]
+        assert sum(m != -1 for m in match) == 2 * size
     cert = gc.alpha_bipartite(g)
-    assert cert.alpha == n - len(matched) and cert.verify(g)
+    assert cert.alpha == n - size and cert.verify(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,9 +267,10 @@ def _check_maximum_matching(n, left, right, edges):
     st.integers(0, 14),
     st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]),
 )
-def test_hopcroft_karp_matches_the_kuhn_reference(seed, nl, nr, density):
+def test_max_matching_matches_the_kuhn_reference(seed, nl, nr, density):
     """Unbalanced or empty sides, isolated vertices, complete graphs; the
-    sides interleave in vertex order, so the greedy start varies."""
+    sides interleave in vertex order, so the greedy start varies.  The
+    matching is searched from each side in turn."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(nl + nr)
     left, right = sorted(order[:nl].tolist()), sorted(order[nl:].tolist())
@@ -270,7 +278,7 @@ def test_hopcroft_karp_matches_the_kuhn_reference(seed, nl, nr, density):
     _check_maximum_matching(nl + nr, left, right, edges)
 
 
-def test_hopcroft_karp_repairs_a_greedy_start_that_is_not_maximum():
+def test_max_matching_repairs_a_greedy_start_that_is_not_maximum():
     # The path 3 - 0 - 2 - 1: the greedy start gives 0 its first neighbour,
     # 2, which leaves 1 with no free neighbour; one phase augments 1-2-0-3.
     _check_maximum_matching(4, [0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
@@ -283,6 +291,18 @@ def test_alpha_bipartite_of_the_bundled_greedy_instance_is_pinned():
     g = ig.family("balanced-bipartite").make({"n": "5000", "d": "16"}, 20260814).graph
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == 5006
+    assert cert.verify(g)
+
+
+def test_alpha_bipartite_searching_from_the_right_side_is_pinned():
+    """The same family at seed 271828, where L is the larger side, so the
+    matching is searched from R."""
+    from annealbench import instance_gen as ig
+
+    g = ig.family("balanced-bipartite").make({"n": "5000", "d": "16"}, 271828).graph
+    assert np.count_nonzero(g.side == gc.SIDE_L) > g.n / 2
+    cert = gc.alpha_bipartite(g)
+    assert cert.alpha == 5064
     assert cert.verify(g)
 
 
@@ -416,15 +436,55 @@ P = "p is 3 1\n"
         ("p it 3 1\n", 1),
         ("p is -3 0\n", 1),
         ("e 0 1\n" + P, 1),
+        (P + "e 0 1\ne 0 3\nl 0 Q\n", 3),
+        (P + "e 0 1\ne 2 2\ncheese\n", 3),
+        (P + "e 0 99999999999999999999\n", 2),
+        (P + "e 0 9223372036854775808\n", 2),
+        (P + "e 1 -0\ne 2 3\n", 3),
     ],
     ids=["bad-side", "e-three-args", "e-one-arg", "g-one-arg", "l-out-of-range",
          "g-out-of-range", "e-not-int", "e-out-of-range", "e-negative", "e-self-loop",
          "e-plus-sign", "cheese", "second-p", "unknown-tag", "p-not-int", "p-short",
-         "p-not-is", "p-negative", "edge-before-p"],
+         "p-not-is", "p-negative", "edge-before-p", "bad-e-before-bad-l",
+         "bad-e-before-cheese", "e-past-int64", "e-at-int64", "e-after-a-signed-zero"],
 )
 def test_graph_from_text_names_the_bad_line(text, line):
-    with pytest.raises(InvalidEdge, match=f"^line {line}: "):
+    """The edge lines are checked in bulk; a failed check names the first bad
+    line of any tag, with the message of the line-by-line reference."""
+    with pytest.raises(InvalidEdge, match=f"^line {line}: ") as got:
         gc.graph_from_text(text)
+    with pytest.raises(InvalidEdge) as want:
+        graph_from_text_reference(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("balanced-bipartite", {"n": "400", "d": "6"}),
+    ("multicopy", {"n": "16", "eps": "0.25"}),
+    ("bipartite-blowup",
+     {"base_n": "6", "base_k": "2", "base_p": "0.5", "cloud_size": "3", "copies": "2"}),
+])
+def test_graph_from_text_gives_the_arrays_of_the_reference(family, params):
+    """Labels, groups, both orientations of an edge, repeated edges, padded
+    and signed zero tokens: every array equals the line-by-line parse."""
+    from annealbench import instance_gen as ig
+
+    text = gc.graph_to_text(ig.family(family).make(params, 7).graph)
+    head, *rest = text.splitlines()
+    edges = [ln for ln in rest if ln.startswith("e ")]
+    flipped = ["e {2} {1}".format(*ln.split()) for ln in edges[::3]]
+    u, v = edges[0].split()[1:]
+    padded = f"  e\t{'-0' if u == '0' else '00' + u} 0{v} "  # the first edge again
+    texts = [
+        text,
+        "\n".join(["c x", head, *rest, *flipped, *edges[:5], ""]),
+        text.replace(edges[0] + "\n", padded + "\n", 1),
+    ]
+    for t in texts:
+        g, h = gc.graph_from_text(t), graph_from_text_reference(t)
+        for name in ("adj_offsets", "adj_targets", "side", "group"):
+            a, b = getattr(g, name), getattr(h, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 def test_state_tracks_invariants():
