@@ -766,7 +766,7 @@ def run_degree_greedy(g: Graph) -> frozenset[int]:
     import heapq
 
     alive = bytearray(b"\x01" * g.n)
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = np.diff(g.adj_offsets).tolist()
     heap = [(deg[v], v) for v in range(g.n)]
     heapq.heapify(heap)
     chosen: list[int] = []

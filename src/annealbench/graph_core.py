@@ -63,9 +63,10 @@ class Graph:
 
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
-        """Python-list adjacency, built once per graph for tight loops."""
+        """Python-list adjacency for tight loops, built once; vertex ints are shared."""
         offs = self.adj_offsets.tolist()
-        targets = self.adj_targets.tolist()
+        # one int object per vertex, shared by every list that names it
+        targets = np.arange(self.n).astype(object)[self.adj_targets].tolist()
         return [targets[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
     @cached_property

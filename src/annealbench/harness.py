@@ -632,12 +632,6 @@ def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) ->
     return "\n".join(lines) + "\n"
 
 
-def read_csv(path: str | Path) -> list[dict]:
-    """Rows of a ``run.csv`` or ``stats.csv`` file, as dicts of strings."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def read_trials(run: str | Path, stats: str | Path | None = None) -> list[dict]:
     """The rows of a ``run.csv`` in file order, each merged with its row of a
     ``stats.csv`` if given.  A trial_id twice in a file, or in only one file,

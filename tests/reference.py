@@ -25,10 +25,13 @@
   closures, the reference of ``dynamics.run_coupled_monotone``'s inlined
   loop, report for report; ``coupling_instance`` is the start that the
   coupled-chain tests share.
+* ``read_csv``: the rows of any CSV a run writes, as dicts of strings,
+  without the trial_id checks of ``harness.read_trials``.
 """
 
 from __future__ import annotations
 
+import csv
 import re
 
 import numpy as np
@@ -39,6 +42,12 @@ from annealbench.errors import InvalidEdge, NotIndependent
 from annealbench.graph_core import SIDE_L, SIDE_R, Graph, build_graph, is_independent
 from annealbench.instance_gen import BlowupParams
 from annealbench.schedules import FugacitySchedule, HistoryDigest
+
+
+def read_csv(path) -> list[dict]:
+    """Rows of a ``run.csv``, ``stats.csv`` or ``traj.csv`` file, as dicts of strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class IndependentSetState:

@@ -38,6 +38,7 @@ budget is too small, and reports FAIL honestly:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -652,3 +653,62 @@ def test_criterion_11_burn_in_schedule_invariance():
     assert overlap_ok
     assert occupancy_ok
     assert touch_ok
+
+
+# -- full-scale bytes of every run above ---------------------------------------
+
+# fixture -> (run.csv sha256, stats.csv sha256, config_hash) of its bundled
+# config at full scale.  A change that claims to keep every byte of a run is
+# held to these as well as to the resized runs of test_pinned_bytes.py.
+FULL_SCALE_PINNED = {
+    "blowup_run": (
+        "ad069ed5ceea4320eb08513197c8e54923fd4c6afc1a73a1fbb95e03b90ad39b",
+        "1d3d9a0922336ff2467cfdc80c5dae33b2208454146c4f8dc75637d11d16569e",
+        "7d6025f97e3886b76568c84d30ced66d5eacfc85c10bb677cba0f2d0b8c276b6",
+    ),
+    "tree_run": (
+        "0d131ece7846bde080e4099c045fd2322361e44d8e3caae4a46df466f1835801",
+        "0bb11baff00b0fd07391252ae297e79a25248d7491c175d80f4837d30e6dc4b8",
+        "34da9e068a9606c071a72713110fbdd56804fd93ab30c0d8ef23b36b966baee0",
+    ),
+    "tree_approx_run": (
+        "8d807935ef8c82da6b8a038fad9e12bd560c7596783c936e1b5a981e25a46f6d",
+        "affceadff3b4f91689285e6534b763ca09c85c455dde7924b354e35ac49588ee",
+        "a2d3701d0eeb0d8655c5046c919cf8a612f6ae5ee2910c94e1df5223854327a1",
+    ),
+    "bipartite_greedy_run": (
+        "83ca5f0df7b3e869f27cf0a6dbff1274ef10c4713dfa4e440164fa0e893207db",
+        "3f5d3c1a11214d7bfb88ca84706c5c9f8c12d4277c58d8235925e17ffc4cd51e",
+        "1d712ecdc4b112c29eed25be9a44544b5a78a20c824686761c29bb9fd92e38fb",
+    ),
+    "bipartite_chain_run": (
+        "7f36dbee7d83018182b4a74e86af5915f2fc44722ceb5f986c7ac9de6985fa51",
+        "336e42ae7f55faed3993e55329495f799402806a9d76c97e1160a116a9816896",
+        "2512155a32fc7ccbac3afeda117c4255eef45b5cefb6a24087d1e5631ab8a812",
+    ),
+    "anchor_run": (
+        "e49a5b4a0a1d2691e7b1d081323bd1330142bf6c9ddd4fab3a723459381bb325",
+        "65c001895baf3e8df7e9ad3841fa3dfe0ea0b7486b6c1e847918ae80d6d7d4a4",
+        "5bfd1f4cb3ad073d21f920599445db6c765ef41c46fe1c30ea2bde6b49bd4bd6",
+    ),
+    "multicopy_greedy_run": (
+        "8a02d62a385a972ebf525928e4eb9d9e058d496e359a53c09a441045bac81d32",
+        "14726672777e4376dc52df42dc3015fc9c4a6fa389f23897baf84ca273e2b0be",
+        "0b1b04f400004f807f4e1e79157f6672c6848308cd983e297d1513f4ecd4818c",
+    ),
+    "multicopy_mp_run": (
+        "e17c7c7bbf5904c63e5c572f57e0f6a47898e7f06d7952983c1a870433533466",
+        "19157deaf3be777c89add27b055d7f1c7f4e732c3d77d36320e815372ed44365",
+        "f96d933efabff948fedb52fc2f27db19b8e15e89c337a6eea8cb62fe325ceca5",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FULL_SCALE_PINNED))
+def test_full_scale_bytes_are_pinned(fixture, request):
+    cfg, manifest, _ = request.getfixturevalue(fixture)
+    out = Path(cfg.out_dir)
+    got = tuple(
+        hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("run.csv", "stats.csv")
+    ) + (manifest.config_hash,)
+    assert got == FULL_SCALE_PINNED[fixture]

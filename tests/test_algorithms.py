@@ -13,6 +13,7 @@ import pytest
 
 from annealbench import harness as hz
 from annealbench.cli import main
+from reference import read_csv
 
 STAR = "family = star-tree\nk = 3"  # watch and probe vertices, no side labels
 LABELED = "family = base-bipartite\nn = 4\nk = 2\np = 0.4"
@@ -180,7 +181,7 @@ def test_run_keeps_the_ump_defaults(tmp_path, capsys, star_graph):
     flags = ["--schedule", "fixed:1", "--steps", "1000"]
     assert main(["run", "--graph", star_graph, *flags, "--out", str(explicit)]) == 0
     assert plain.read_bytes() == explicit.read_bytes()
-    assert hz.read_csv(plain)[0]["steps"] == "1000"
+    assert read_csv(plain)[0]["steps"] == "1000"
     zero = tmp_path / "zero.csv"
     _rejected(tmp_path, capsys, ["run", "--graph", star_graph, "--steps", "0", "--out", str(zero)],
               "steps must be >= 1")

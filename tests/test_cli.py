@@ -7,6 +7,7 @@ import pytest
 
 from annealbench import harness as hz
 from annealbench.cli import main
+from reference import read_csv
 
 
 def test_gen_alpha_run_report_pipeline(tmp_path, capsys):
@@ -36,7 +37,7 @@ def test_gen_alpha_run_report_pipeline(tmp_path, capsys):
         )
         == 0
     )
-    rows = hz.read_csv(run_csv)
+    rows = read_csv(run_csv)
     assert len(rows) == 3
     assert all(r["alpha"] == "6" for r in rows)
 
@@ -123,7 +124,7 @@ def test_run_greedy_algorithm(tmp_path):
         )
         == 0
     )
-    rows = hz.read_csv(out_csv)
+    rows = read_csv(out_csv)
     assert rows[0]["max_size"] == "2"
 
 
@@ -330,7 +331,7 @@ def test_run_completes_an_uncapped_ladder(tmp_path, capsys):
     code = main(["run", "--graph", graph, "--steps", "3000", "--schedule", "geometric:1:2:1",
                  "--out", out_csv])
     assert code == 0
-    assert hz.read_csv(out_csv)[0]["steps"] == "3000"
+    assert read_csv(out_csv)[0]["steps"] == "3000"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench.errors import CapExceeded, InvalidEdge, NotAForest, NotBipartite
+from annealbench.instance_gen import gen_base_bipartite
 from reference import (
     IndependentSetState,
     build_graph_reference,
@@ -165,6 +166,18 @@ def test_neighbor_arrays_are_readonly_views_of_the_neighbor_lists():
             with pytest.raises(ValueError):
                 nbrs[:] = 0
     assert built.neighbor_arrays is built.neighbor_arrays  # built once
+
+
+def test_neighbor_lists_share_one_int_object_per_vertex():
+    bip = gen_base_bipartite(50, 10, 0.2, seed=3)
+    rng = np.random.default_rng(5)
+    pairs = rng.integers(0, 600, size=(3000, 2))
+    plain = build_graph_reference(600, pairs[pairs[:, 0] != pairs[:, 1]])
+    for g in (bip, gc.graph_from_text(gc.graph_to_text(bip)), plain):
+        entries = [w for nbrs in g.neighbor_lists for w in nbrs]
+        assert max(entries) > 256  # past CPython's cache of small ints
+        assert all(type(w) is int for w in entries)
+        assert len({id(w) for w in entries}) == len(set(entries))
 
 
 # -- is_independent ---------------------------------------------------------

