@@ -47,7 +47,14 @@ from .errors import (
 from .graph_core import SIDE_L, SIDE_R, Graph, is_independent
 from .schedules import FugacitySchedule, HistoryDigest, check_lambda
 
-_CHUNK = 1 << 15  # most reals drawn from a stream at once; bytes do not depend on it
+# The chain engine draws, proposes and converts at most _CHUNK reals at once;
+# its bytes do not depend on the value. At 2^13 a block's float64 array is
+# 64 KiB, under glibc's 128 KiB mmap threshold, and the block with its
+# proposals and Python floats (about 0.8 MiB) stays in L2. The coupled chain
+# lays its draws out per block of _COUPLED_CHUNK events, so its bytes do
+# depend on that value, and it keeps 2^15.
+_CHUNK = 1 << 13
+_COUPLED_CHUNK = 1 << 15
 _NEVER = 1 << 62
 # Step mode enters jump mode after a window of n proposals of which fewer
 # than 1/8 changed the state; jump mode returns to step mode as soon as the
@@ -640,6 +647,12 @@ class WeightedCTConfig:
             raise ValueError(f"events must be >= 1, not {self.events}")
         if self.horizon is not None and not (0.0 < self.horizon < math.inf):
             raise ValueError(f"horizon must be finite and > 0, not {self.horizon}")
+        if self.horizon is not None and self.classes.total_rate * self.horizon >= _NEVER:
+            # numpy draws no Poisson count past about 9.2e18
+            raise InvalidRate(
+                f"horizon {self.horizon} at total rate {self.classes.total_rate} "
+                f"expects {self.classes.total_rate * self.horizon:.3g} events, 2^62 or more"
+            )
 
     @staticmethod
     def for_sides(
@@ -849,7 +862,7 @@ def run_coupled_monotone(
     first: int | None = None
     t = 0
     while t < events:
-        m = min(_CHUNK, events - t)
+        m = min(_COUPLED_CHUNK, events - t)
         if control:  # each chain on its own clock, checked after its own update
             v_up = gen.integers(0, n, m).tolist()
             v_lo = gen.integers(0, n, m).tolist()

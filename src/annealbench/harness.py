@@ -277,6 +277,10 @@ def bundle_for(
         if burn and inst.blowup.p <= 0:
             raise ConfigError("horizon = burn needs p > 0: the burn-in time is 1 / (8 k p n)")
         horizon = oc.burn_in_time(inst.blowup) if burn else cfg.horizon and float(cfg.horizon)
+        if horizon == math.inf:  # a subnormal p
+            raise ConfigError(
+                f"horizon = burn: the burn-in time 1 / (8 k p n) overflows at p = {inst.blowup.p}"
+            )
         ct = dy.WeightedCTConfig.blowup_implicit(inst.graph, inst.blowup.ell, horizon, cfg.events)
         template = {"ell": inst.blowup.ell}
     return InstanceBundle(inst.graph, alpha, method, recorder=recorder, ct=ct, ct_template=template)

@@ -105,7 +105,12 @@ def _bernoulli_indices(total: int, p: float, gen: np.random.Generator) -> np.nda
     while pos < total:
         remaining = total - pos
         block = int(remaining * p * 1.1 + 10.0 * math.sqrt(remaining * p + 1.0) + 16)
-        gaps = np.floor(np.log1p(-gen.random(block)) / log_q).astype(np.int64) + 1
+        with np.errstate(over="ignore"):  # a subnormal p: the gap is inf, clipped below
+            gaps = np.floor(np.log1p(-gen.random(block)) / log_q)
+        # A gap past `total` ends the set; clipped, it fits int64 for any p.
+        # Clipped in place: a third live array of the block's size raised
+        # the pooled peak RSS of a 2.5e6-pair build by about 3.6 MiB.
+        gaps = np.minimum(gaps, total, out=gaps).astype(np.int64) + 1
         idx = pos + np.cumsum(gaps)
         picked.append(idx[idx < total])
         pos = int(idx[-1])

@@ -37,7 +37,13 @@ import re
 import numpy as np
 
 from annealbench import rng as rngmod
-from annealbench.dynamics import _CHUNK, CouplingReport, RateClasses, TrialRecord, removal_threshold
+from annealbench.dynamics import (
+    _COUPLED_CHUNK,
+    CouplingReport,
+    RateClasses,
+    TrialRecord,
+    removal_threshold,
+)
 from annealbench.errors import InvalidEdge, NotIndependent
 from annealbench.graph_core import SIDE_L, SIDE_R, Graph, build_graph, is_independent
 from annealbench.instance_gen import BlowupParams
@@ -362,7 +368,7 @@ def run_coupled_monotone_reference(
     first: int | None = None
     t = 0
     while t < events:
-        m = min(_CHUNK, events - t)
+        m = min(_COUPLED_CHUNK, events - t)
         if control:
             v_up = gen.integers(0, n, m).tolist()
             v_lo = gen.integers(0, n, m).tolist()

@@ -391,6 +391,42 @@ def test_a_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, o
 
 
 @pytest.mark.parametrize(
+    "p,horizon,what",
+    [("0.2", "1e300", "2^62 or more"), ("1e-300", "burn", "2^62 or more"),
+     ("5e-324", "burn", "burn-in time 1 / (8 k p n) overflows")],  # burn-in time 1e299, inf
+    ids=["huge-horizon", "burn-at-tiny-p", "burn-at-subnormal-p"],
+)
+def test_a_horizon_past_the_poisson_range_exits_2(tmp_path, capsys, p, horizon, what):
+    """A mean event count of 2**62 or more, or an infinite burn-in time, is
+    refused before any trial runs."""
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"""[experiment]
+name = t
+out_dir = {tmp_path / "out"}
+
+[instance]
+family = clique-blowup
+n = 5
+k = 2
+p = {p}
+ell = 3
+
+[schedules]
+specs = fixed:2
+
+[run]
+algorithm = ct
+horizon = {horizon}
+trials = 2
+""")
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon ") and what in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "col,value,what",
     [("alpha", "x", "an integer"), ("max_size", "abc", "a finite number"),
      ("max_size", "nan", "a finite number"), ("max_size", "inf", "a finite number")],

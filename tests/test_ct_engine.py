@@ -195,8 +195,9 @@ def test_jump_hitting_steps_match_step_engine():
 
 
 def test_jump_bytes_do_not_depend_on_chunk(monkeypatch):
-    """The engine draws its reals in blocks of up to ``dy._CHUNK``."""
-    chunks = (1, 7, dy._CHUNK)
+    """The engine draws its reals in blocks of up to ``dy._CHUNK``; the
+    ``ump`` runs here reach a block of 2**14, past 2**13 and under 2**15."""
+    chunks = (1, 7, dy._CHUNK, 1 << 15)
     base, cfg = small_blowup(events=30_000)
     rec = dy.RecorderConfig(
         thresholds=(5, 20), keep_final_state=True, probe_step=777,
@@ -209,7 +210,7 @@ def test_jump_bytes_do_not_depend_on_chunk(monkeypatch):
             for chunk in chunks:
                 monkeypatch.setattr(dy, "_CHUNK", chunk)
                 runs.append(fields(run(chain, base, cfg, sched, 3, rec)))
-            assert runs[0] == runs[1] == runs[2], (chain, spec)
+            assert runs[0] == runs[1] == runs[2] == runs[3], (chain, spec)
 
 
 def test_jump_run_counts_its_events_and_skips():
@@ -402,3 +403,14 @@ def test_a_config_for_another_graph_is_rejected(built, run_on):
     cfg = dy.WeightedCTConfig.blowup_implicit(bases[built], 10, events=100)
     with pytest.raises(InvalidRate, match=f"config covers {built} vertices, graph has {run_on}"):
         dy.run_ct_ump(bases[run_on], cfg, FugacitySchedule.fixed(2.0), seed=1)
+
+
+@pytest.mark.parametrize("factor", [2.0, 1e280])
+def test_a_horizon_past_the_poisson_range_is_rejected(factor):
+    """numpy draws no Poisson count past about 9.2e18, so a horizon whose
+    mean event count reaches 2**62 is an error when the config is made."""
+    base = ig.gen_base_bipartite(8, 3, 0.3, seed=5)
+    total = dy.WeightedCTConfig.blowup_implicit(base, 10, events=1).classes.total_rate
+    with pytest.raises(InvalidRate, match="2\\^62 or more"):
+        dy.WeightedCTConfig.blowup_implicit(base, 10, horizon=factor * 2.0**62 / total)
+    dy.WeightedCTConfig.blowup_implicit(base, 10, horizon=0.5 * 2.0**62 / total)

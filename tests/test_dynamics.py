@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -120,7 +121,7 @@ def _assert_matches_reference(g, sched, steps, seed, early=None):
 def test_engine_matches_reference(gi, si):
     """Step mode is the reference fold byte for byte, and counts the fold's
     state changes as its events: over 800 steps, over
-    40,000 steps (more than one block of 2**15 reals), and stopped early
+    40,000 steps (more than one block of ``dy._CHUNK`` reals), and stopped early
     when the set first reaches size 2."""
     g = ENGINE_GRAPHS[gi]
     sched = ENGINE_SCHEDULES[si]
@@ -557,6 +558,37 @@ def test_coupled_run_matches_the_closure_reference(lam, control):
         g, upper, lower = coupling_instance(seed)
         args = (g, upper, lower, lam, 10**5, seed, control)
         assert dy.run_coupled_monotone(*args) == run_coupled_monotone_reference(*args)
+
+
+def test_coupled_draws_do_not_follow_the_engine_block_size(monkeypatch):
+    """The coupled chain lays its draws out per block of ``_COUPLED_CHUNK``
+    events, not of the chain engine's ``_CHUNK``."""
+    runs = [
+        coupling_instance(seed) + (2.0, 10**5, seed, control)
+        for seed in range(2)
+        for control in (False, True)
+    ]
+    expected = [dy.run_coupled_monotone(*args) for args in runs]
+    for chunk in (7, dy._CHUNK):
+        monkeypatch.setattr(dy, "_CHUNK", chunk)
+        assert [dy.run_coupled_monotone(*args) for args in runs] == expected, chunk
+
+
+def test_a_long_step_mode_trial_stays_within_its_memory_budget():
+    """One 1e5-step ``fixed:2`` trial on ``tree_hardness.cfg``'s star tree,
+    40% of its proposals useful, so stepped from start to end: its blocks of
+    reals, proposals and floats peak under 1.5 MiB (about 0.8 MiB at
+    ``_CHUNK = 2**13``; 2**15 reads over 3 MiB)."""
+    g = ig.gen_star_tree(400)
+    g.neighbor_lists
+    rec = dy.RecorderConfig(watch=(0,), probe_step=11, probe_vertices=tuple(range(1, 401)))
+    tracemalloc.start()
+    try:
+        dy.run_ump(g, FIX2, 10**5, seed=1, recorder=rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_coupled_run_identical_starts_stay_identical():

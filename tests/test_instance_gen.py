@@ -34,6 +34,16 @@ def test_base_bipartite_p0_edgeless():
     assert np.sum(g.side == gc.SIDE_R) == 8
 
 
+@pytest.mark.parametrize("p", [1e-19, 1e-20, 1e-300, 5e-324])
+def test_a_tiny_edge_probability_gives_no_index_out_of_range(p):
+    """A gap past 2**63 must not wrap to a negative index in the int64
+    cast. Over 1e6 pairs, P(any edge) <= 1e-13."""
+    idx = ig._bernoulli_indices(10**6, p, np.random.default_rng(3))
+    assert idx.size == 0
+    assert ig.gen_base_bipartite(5, 2, p).num_edges == 0
+    assert ig.gen_random_balanced_bipartite(50, p * 50).num_edges == 0
+
+
 def test_base_bipartite_edge_count_concentrates():
     # E[edges] = p * n * kn = 1500, sigma = sqrt(1500 * 0.95) ~ 37.8
     g = ig.gen_base_bipartite(100, 3, 0.05, seed=7)
