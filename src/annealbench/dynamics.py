@@ -843,16 +843,17 @@ def run_coupled_monotone(
     adj = bprime.neighbor_lists
     thr = removal_threshold(lam)
 
+    upper_init, lower_init = list(upper_init), list(lower_init)  # each is read twice
+    if not is_independent(bprime, upper_init):
+        raise NotIndependent("upper start is not independent")
+    if not is_independent(bprime, lower_init):
+        raise NotIndependent("lower start is not independent")
     up = bytearray(n)
     lo = bytearray(n)
     for v in upper_init:
         up[int(v)] = 1
     for v in lower_init:
         lo[int(v)] = 1
-    if not is_independent(bprime, upper_init):
-        raise NotIndependent("upper start is not independent")
-    if not is_independent(bprime, lower_init):
-        raise NotIndependent("lower start is not independent")
 
     gen = rngmod.stream(seed)
     # The order is broken at v iff the chains differ there and lower holds

@@ -154,8 +154,12 @@ def _per_vertex_array(n, values, dtype, fill) -> np.ndarray | None:
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff ``vertices`` spans no edge of ``g``."""
+    """True iff ``vertices`` spans no edge of ``g``; :class:`InvalidEdge`
+    naming a vertex outside ``[0, n)``."""
     chosen = set(int(v) for v in vertices)
+    for v in chosen:
+        if not 0 <= v < g.n:
+            raise InvalidEdge(f"vertex {v} outside [0,{g.n})")
     return not any(w in chosen for v in chosen for w in g.neighbor_lists[v])
 
 

@@ -1,11 +1,12 @@
 """Exact laws of the engine's chains, run from the empty set.
 
-The first two are laws of two acceptance chains on the discrete chain:
+The spider, anchor and multicopy-unit laws are laws of the discrete chain:
 each step proposes a uniform vertex; an unoccupied vertex joins if none of
 its neighbours is occupied, and an occupied one leaves with probability
 ``1/lambda``.  The symmetry of each instance lumps the ``2^n`` states into
-a handful, so the laws below are exact, not sampled.  ``test_oracles.py``
-checks them against the full ``2^n``-state chain on small instances.
+a handful (Kemeny & Snell, *Finite Markov Chains*, 1960), so ``lumped_law``
+gives them exactly.  ``test_oracles.py`` checks them against the full
+``2^n``-state chain on small instances.
 
 ``hardcore_distribution`` is the stationary law of the discrete chain at
 a fixed fugacity, by enumeration of the ``2^n`` states.
@@ -16,20 +17,14 @@ multipliers) and its law under a schedule, for tiny graphs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
-from typing import Sequence
 
 import numpy as np
 
 from annealbench.dynamics import removal_threshold
-from annealbench.schedules import HistoryDigest, parse_schedule
-
-
-def schedule_fugacities(spec: str, steps: int) -> list[float]:
-    """The fugacity of each of the first ``steps`` steps of a schedule spec."""
-    sched = parse_schedule(spec)
-    return [sched.segment(t)[0] for t in range(steps)]
+from annealbench.schedules import FugacitySchedule, HistoryDigest, parse_schedule
 
 
 def one_sided_gate(p: float, trials: int, z: float) -> float:
@@ -38,69 +33,85 @@ def one_sided_gate(p: float, trials: int, z: float) -> float:
     return math.floor(100 * (p - z * math.sqrt(p * (1 - p) / trials))) / 100
 
 
-def _spider_moves(k: int, state: tuple[int, int, int], drop: float):
-    """The moves of the spider chain out of a lumped ``state``, as (next
-    state, weight) pairs; a move's probability is its weight over n."""
-    root, mids, leaves = state
-    empty = k - mids - leaves
-    if root:
-        yield (0, mids, leaves), drop
-    elif mids == 0:
-        yield (1, mids, leaves), 1.0
-    if mids:
-        yield (root, mids - 1, leaves), mids * drop
-    if leaves:
-        yield (root, mids, leaves - 1), leaves * drop
-    if empty and not root:
-        yield (root, mids + 1, leaves), float(empty)
-    if empty:
-        yield (root, mids, leaves + 1), float(empty)
+def _fold(law: np.ndarray, chain, sched: FugacitySchedule, steps: int) -> np.ndarray:
+    """``law`` after ``steps`` steps of ``sched``, where ``chain(lam)`` is the
+    transition matrix at fugacity ``lam``: one matrix power per segment of
+    constant fugacity."""
+    t = 0
+    while t < steps:
+        lam, hold = sched.segment(t)
+        run = min(hold, steps - t)
+        law = law @ np.linalg.matrix_power(chain(lam), run)
+        t += run
+    return law
 
 
-def spider_mid_law(k: int, lams: Sequence[float]) -> np.ndarray:
-    """Law of the occupied-mid count of ``gen_star_tree(k)`` after
-    ``len(lams)`` steps, step ``t`` run at fugacity ``lams[t]``.
+def lumped_law(start, moves, sched: FugacitySchedule, steps: int) -> dict:
+    """Law of a lumped chain after ``steps`` steps of ``sched`` from
+    ``start``, as {state: probability}.
+
+    ``moves(state, drop)`` yields (next state, probability) pairs when an
+    occupied vertex leaves with probability ``drop``; the rest of each row
+    stays put.  Only the states reachable from ``start`` within ``steps``
+    steps are kept, reached at ``drop = 1`` where every move is open.  A
+    move to any other state is dropped: that state is first reached after
+    the last step.
+    """
+    seen = frontier = {start}
+    for _ in range(steps):
+        frontier = {moved for state in frontier for moved, _ in moves(state, 1.0)} - seen
+        if not frontier:
+            break
+        seen = seen | frontier
+    states = [start, *(seen - {start})]
+    index = {state: i for i, state in enumerate(states)}
+
+    @functools.cache
+    def chain(lam: float) -> np.ndarray:
+        P = np.zeros((len(states), len(states)))
+        drop = removal_threshold(lam)
+        for i, state in enumerate(states):
+            for moved, p in moves(state, drop):
+                if moved in index:
+                    P[i, index[moved]] += p
+        P[np.diag_indices(len(states))] += 1.0 - P.sum(axis=1)
+        return P
+
+    law = np.zeros(len(states))
+    law[0] = 1.0
+    return dict(zip(states, _fold(law, chain, sched, steps)))
+
+
+def spider_mid_law(k: int, sched: FugacitySchedule, steps: int) -> np.ndarray:
+    """Law of the occupied-mid count of ``gen_star_tree(k)`` after ``steps``
+    steps of ``sched``.
 
     Entry ``c`` is P(count = c).  The lumped state is (root occupied, legs
     whose mid is occupied, legs whose leaf is occupied); a leg holds at
     most one of its two vertices, and an occupied root blocks every mid.
     """
     n = 2 * k + 1
-    law: dict[tuple[int, int, int], float] = {(0, 0, 0): 1.0}
-    for lam in lams:
-        drop = removal_threshold(lam)
-        nxt: dict[tuple[int, int, int], float] = defaultdict(float)
-        for state, p in law.items():
-            stay = 1.0
-            for moved, weight in _spider_moves(k, state, drop):
-                nxt[moved] += p * weight / n
-                stay -= weight / n
-            nxt[state] += p * stay
-        law = nxt
-    out = np.zeros(min(k, len(lams)) + 1)
-    for (_, mids, _), p in law.items():
+
+    def moves(state, drop):
+        root, mids, leaves = state
+        empty = k - mids - leaves
+        if root:
+            yield (0, mids, leaves), drop / n
+        elif mids == 0:
+            yield (1, mids, leaves), 1 / n
+        if mids:
+            yield (root, mids - 1, leaves), mids * drop / n
+        if leaves:
+            yield (root, mids, leaves - 1), leaves * drop / n
+        if empty and not root:
+            yield (root, mids + 1, leaves), empty / n
+        if empty:
+            yield (root, mids, leaves + 1), empty / n
+
+    out = np.zeros(min(k, steps) + 1)
+    for (_, mids, _), p in lumped_law((0, 0, 0), moves, sched, steps).items():
         out[mids] += p
     return out
-
-
-def spider_mid_law_fixed(k: int, lam: float, steps: int) -> np.ndarray:
-    """``spider_mid_law(k, [lam] * steps)`` for long horizons: the lumped
-    transition matrix is built once and raised to the power ``steps``."""
-    n = 2 * k + 1
-    states = [(0, m, f) for m in range(k + 1) for f in range(k + 1 - m)]
-    states += [(1, 0, f) for f in range(k + 1)]
-    index = {state: i for i, state in enumerate(states)}
-    drop = removal_threshold(lam)
-    P = np.zeros((len(states), len(states)))
-    for state in states:
-        for moved, weight in _spider_moves(k, state, drop):
-            P[index[state], index[moved]] += weight / n
-    P[np.diag_indices(len(states))] = 1.0 - P.sum(axis=1)
-    law = np.linalg.matrix_power(P, steps)[index[(0, 0, 0)]]
-    out = np.zeros(k + 1)
-    for (_, mids, _), p in zip(states, law):
-        out[mids] += p
-    return out[: min(k, steps) + 1]
 
 
 def anchor_law(n: int, lam: float, steps: int) -> np.ndarray:
@@ -113,25 +124,52 @@ def anchor_law(n: int, lam: float, steps: int) -> np.ndarray:
     P(max size >= n within ``steps`` steps).
     """
     size = 2 * n + 1
-    drop = removal_threshold(lam) / size
     clique, hub, both = n + 1, n + 2, n + 3
-    P = np.zeros((n + 4, n + 4))
-    for j in range(1, n):  # no moves out of j = n: the run stops there
-        P[j, j - 1] = j * drop
-        P[j, j + 1] = (n - j) / size
-    P[0, 1] = n / size
-    P[0, clique] = n / size
-    P[0, hub] = 1 / size
-    P[clique, 0] = drop
-    P[clique, both] = 1 / size
-    P[hub, 0] = drop
-    P[hub, both] = n / size
-    P[both, clique] = drop
-    P[both, hub] = drop
-    P[np.diag_indices(n + 4)] = 1.0 - P.sum(axis=1)
-    start = np.zeros(n + 4)
-    start[0] = 1.0
-    return start @ np.linalg.matrix_power(P, steps)
+
+    def moves(j, drop):
+        leave = drop / size
+        if j == 0:
+            yield from ((1, n / size), (clique, n / size), (hub, 1 / size))
+        elif j < n:  # no moves out of j = n: the run stops there
+            yield from ((j - 1, j * leave), (j + 1, (n - j) / size))
+        elif j == clique:
+            yield from ((0, leave), (both, 1 / size))
+        elif j == hub:
+            yield from ((0, leave), (both, n / size))
+        elif j == both:
+            yield from ((clique, leave), (hub, leave))
+
+    law = lumped_law(0, moves, FugacitySchedule.fixed(lam), steps)
+    return np.array([law.get(j, 0.0) for j in range(n + 4)])
+
+
+def multicopy_unit_law(n: int, s: int, lam: float, steps: int) -> np.ndarray:
+    """Law of one unit of the ``n`` units of ``gen_appendix_multicopy`` (an
+    ``s``-block joined to an ``n``-clique) after ``steps`` steps at
+    fugacity ``lam``.
+
+    Index ``j <= s``: ``j`` block vertices occupied (0 is the empty unit);
+    ``s+1``: one clique vertex.  Each step proposes each vertex of the unit
+    with probability ``1/(n(n+s))``, so this marginal is exact without
+    assuming that the units are independent.
+    """
+    size = n * (n + s)
+    clique = s + 1
+
+    def moves(j, drop):
+        leave = drop / size
+        if j == clique:
+            yield 0, leave
+            return
+        if j == 0:
+            yield clique, n / size
+        else:
+            yield j - 1, j * leave
+        if j < s:
+            yield j + 1, (s - j) / size
+
+    law = lumped_law(0, moves, FugacitySchedule.fixed(lam), steps)
+    return np.array([law.get(j, 0.0) for j in range(s + 2)])
 
 
 def weighted_chain(g, rates, multipliers, lam: float) -> np.ndarray:
@@ -202,23 +240,12 @@ def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:
     """
     sched = parse_schedule(spec)
     n = g.n
-    mats: dict[float, np.ndarray] = {}
-
-    def chain(lam: float) -> np.ndarray:
-        if lam not in mats:
-            mats[lam] = weighted_chain(g, rates, multipliers, lam)
-        return mats[lam]
+    chain = functools.cache(functools.partial(weighted_chain, g, rates, multipliers))
 
     if sched.kind != "adaptive":
         law = np.zeros(1 << n)
         law[0] = 1.0
-        t = 0
-        while t < steps:
-            lam, hold = sched.segment(t)
-            run = min(hold, steps - t)
-            law = law @ np.linalg.matrix_power(chain(lam), run)
-            t += run
-        return law
+        return _fold(law, chain, sched, steps)
 
     hold = sched.segment(0, HistoryDigest())[1]
     blocks = steps // hold + 1

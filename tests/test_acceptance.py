@@ -31,9 +31,11 @@ budget is too small, and reports FAIL honestly:
 
 * criterion 8, chain clause: a unit stuck on its clique moves to its block
   at ~5.9e-9 per step (1/4608 * 1/4096 * 8/72).  After 1e7 steps the exact
-  per-unit law puts 10.4 of the 64 units on their block in expectation,
-  against the 57 the gate needs; treating units as independent, the gate
-  is met in 90% of trials only at ~4.2e8 steps, about 42x the budget.
+  per-unit law, ``multicopy_unit_law(64, 8, 4096, 10**7)``, puts 10.4 of
+  the 64 units on their block in expectation (mean final size 136.5),
+  against the 57 the gate needs; the test computes these figures from it.
+  Treating units as independent, the gate is met in 90% of trials only at
+  ~4.2e8 steps, about 42x the budget.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from annealbench.schedules import FugacitySchedule, parse_schedule
 from exact_laws import (
     anchor_law,
     hardcore_distribution,
+    multicopy_unit_law,
     one_sided_gate,
-    schedule_fugacities,
     spider_mid_law,
     weighted_law,
 )
@@ -253,10 +255,7 @@ def test_criterion_4_early_mid_occupancy(tree_run):
     row = next(r for r in report.rows if r.check == "early_mids")
     x = float(dict(cfg.acceptance)["early_mids"].split()[1])
     k = int(cfg.instance["k"])
-    laws = [
-        spider_mid_law(k, schedule_fugacities(spec, cfg.probe_step))
-        for spec in cfg.schedules
-    ]
+    laws = [spider_mid_law(k, parse_schedule(spec), cfg.probe_step) for spec in cfg.schedules]
     counts = np.arange(len(laws[0]))
     p_star = float(np.mean([law[counts >= x].sum() for law in laws]))
     means = [float(counts @ law) for law in laws]
@@ -466,20 +465,29 @@ def test_criterion_8_chain_reaches_most_blocks(multicopy_mp_run):
     report = hz.verdict(cfg, manifest.rows)
     row = report.rows[0]
     best = max(int(r["max_size"]) for r in manifest.rows)
+    n = int(cfg.instance["n"])
+    s = ig.multicopy_block_size(n, float(cfg.instance["eps"]))
+    size = int(dict(cfg.acceptance)["reach"].split()[1])
+    need = math.ceil((size - n) / (s - 1))  # units on their block, the rest on a clique
+    (spec,) = cfg.schedules
+    unit = multicopy_unit_law(n, s, parse_schedule(spec).segment(0)[0], cfg.steps)
+    on_block = n * float(unit[1 : s + 1].sum())
+    mean_size = n * float(np.arange(s + 1) @ unit[: s + 1] + unit[s + 1])
+    expected = (
+        f"the exact per-unit law expects {on_block:.1f} block units within "
+        f"{cfg.steps} steps (mean final size {mean_size:.1f}) against {need} needed"
+    )
     _report(
         "criterion 8b (chain reaches 0.9*alpha)",
         row.passed,
-        f"frac(max>=461)={row.observed:.4f} target>=0.90; best trial {best} "
-        "(10.4 block units expected within 1e7 steps against 57 needed; "
-        "90% of trials meet the gate only at ~4.2e8 steps; see notes)",
+        f"frac(max>={size})={row.observed:.4f} target>=0.90; best trial {best} "
+        f"({expected}; 90% of trials meet the gate only at ~4.2e8 steps; see notes)",
         elapsed,
     )
     _check_budget("criterion 8b", elapsed, 900.0)
     assert row.passed, (
-        "as-specified gate: 57 of 64 units must reach their block, but the "
-        "exact per-unit law expects 10.4 within 1e7 steps (clique escape "
-        "~5.9e-9/step); 90% of trials meet it only at ~4.2e8 steps; "
-        f"observed frac {row.observed:.4f}, best {best}"
+        f"as-specified gate: {expected} (clique escape ~5.9e-9/step); 90% of "
+        f"trials meet it only at ~4.2e8 steps; observed frac {row.observed:.4f}, best {best}"
     )
 
 

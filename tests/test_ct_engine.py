@@ -27,7 +27,7 @@ from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidRate
 from annealbench.schedules import FugacitySchedule, parse_schedule
-from exact_laws import spider_mid_law_fixed, weighted_law
+from exact_laws import spider_mid_law, weighted_law
 from reference import pick_reference, propose_reference
 
 STEP = dy.RecorderConfig(track_touched=True)
@@ -142,7 +142,7 @@ def test_jump_engine_matches_spider_law_at_long_horizon():
         skipped += out.skipped
     assert skipped >= 0.9 * steps
     for at, counts in ((2000, probe), (20_000, final)):
-        exact = spider_mid_law_fixed(SPIDER_K, 20.0, at)
+        exact = spider_mid_law(SPIDER_K, FugacitySchedule.fixed(20.0), at)
         tv = 0.5 * float(np.abs(counts / SPIDER_TRIALS - exact).sum())
         assert tv <= SPIDER_TV, f"step {at}: TV {tv:.4f} > {SPIDER_TV}"
 

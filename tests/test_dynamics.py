@@ -12,7 +12,7 @@ import pytest
 from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
-from annealbench.errors import InvalidFugacity, InvalidRate, NotIndependent
+from annealbench.errors import InvalidEdge, InvalidFugacity, InvalidRate, NotIndependent
 from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, HistoryDigest, parse_schedule
 from exact_laws import hardcore_distribution
 from reference import (
@@ -595,6 +595,21 @@ def test_coupled_run_identical_starts_stay_identical():
     g, upper, _ = coupling_instance(3)
     rep = dy.run_coupled_monotone(g, upper, upper, lam=2.0, events=20_000, seed=5)
     assert rep.ordered_throughout
+
+
+def test_coupled_run_rejects_a_start_vertex_outside_the_graph():
+    g, upper, lower = coupling_instance(3)
+    for bad in (-1, g.n):  # -1 used to start on vertex n-1
+        with pytest.raises(InvalidEdge, match=rf"vertex {bad} outside \[0,{g.n}\)"):
+            dy.run_coupled_monotone(g, [bad], lower, lam=2.0, events=10, seed=0)
+        with pytest.raises(InvalidEdge, match=rf"vertex {bad} outside"):
+            dy.run_coupled_monotone(g, upper, [bad], lam=2.0, events=10, seed=0)
+    # The check reads the starts before the run does, so one-pass iterables
+    # must still start the run; the control's report depends on the start.
+    run = dict(lam=2.0, events=2000, seed=0, control=True)
+    assert dy.run_coupled_monotone(g, iter(upper), iter(lower), **run) == (
+        dy.run_coupled_monotone(g, upper, lower, **run)
+    )
 
 
 def test_coupled_run_never_removes_at_infinite_fugacity(monkeypatch):

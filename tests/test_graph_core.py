@@ -195,6 +195,13 @@ def test_is_independent_clique_pairs():
         assert not gc.is_independent(g, pair)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_is_independent_names_a_vertex_outside_the_graph(bad):
+    g = path_graph(3)  # -1 used to read vertex 2's neighbours; 3 raised IndexError
+    with pytest.raises(InvalidEdge, match=rf"vertex {bad} outside \[0,3\)"):
+        gc.is_independent(g, [0, bad])
+
+
 # -- alpha oracles ----------------------------------------------------------
 
 

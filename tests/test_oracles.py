@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -16,13 +18,21 @@ from annealbench.errors import (
     OutOfRegime,
 )
 from annealbench.graph_core import build_graph
-from annealbench.instance_gen import BlowupParams, gen_appendix_anchor, gen_star_tree
+from annealbench.instance_gen import (
+    BlowupParams,
+    gen_appendix_anchor,
+    gen_appendix_multicopy,
+    gen_star_tree,
+)
+from annealbench.schedules import FugacitySchedule, parse_schedule
+import exact_laws
 from exact_laws import (
     anchor_law,
     hardcore_distribution,
+    lumped_law,
+    multicopy_unit_law,
     one_sided_gate,
     spider_mid_law,
-    spider_mid_law_fixed,
     weighted_chain,
 )
 
@@ -245,31 +255,64 @@ def _lumped(law: np.ndarray, key, size: int) -> np.ndarray:
     return out
 
 
+def test_lumped_law_matches_full_chain():
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    nbr = [sum(1 << w for w in g.neighbor_lists[v]) for v in range(g.n)]
+
+    def moves(s, drop):  # the full chain's own moves: each bitmask is a class
+        for v in range(g.n):
+            if s >> v & 1:
+                yield s ^ 1 << v, drop / g.n
+            elif not s & nbr[v]:
+                yield s | 1 << v, 1 / g.n
+
+    sched = parse_schedule("geometric:1:2:3:8")  # 1, 2, 4, then 8 for ever
+    law = np.zeros(1 << g.n)
+    law[0] = 1.0
+    for steps in range(41):
+        got = lumped_law(0, moves, sched, steps)
+        got = np.array([got.get(s, 0.0) for s in range(1 << g.n)])
+        np.testing.assert_allclose(got, law, rtol=0, atol=1e-12)
+        law = law @ _full_chain(g, sched.segment(steps)[0])
+
+
+def test_only_fold_raises_a_matrix_to_a_power():
+    tree = ast.parse(inspect.getsource(exact_laws))
+    users = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if "matrix_power" in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None))
+    }
+    assert users == {"_fold"}
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize(
     "lams",
-    [[1.0] * 8, [2.0] * 8, [20.0] * 8, [1.0, 20.0, 2.0, 1.0, 2.0, 20.0, 20.0, 1.0]],
+    [[1.0] * 8, [2.0] * 8, [20.0] * 8, [1.0, 20.0, 2.0, 1.0, 2.0, 20.0, 20.0, 1.0],
+     [math.inf] * 8],
 )
 def test_spider_mid_law_matches_full_chain(k, lams):
     g = gen_star_tree(k)
+    sched = FugacitySchedule.sequence(lams)  # held at its last entry afterwards
     mats = {lam: _full_chain(g, lam) for lam in set(lams)}
     mid_mask = sum(1 << v for v in range(1, k + 1))
+
+    def mids(s: int) -> int:
+        return bin(s & mid_mask).count("1")
+
     law = np.zeros(1 << g.n)
     law[0] = 1.0
     for steps in range(len(lams) + 1):
-        want = _lumped(law, lambda s: bin(s & mid_mask).count("1"), min(k, steps) + 1)
-        got = spider_mid_law(k, lams[:steps])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        want = _lumped(law, mids, min(k, steps) + 1)
+        np.testing.assert_allclose(spider_mid_law(k, sched, steps), want, rtol=0, atol=1e-12)
         if steps < len(lams):
             law = law @ mats[lams[steps]]
-
-
-@pytest.mark.parametrize("k", [2, 10])
-@pytest.mark.parametrize("lam", [1.0, 2.0, 20.0, math.inf])
-def test_spider_mid_law_fixed_matches_stepwise_law(k, lam):
-    for steps in (0, 1, 2, 5, 40, 300):
-        want = spider_mid_law(k, [lam] * steps)
-        np.testing.assert_allclose(spider_mid_law_fixed(k, lam, steps), want, rtol=0, atol=1e-12)
+    long_law = law @ np.linalg.matrix_power(mats[lams[-1]], 5000 - len(lams))
+    want = _lumped(long_law, mids, k + 1)
+    np.testing.assert_allclose(spider_mid_law(k, sched, 5000), want, rtol=0, atol=1e-12)
 
 
 def _anchor_state(n: int, s: int) -> int:
@@ -297,6 +340,25 @@ def test_anchor_law_matches_full_chain(lam):
     long_law = np.linalg.matrix_power(T, 5000)[0]
     want = _lumped(long_law, lambda s: _anchor_state(n, s), n + 4)
     np.testing.assert_allclose(anchor_law(n, lam, 5000), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, eps", [(2, 0.0), (2, 1.0), (3, 0.0)])
+def test_multicopy_unit_law_matches_full_chain(n, eps):
+    g = gen_appendix_multicopy(n, eps)
+    s = g.n // n - n
+    T = weighted_chain(g, np.ones(g.n), np.ones(g.n), 2.0)
+    block, clique = (1 << s) - 1, ((1 << n) - 1) << s  # unit 0: block first
+
+    def unit(mask: int) -> int:
+        held = bin(mask & block).count("1")
+        return held if held or not mask & clique else s + 1
+
+    law = np.zeros(1 << g.n)
+    law[0] = 1.0
+    for steps in range(41):
+        want = _lumped(law, unit, s + 2)
+        np.testing.assert_allclose(multicopy_unit_law(n, s, 2.0, steps), want, rtol=0, atol=1e-12)
+        law = law @ T
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 20.0])
