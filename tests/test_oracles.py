@@ -315,6 +315,26 @@ def test_spider_mid_law_matches_full_chain(k, lams):
     np.testing.assert_allclose(spider_mid_law(k, sched, 5000), want, rtol=0, atol=1e-12)
 
 
+class _OneStepHolds:
+    """A fixed fugacity whose every segment holds one step, so ``_fold``
+    multiplies the law by the one-step matrix once per step."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def segment(self, t: int) -> tuple[float, int]:
+        return self.lam, 1
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 20.0, math.inf])
+def test_spider_mid_law_fixed_matches_stepwise_law(k, lam):
+    for steps in (0, 1, 2, 5, 40, 300):
+        want = spider_mid_law(k, _OneStepHolds(lam), steps)
+        got = spider_mid_law(k, FugacitySchedule.fixed(lam), steps)  # one matrix power
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def _anchor_state(n: int, s: int) -> int:
     block = bin(s & ((1 << n) - 1)).count("1")
     if block:
