@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc as collector
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -135,9 +137,31 @@ LR = {0: gc.SIDE_L, 1: gc.SIDE_R, 2: gc.SIDE_R, 3: gc.SIDE_L}
         (4, [(0, 1)], {"groups": np.zeros(5, np.int64)}, InvalidEdge, "wrong length"),
         (4, [(0, 1)], {"labels": {4: gc.SIDE_L}}, InvalidEdge, "vertex 4 outside"),
         (4, [(0, 1)], {"groups": {-1: 0}}, InvalidEdge, "vertex -1 outside"),
+        (3, np.array([[0.9, 1.2], [1.0, 2.0]]), {}, InvalidEdge,
+         r"edge \(0.9,1.2\) is not a pair of integers"),
+        (3, [(0, 1), (float("nan"), 2)], {}, InvalidEdge, r"edge \(nan,2.0\) is not a pair"),
+        (3, np.array([[0, 1], [1, np.inf]]), {}, InvalidEdge, r"edge \(1.0,inf\) is not a pair"),
+        (3, [("0", "1")], {}, InvalidEdge, "edges must be integers"),
+        (4, [(0, 1)], {"labels": {0: 7}}, InvalidEdge,
+         "side label 7 of vertex 0 is not SIDE_L, SIDE_R or SIDE_NONE"),
+        (4, [(0, 1)], {"labels": np.array([0, 300, 1, 0])}, InvalidEdge,
+         "side label 300 of vertex 1 is not"),
+        (4, [(0, 1)], {"groups": {2: 1.5}}, InvalidEdge, "group id 1.5 of vertex 2 is not an integer"),
+        (4, [(0, 1)], {"groups": np.array([0, 1, 2.5, 3])}, InvalidEdge,
+         "group id 2.5 of vertex 2 is not an integer"),
+        # Mixed bad edges: the first in input order is named, whatever its kind.
+        (3, [(0, 1), (0, 5), (2, 2)], {}, InvalidEdge, r"edge \(0,5\) outside \[0,3\)"),
+        (3, [(0, 1), (2, 2), (0, 5)], {}, InvalidEdge, "self-loop at vertex 2"),
+        (3, np.array([[0, 5], [0.5, 1]]), {}, InvalidEdge, r"edge \(0,5\) outside"),
+        (3, np.array([[0.5, 1], [0, 5]]), {}, InvalidEdge, r"edge \(0.5,1.0\) is not a pair"),
+        (4, [(0, 3), (1, 7)], {"labels": LR, "bipartite": True}, InvalidEdge,
+         r"edge \(1,7\) outside \[0,4\)"),
     ],
     ids=["self-loop", "negative", "too-large", "triple", "negative-n", "same-side", "no-labels",
-         "short-labels", "long-groups", "label-key", "group-key"],
+         "short-labels", "long-groups", "label-key", "group-key", "fraction", "nan", "inf",
+         "strings", "label-value", "label-wraps", "group-fraction", "group-array-fraction",
+         "range-then-loop", "loop-then-range", "range-then-fraction", "fraction-then-range",
+         "same-side-after-range"],
 )
 def test_build_rejects_bad_input(n, edges, kwargs, error, message):
     with pytest.raises(error, match=message):
@@ -178,6 +202,37 @@ def test_neighbor_lists_share_one_int_object_per_vertex():
         assert max(entries) > 256  # past CPython's cache of small ints
         assert all(type(w) is int for w in entries)
         assert len({id(w) for w in entries}) == len(set(entries))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_neighbor_lists_pause_the_collector_and_restore_it(enabled):
+    """No collection starts while the 3,000 lists are built (without the
+    pause, four would), and the collector is left enabled or disabled as it
+    was found."""
+    rng = np.random.default_rng(6)
+    pairs = rng.integers(0, 3000, size=(6000, 2))
+    g = gc.build_graph(3000, pairs[pairs[:, 0] != pairs[:, 1]])
+    inside = []
+
+    def seen(phase, info):  # a collection that starts under a neighbor_lists frame
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "neighbor_lists":
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    (collector.enable if enabled else collector.disable)()
+    try:
+        collector.collect()  # zero the counts, so that no collection is due at entry
+        collector.callbacks.append(seen)
+        try:
+            assert len(g.neighbor_lists) == 3000
+        finally:
+            collector.callbacks.remove(seen)
+        assert inside == []
+        assert collector.isenabled() is enabled
+    finally:
+        collector.enable()
 
 
 # -- is_independent ---------------------------------------------------------

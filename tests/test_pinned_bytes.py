@@ -6,6 +6,8 @@ most 2e5 steps or events, serially; the sha256 of its ``run.csv`` and
 inline configs pin outputs that no bundled config covers.  A
 change to the engine that claims to keep every byte of a run is held to
 this; a change that moves bytes on purpose must say so and re-pin them.
+The CSR arrays, side labels and group ids of every bundled config's
+instance are pinned too, since a run reads only part of its graph.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from annealbench import harness as hz
+from annealbench import instance_gen as ig
 
 CONFIGS = Path(hz.__file__).parent / "configs"
 MAX_STEPS = 200_000
@@ -158,3 +162,72 @@ def test_inline_config_bytes_are_pinned(name, tmp_path):
         manifest.config_hash,
     )
     assert got == PINNED_INLINE[name]
+
+
+# config -> sha256 of (adj_offsets, adj_targets, side, group) of the config's
+# instance at its bundled parameters; None for an array the graph lacks.  An
+# implicit clique-blowup's instance is its bipartite base.
+PINNED_GRAPHS = {
+    "anchor_separation": (
+        "fbec2e47106fdde53aedc2e62cf01238e6df9640c2e625c758385218316b1645",
+        "983ed54f4e4150736a30dc88a14647b984d1c96df91a81b1af466ba3b5df61b4",
+        None,
+        None,
+    ),
+    "bipartite_chain": (
+        "f85bcf8e732059c29a534527112961e25dfb30910c2d0855e9fff621d7721f57",
+        "735c9afa7e7dff939fa56d8cc2cc4c32ea72081f11f30f915a3b6b2afca5eaf8",
+        "c627eaef7259d8f92b6205b8315400ac3b4e1d86d92ee6f0810f68956d7b8f23",
+        None,
+    ),
+    "bipartite_greedy": (
+        "f60389f5b640860fefbdb6e76d60c40f24f3af1a7e24f9c02197e92ac07645b3",
+        "ef559ce84958e058b54c74d8d98fd0aa03e27d2786cd33ef0af6e66a6f6ce093",
+        "28131bf63a9977db628eaf1085154dd6e99b46464d92a4aff2a708240568db3f",
+        None,
+    ),
+    "blowup_hardness": (
+        "960dd631c8d9d482a2b85dfd77d44d12430d34508eac0291b43c8e9cda81c1d6",
+        "3c8f1e15fa965908558b4c7e04ab38294582aa0f9771db114612193634c76a9b",
+        "e081a7d3138db457545449891e975550362601556c5e8dfd2fe113bf619987a2",
+        None,
+    ),
+    "multicopy_greedy": (
+        "66fccd425509e41bc8664d7434568e4a4365865b65a05858acb738321609e785",
+        "43e450ac02b9a2e6211f89af5b17a4758c3d8469af8d5e16bad75fe71d83510f",
+        None,
+        "117baeae1d939e07e3546b5ce0d32d620c0dee01be9b2d333c60a68db52a1af4",
+    ),
+    "multicopy_mp": (
+        "66fccd425509e41bc8664d7434568e4a4365865b65a05858acb738321609e785",
+        "43e450ac02b9a2e6211f89af5b17a4758c3d8469af8d5e16bad75fe71d83510f",
+        None,
+        "117baeae1d939e07e3546b5ce0d32d620c0dee01be9b2d333c60a68db52a1af4",
+    ),
+    "tree_approx": (
+        "f0dfe8b4d485678a0e1a55b0be2241cf23f5b772af013527417f7914872877a4",
+        "4861afaf1e43fdfcc3f9f7144964439805324f529fbb3240529d429116db9ac3",
+        None,
+        "578175272f9256a5c284c2eded8d4f992982e2a92557bf746eba3025da47d898",
+    ),
+    "tree_hardness": (
+        "318f02fd8aa568740d46c9cf858d611f1ec9c1567a7a2d564248f4bc57c227f0",
+        "cba66b8349a021370c291d29b7776949a4f86bf07f94ca19b1359c7f2c07f7dd",
+        None,
+        None,
+    ),
+}
+
+
+def _array_sha(arr) -> str | None:
+    return None if arr is None else hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_instance_graph_arrays_are_pinned(name):
+    """The run pins see only what the trials read; these pin the whole graph."""
+    cfg = hz.load_config(CONFIGS / f"{name}.cfg")
+    g = ig.family(cfg.family).make(cfg.instance, cfg.seed).graph
+    assert (g.adj_offsets.dtype, g.adj_targets.dtype) == (np.int64, np.int64)
+    got = tuple(_array_sha(a) for a in (g.adj_offsets, g.adj_targets, g.side, g.group))
+    assert got == PINNED_GRAPHS[name]
