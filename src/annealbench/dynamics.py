@@ -45,7 +45,7 @@ from .errors import (
     NotIndependent,
 )
 from .graph_core import SIDE_L, SIDE_R, Graph, is_independent
-from .schedules import FugacitySchedule, HistoryDigest, check_lambda
+from .schedules import FugacitySchedule, check_lambda
 
 # The chain engine draws, proposes and converts at most _CHUNK reals at once;
 # its bytes do not depend on the value. At 2^13 a block's float64 array is
@@ -103,7 +103,6 @@ class RecorderConfig:
 class TrialRecord:
     """Measurements from one trial."""
 
-    seed: int
     steps: int
     max_size: int
     step_of_max: int
@@ -224,7 +223,6 @@ def _run_chain(
     steps: int,
     gen: np.random.Generator,
     rec: RecorderConfig,
-    seed_label: int,
     classes: RateClasses,
 ) -> TrialRecord:
     n = g.n
@@ -268,8 +266,6 @@ def _run_chain(
 
     marks = _Marks(g, rec)
     next_mark = marks.next
-
-    digest = HistoryDigest(occupied=occ)
 
     # The stream: `block` holds reals not yet read from position k on; its
     # floats (`reals`, for jump mode) and its proposals (`props`, for step
@@ -347,9 +343,7 @@ def _run_chain(
     seg_end = 0
     while t < steps:
         if t >= seg_end:
-            digest.t, digest.size = t, size
-            digest.max_size, digest.step_of_max = max_size, step_of_max
-            lam_t, hold = sched.segment(t, digest)
+            lam_t, hold = sched.segment(t, max_size, step_of_max)
             seg_end = t + hold
             if lam_t != lam:
                 lam, thr = lam_t, removal_threshold(lam_t)
@@ -485,7 +479,6 @@ def _run_chain(
         skipped += t - events
 
     record = TrialRecord(
-        seed=seed_label,
         steps=t,
         max_size=max_size,
         step_of_max=step_of_max,
@@ -615,7 +608,7 @@ def run_ump(
         raise ValueError("steps must be >= 1")
     rec = recorder or RecorderConfig()
     gen = rngmod.stream(seed)
-    return _run_chain(g, sched, steps, gen, rec, seed, RateClasses.uniform(g.n))
+    return _run_chain(g, sched, steps, gen, rec, RateClasses.uniform(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +726,7 @@ def run_ct_ump(
         n_events = int(cfg.events)
     else:
         n_events = int(gen.poisson(cfg.classes.total_rate * cfg.horizon))
-    return _run_chain(base, sched, n_events, gen, rec, seed, cfg.classes)
+    return _run_chain(base, sched, n_events, gen, rec, cfg.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +764,7 @@ def run_randomized_greedy(
     block = perm[last_lo : last_lo + _GREEDY_BLOCK].tolist()
     step_of_max = last_lo + block.index(chosen[-1]) + 1 if chosen else 0
     size = len(chosen)
-    return frozenset(chosen), TrialRecord(seed, g.n, size, step_of_max, size)
+    return frozenset(chosen), TrialRecord(g.n, size, step_of_max, size)
 
 
 def run_degree_greedy(g: Graph) -> frozenset[int]:
@@ -945,8 +938,6 @@ def run_coupled_monotone(
 
 @dataclass
 class GreedyChainResult:
-    n: int
-    p: float
     left: int
     right: int
     residual: float  # compensated martingale value at the final step
@@ -981,23 +972,21 @@ def run_greedy_chain(n: int, p: float, seed: int) -> GreedyChainResult:
     q_right = 1.0  # q ** right
     m_val = 0.0
     traj: list[tuple[int, int, int, float]] = []
-    coins = gen.random(steps)
-    grows = gen.random(steps)
-    for t in range(1, steps + 1):
+    coins = gen.random(steps).tolist()
+    grows = gen.random(steps).tolist()
+    for t, coin, grow in zip(range(1, steps + 1), coins, grows):
         comp = 0.5 * (q_right - q_left)
-        if coins[t - 1] < 0.5:
-            if grows[t - 1] < q_right:
+        if coin < 0.5:
+            if grow < q_right:
                 left += 1
                 q_left *= q
                 m_val += 1.0
         else:
-            if grows[t - 1] < q_left:
+            if grow < q_left:
                 right += 1
                 q_right *= q
                 m_val -= 1.0
         m_val -= comp
         if t % every == 0 or t == steps:
             traj.append((t, left, right, m_val))
-    return GreedyChainResult(
-        n=n, p=p, left=left, right=right, residual=m_val, trajectory=traj
-    )
+    return GreedyChainResult(left=left, right=right, residual=m_val, trajectory=traj)

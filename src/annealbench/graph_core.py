@@ -420,7 +420,8 @@ def _max_matching(adj: list[list[int]], side: list[int]) -> list[int]:
 
 def alpha_tree(g: Graph) -> AlphaCertificate:
     """Exact alpha for a forest by two-state dynamic programming."""
-    parent = np.full(g.n, -2, dtype=np.int64)  # -2 unvisited, -1 root
+    adj = g.neighbor_lists
+    parent = [-2] * g.n  # -2 unvisited, -1 root
     order: list[int] = []
     for root in range(g.n):
         if parent[root] != -2:
@@ -430,7 +431,7 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
         while stack:
             u = stack.pop()
             order.append(u)
-            for w in g.neighbor_lists[u]:
+            for w in adj[u]:
                 if w == parent[u]:
                     continue
                 if parent[w] != -2:  # reached twice: the graph is simple, so a cycle
@@ -438,8 +439,8 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
                 parent[w] = u
                 stack.append(w)
 
-    dp_in = np.ones(g.n, dtype=np.int64)
-    dp_out = np.zeros(g.n, dtype=np.int64)
+    dp_in = [1] * g.n
+    dp_out = [0] * g.n
     for u in reversed(order):
         p = parent[u]
         if p >= 0:
@@ -447,20 +448,14 @@ def alpha_tree(g: Graph) -> AlphaCertificate:
             dp_out[p] += max(dp_in[u], dp_out[u])
 
     witness: list[int] = []
-    take = np.zeros(g.n, dtype=bool)
+    take = [False] * g.n
     for u in order:  # roots first, then children in discovery order
         p = parent[u]
-        if p == -1:
-            choose = dp_in[u] > dp_out[u]
-        elif take[p]:
-            choose = False
-        else:
-            choose = dp_in[u] > dp_out[u]
-        take[u] = choose
-        if choose:
+        take[u] = not (p >= 0 and take[p]) and dp_in[u] > dp_out[u]
+        if take[u]:
             witness.append(u)
 
-    alpha = int(sum(max(int(dp_in[u]), int(dp_out[u])) for u in range(g.n) if parent[u] == -1))
+    alpha = sum(max(dp_in[u], dp_out[u]) for u in range(g.n) if parent[u] == -1)
     cert = AlphaCertificate(alpha, frozenset(witness), METHOD_TREE_DP)
     if len(witness) != alpha:
         raise AssertionError("tree DP witness size mismatch")

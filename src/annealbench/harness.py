@@ -386,16 +386,13 @@ def _pool_trial(trial_id: int) -> dict:
 
 
 def worker_count(default: int | None = None) -> int:
-    """Pool size: ``ANNEALBENCH_WORKERS`` if set, else ``default`` (the
-    ``--workers`` value), else all cores.  Each must be an integer >= 1."""
-    source, value = "ANNEALBENCH_WORKERS", os.environ.get("ANNEALBENCH_WORKERS")
-    if not value:
-        if default is None:
-            return max(1, os.cpu_count() or 1)
-        source, value = "--workers", default
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
-    return int(value)
+    """Pool size: ``default`` (the ``--workers`` value) if given, else all
+    cores.  ``default`` must be an integer >= 1."""
+    if default is None:
+        return max(1, os.cpu_count() or 1)
+    if not str(default).isdecimal() or int(default) < 1:
+        raise ConfigError(f"--workers must be an integer >= 1, got {default!r}")
+    return int(default)
 
 
 @dataclass

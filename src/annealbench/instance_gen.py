@@ -78,14 +78,10 @@ class DenseParams:
 
 @dataclass(frozen=True)
 class DenseDerivation:
-    """Rounded dense parameters plus the exact reals they came from."""
+    """Dense parameters rounded to blowup parameters, and the parameter
+    relations they fail (see :func:`validate_relations`)."""
 
     params: "BlowupParams"
-    exact_n: float
-    exact_k: float
-    exact_ell: float
-    exact_p: float
-    rounded_down: tuple[str, ...]
     warnings: tuple[str, ...]
 
 
@@ -179,32 +175,19 @@ def validate_relations(params: BlowupParams) -> tuple[str, ...]:
     return tuple(messages)
 
 
-def derive_dense_params(dense: DenseParams, seed: int = 0) -> DenseDerivation:
+def derive_dense_params(dense: DenseParams) -> DenseDerivation:
     """Instantiate blowup parameters from the dense power-law recipe.
 
     Counts are floored (conservative toward the parameter relations);
     the edge probability keeps its exact real value.
     """
     m, eps, delta = dense.m, dense.eps, dense.delta
-    exact_n = m**eps
-    exact_k = m ** (1.0 - 3.0 * eps)
-    exact_ell = m ** (1.0 - eps)
-    exact_p = m**-delta
-    n = int(math.floor(exact_n + _FP_GUARD))
-    k = int(math.floor(exact_k + _FP_GUARD))
-    ell = int(math.floor(exact_ell + _FP_GUARD))
-    rounded = tuple(
-        name
-        for name, before, after in (
-            ("n", exact_n, n),
-            ("k", exact_k, k),
-            ("ell", exact_ell, ell),
-        )
-        if abs(before - after) > _FP_GUARD
-    )
-    params = BlowupParams(n=n, k=k, ell=ell, p=exact_p, seed=seed)
+    n = int(math.floor(m**eps + _FP_GUARD))
+    k = int(math.floor(m ** (1.0 - 3.0 * eps) + _FP_GUARD))
+    ell = int(math.floor(m ** (1.0 - eps) + _FP_GUARD))
+    params = BlowupParams(n=n, k=k, ell=ell, p=m**-delta)
     warnings = validate_relations(params)
-    return DenseDerivation(params, exact_n, exact_k, exact_ell, exact_p, rounded, warnings)
+    return DenseDerivation(params, warnings)
 
 
 def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> Graph:

@@ -119,10 +119,8 @@ def bipartite_is_bound(n: int, d: float) -> int:
 
 @dataclass(frozen=True)
 class BurnInReport:
-    left_occupied: int
     left_fraction: float
     right_touched: int
-    right_occupied: int
     left_target: float  # n / 10
     right_touch_cap: float  # 1 / (4p)
     left_ok: bool
@@ -144,10 +142,8 @@ def burn_in_stats(trial: TrialRecord, params: BlowupParams) -> BurnInReport:
     left_target = params.n / 10.0
     right_cap = 1.0 / (4.0 * params.p)
     return BurnInReport(
-        left_occupied=trial.final_left,
         left_fraction=trial.final_left / params.n,
         right_touched=trial.right_touched,
-        right_occupied=trial.final_right,
         left_target=left_target,
         right_touch_cap=right_cap,
         left_ok=trial.final_left >= left_target,
@@ -172,12 +168,12 @@ def wilson_interval(successes: int, total: int, z: float = _Z95) -> tuple[float,
             1.0 if successes == total else min(1.0, center + half))
 
 
-def normal_mean_interval(values: np.ndarray, z: float = _Z95) -> tuple[float, float]:
+def normal_mean_interval(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyInput("no observations")
     mean = float(values.mean())
     if values.size == 1:
         return mean, mean
-    half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
+    half = _Z95 * float(values.std(ddof=1)) / math.sqrt(values.size)
     return mean - half, mean + half

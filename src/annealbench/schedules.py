@@ -9,9 +9,9 @@ removal proposals are accepted with probability ``1/lambda_t``.  The kinds:
 * ``geometric`` stepwise-increasing annealing ladder with a cap;
 * ``adaptive``  a named deterministic rule of the run history.
 
-Adaptive rules see only a digest of the run (current step, size, running
-maximum and its step, occupancy) and return a value plus a hold length, so
-runs remain replayable from the seed alone.
+An adaptive rule sees only the current step, the running maximum and the
+step it was reached at, and returns a value plus a hold length, so runs
+remain replayable from the seed alone.
 """
 
 from __future__ import annotations
@@ -25,29 +25,19 @@ from .errors import InvalidFugacity
 INF = math.inf
 
 
-@dataclass
-class HistoryDigest:
-    """What an adaptive rule is allowed to observe."""
-
-    t: int = 0
-    size: int = 0
-    max_size: int = 0
-    step_of_max: int = 0
-    occupied: bytearray | None = None
-
-
-def _plateau(t: int, digest: HistoryDigest) -> tuple[float, int]:
+def _plateau(t: int, max_size: int, step_of_max: int) -> tuple[float, int]:
     """Cool while the maximum improves, reheat fully on a long stall."""
-    stalled = (t - digest.step_of_max) > 4096
+    stalled = (t - step_of_max) > 4096
     return (1.0 if stalled else 256.0), 1024
 
 
-def _milestone(t: int, digest: HistoryDigest) -> tuple[float, int]:
+def _milestone(t: int, max_size: int, step_of_max: int) -> tuple[float, int]:
     """Fugacity grows with the best size found so far."""
-    return min(4.0 ** min(1 + digest.max_size // 8, 15), 1e9), 512  # 4**15 > 1e9
+    return min(4.0 ** min(1 + max_size // 8, 15), 1e9), 512  # 4**15 > 1e9
 
 
-ADAPTIVE_RULES: dict[str, Callable[[int, HistoryDigest], tuple[float, int]]] = {
+# Each rule maps (step, running maximum, step of the maximum) to (fugacity, hold).
+ADAPTIVE_RULES: dict[str, Callable[[int, int, int], tuple[float, int]]] = {
     "plateau": _plateau,
     "milestone": _milestone,
 }
@@ -103,8 +93,9 @@ class FugacitySchedule:
             raise InvalidFugacity(f"unknown adaptive rule {rule!r}")
         return FugacitySchedule(kind="adaptive", rule=rule)
 
-    def segment(self, t: int, digest: HistoryDigest | None = None) -> tuple[float, int]:
-        """Fugacity at 0-based step ``t`` and how many steps it holds.
+    def segment(self, t: int, max_size: int = 0, step_of_max: int = 0) -> tuple[float, int]:
+        """Fugacity at 0-based step ``t`` and how many steps it holds; an
+        adaptive rule also reads the running maximum and its step.
 
         The hold length is a guarantee used by the simulation loops to avoid
         re-evaluating the schedule every step; it is always at least 1.
@@ -131,9 +122,7 @@ class FugacitySchedule:
                 return min(lam, self.cap), 1 << 62
             return lam, self.block - (t % self.block)
         if self.kind == "adaptive":
-            if digest is None:
-                digest = HistoryDigest(t=t)
-            lam, hold = ADAPTIVE_RULES[self.rule](t, digest)
+            lam, hold = ADAPTIVE_RULES[self.rule](t, max_size, step_of_max)
             return check_lambda(lam), max(1, int(hold))
         raise InvalidFugacity(f"unknown schedule kind {self.kind!r}")
 

@@ -24,7 +24,7 @@ from collections import defaultdict
 import numpy as np
 
 from annealbench.dynamics import removal_threshold
-from annealbench.schedules import FugacitySchedule, HistoryDigest, parse_schedule
+from annealbench.schedules import FugacitySchedule, parse_schedule
 
 
 def one_sided_gate(p: float, trials: int, z: float) -> float:
@@ -247,7 +247,7 @@ def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:
         law[0] = 1.0
         return _fold(law, chain, sched, steps)
 
-    hold = sched.segment(0, HistoryDigest())[1]
+    hold = sched.segment(0)[1]
     blocks = steps // hold + 1
     popcount = np.array([bin(s).count("1") for s in range(1 << n)])
     law = np.zeros((1 << n, n + 1, blocks))  # (bitmask, running max, block)
@@ -257,11 +257,9 @@ def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:
         # Split the law by the fugacity each history gets for this segment.
         parts: dict[float, np.ndarray] = defaultdict(lambda: np.zeros_like(law))
         for s, top, b in zip(*np.nonzero(law)):
-            occupied = bytearray((s >> v) & 1 for v in range(n))
             seen = set()
             for step_of_max in (b * hold, min((b + 1) * hold - 1, t)):
-                digest = HistoryDigest(t, int(popcount[s]), int(top), step_of_max, occupied)
-                seen.add(sched.segment(t, digest))
+                seen.add(sched.segment(t, int(top), int(step_of_max)))
             assert len(seen) == 1 and next(iter(seen))[1] == hold, "rule outside the lumping"
             parts[next(iter(seen))[0]][s, top, b] = law[s, top, b]
         run = min(hold, steps - t)

@@ -47,7 +47,7 @@ from annealbench.dynamics import (
 from annealbench.errors import InvalidEdge, NotIndependent
 from annealbench.graph_core import SIDE_L, SIDE_R, Graph, build_graph, is_independent
 from annealbench.instance_gen import BlowupParams
-from annealbench.schedules import FugacitySchedule, HistoryDigest
+from annealbench.schedules import FugacitySchedule
 
 
 def read_csv(path) -> list[dict]:
@@ -123,17 +123,12 @@ def run_ump_reference(
     ``early_stop_size``.  Returns the state and the step of the maximum."""
     us = rngmod.stream(seed).random(steps).tolist()
     state = IndependentSetState(g.n)
-    digest = HistoryDigest(occupied=state.occupied)
     lam = 1.0
     seg_end = 0
     step_of_max = 0
     for t, u in enumerate(us):
         if t >= seg_end:
-            digest.t = t
-            digest.size = state.size
-            digest.max_size = state.max_size_seen
-            digest.step_of_max = step_of_max
-            lam, hold = sched.segment(t, digest)
+            lam, hold = sched.segment(t, state.max_size_seen, step_of_max)
             seg_end = t + hold
         x = u * g.n
         v = int(x)
@@ -254,7 +249,7 @@ def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int]
             blocked[g.adj_targets[g.adj_offsets[v] : g.adj_offsets[v + 1]]] = True
             last_add_pos = pos + 1
     size = len(chosen)
-    record = TrialRecord(seed, g.n, size, last_add_pos, size)
+    record = TrialRecord(g.n, size, last_add_pos, size)
     return frozenset(chosen), record
 
 

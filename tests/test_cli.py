@@ -335,8 +335,7 @@ def test_run_completes_an_uncapped_ladder(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_experiment_rejects_a_worker_count_below_one(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.delenv("ANNEALBENCH_WORKERS", raising=False)
+def test_experiment_rejects_a_worker_count_below_one(tmp_path, capsys, workers):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(f"""
 [experiment]

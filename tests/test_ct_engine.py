@@ -248,10 +248,10 @@ class _Recording:
         self.sched = sched
         self.calls: list[int] = []
 
-    def segment(self, t, digest=None):
-        assert digest.t == t and digest.size == sum(digest.occupied)
+    def segment(self, t, max_size=0, step_of_max=0):
+        assert 0 <= step_of_max <= t
         self.calls.append(t)
-        return self.sched.segment(t, digest)
+        return self.sched.segment(t, max_size, step_of_max)
 
 
 @pytest.mark.parametrize(

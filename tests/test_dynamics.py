@@ -13,7 +13,7 @@ from annealbench import dynamics as dy
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidEdge, InvalidFugacity, InvalidRate, NotIndependent
-from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, HistoryDigest, parse_schedule
+from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, parse_schedule
 from exact_laws import hardcore_distribution
 from reference import (
     IndependentSetState,
@@ -97,6 +97,7 @@ ENGINE_SCHEDULES = [
     FugacitySchedule.geometric(1.0, 2.0, 100, cap=64.0),
     FugacitySchedule.sequence([1.0] * 50 + [4.0] * 50 + [2.0]),
     FugacitySchedule.adaptive("plateau"),
+    FugacitySchedule.adaptive("milestone"),
 ]
 
 
@@ -759,7 +760,7 @@ def test_schedule_segments():
 
 def test_milestone_fugacity_stays_capped_for_a_huge_maximum():
     rule = ADAPTIVE_RULES["milestone"]
-    assert rule(0, HistoryDigest(max_size=4096)) == rule(0, HistoryDigest(max_size=10**9)) == (1e9, 512)
+    assert rule(0, 4096, 0) == rule(0, 10**9, 0) == (1e9, 512)
 
 
 @pytest.mark.parametrize("spec", ["geometric:1:2:1", "fixed:1.7e308"])

@@ -182,9 +182,7 @@ def test_bipartite_bound_values():
 
 
 def _fake_trial(left, right, touched):
-    rec = TrialRecord(
-        seed=0, steps=10, max_size=left, step_of_max=1, final_size=left + right
-    )
+    rec = TrialRecord(steps=10, max_size=left, step_of_max=1, final_size=left + right)
     rec.final_left = left
     rec.final_right = right
     rec.right_touched = touched
@@ -203,7 +201,7 @@ def test_burn_in_stats_flags():
 
 
 def test_burn_in_stats_needs_fields():
-    rec = TrialRecord(seed=0, steps=1, max_size=0, step_of_max=0, final_size=0)
+    rec = TrialRecord(steps=1, max_size=0, step_of_max=0, final_size=0)
     with pytest.raises(InsufficientRecord):
         oc.burn_in_stats(rec, BlowupParams(n=10, k=2, ell=10, p=0.05))
 
