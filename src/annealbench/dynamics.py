@@ -226,6 +226,8 @@ def _run_chain(
     classes: RateClasses,
 ) -> TrialRecord:
     n = g.n
+    if n == 0:
+        raise ValueError("the chain needs a graph with a vertex")
     adj = g.neighbor_lists
     occ = bytearray(n)
     blocked = [0] * n

@@ -532,12 +532,14 @@ def graph_from_text(text: str) -> Graph:
                     if careful and (u := _int(args[0], n)) == _int(args[1], n):
                         raise ValueError(f"self-loop at vertex {u}")
                     e_toks += args
-                elif tag == "l":
-                    if args[1] not in ("L", "R"):
-                        raise ValueError(f"side {args[1]!r} is not L or R")
-                    labels[_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
+                elif tag == "l" and args[1] not in ("L", "R"):
+                    raise ValueError(f"side {args[1]!r} is not L or R")
                 else:
-                    groups[_int(args[0], n)] = _int(args[1])
+                    val = _int(args[1]) if tag == "g" else SIDE_L if args[1] == "L" else SIDE_R
+                    table = labels if tag == "l" else groups
+                    if (v := _int(args[0], n)) in table:
+                        raise ValueError(f"second '{tag}' line for vertex {v}")
+                    table[v] = val
             except ValueError as exc:
                 if careful:
                     raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None

@@ -257,6 +257,8 @@ def bundle_for(
     for v in watch:
         if not 0 <= v < inst.graph.n:
             raise ConfigError(f"watch vertex {v} is not in the {inst.graph.n}-vertex graph")
+    if inst.graph.n == 0 and cfg.algorithm in ("ump", "ct"):
+        raise ConfigError(f"{cfg.algorithm} runs a chain, which needs a graph with a vertex")
     if (inst.blowup is None) == (cfg.algorithm == "ct"):
         raise ConfigError("ct runs need an implicit clique-blowup instance" if inst.blowup is None
                           else "an implicit clique-blowup runs only ct: ump, greedy and "

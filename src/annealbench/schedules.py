@@ -1,15 +1,15 @@
 """Fugacity schedules for the add/remove dynamics.
 
 A schedule assigns every step ``t`` a fugacity ``lambda_t`` in ``[1, inf]``;
-removal proposals are accepted with probability ``1/lambda_t``.  The kinds:
+removal proposals are accepted with probability ``1/lambda_t``.  Three shapes:
 
-* ``fixed``     constant fugacity (classic fixed-temperature search);
-* ``infinite``  no removals ever, equivalent to randomized greedy;
-* ``sequence``  explicit per-step values, held at the last entry afterwards;
-* ``geometric`` stepwise-increasing annealing ladder with a cap;
-* ``adaptive``  a named deterministic rule of the run history.
+* a ladder    ``start * factor ** (t // block)`` capped at ``cap``, the annealing
+  of Kirkpatrick, Gelatt & Vecchi (1983); ``fixed`` is the one-rung ladder
+  ``start = cap`` (the Metropolis chain), and ``greedy`` is ``fixed`` at inf;
+* a sequence  explicit per-step values, held at the last entry afterwards;
+* a rule      a named deterministic rule of the run history (``adaptive``).
 
-An adaptive rule sees only the current step, the running maximum and the
+A rule sees only the current step, the running maximum and the
 step it was reached at, and returns a value plus a hold length, so runs
 remain replayable from the seed alone.
 """
@@ -51,58 +51,51 @@ def check_lambda(lam: float) -> float:
 
 @dataclass(frozen=True)
 class FugacitySchedule:
-    kind: str
-    lam: float = 1.0
-    values: tuple[float, ...] = ()
+    # A ladder unless ``values`` or ``rule`` is set; the defaults are fixed(1).
     start: float = 1.0
-    factor: float = 2.0
+    factor: float = 1.0
     block: int = 1
-    cap: float = INF
+    cap: float = 1.0
+    values: tuple[float, ...] = ()
     rule: str = ""
 
     @staticmethod
     def fixed(lam: float) -> "FugacitySchedule":
-        return FugacitySchedule(kind="fixed", lam=check_lambda(lam))
-
-    @staticmethod
-    def infinite() -> "FugacitySchedule":
-        return FugacitySchedule(kind="infinite", lam=INF)
+        return FugacitySchedule.geometric(lam, 1.0, 1, lam)
 
     @staticmethod
     def sequence(values) -> "FugacitySchedule":
         vals = tuple(check_lambda(v) for v in values)
         if not vals:
             raise InvalidFugacity("sequence schedule needs at least one value")
-        return FugacitySchedule(kind="sequence", values=vals)
+        return FugacitySchedule(values=vals)
 
     @staticmethod
     def geometric(start: float, factor: float, block: int, cap: float = INF) -> "FugacitySchedule":
         if not factor >= 1.0 or block < 1:  # "not >=" also rejects NaN
             raise InvalidFugacity("geometric schedule needs factor >= 1, block >= 1")
-        return FugacitySchedule(
-            kind="geometric",
-            start=check_lambda(start),
-            factor=float(factor),
-            block=int(block),
-            cap=check_lambda(cap),
-        )
+        start, cap = check_lambda(start), check_lambda(cap)
+        if cap < start:
+            raise InvalidFugacity(f"geometric cap {cap} lies below its start {start}")
+        return FugacitySchedule(start, float(factor), int(block), cap)
 
     @staticmethod
     def adaptive(rule: str) -> "FugacitySchedule":
         if rule not in ADAPTIVE_RULES:
             raise InvalidFugacity(f"unknown adaptive rule {rule!r}")
-        return FugacitySchedule(kind="adaptive", rule=rule)
+        return FugacitySchedule(rule=rule)
 
     def segment(self, t: int, max_size: int = 0, step_of_max: int = 0) -> tuple[float, int]:
-        """Fugacity at 0-based step ``t`` and how many steps it holds; an
-        adaptive rule also reads the running maximum and its step.
+        """Fugacity at 0-based step ``t`` and how many steps it holds; a rule
+        also reads the running maximum and its step.
 
         The hold length is a guarantee used by the simulation loops to avoid
         re-evaluating the schedule every step; it is always at least 1.
         """
-        if self.kind == "fixed" or self.kind == "infinite":
-            return self.lam, 1 << 62
-        if self.kind == "sequence":
+        if self.rule:
+            lam, hold = ADAPTIVE_RULES[self.rule](t, max_size, step_of_max)
+            return check_lambda(lam), max(1, int(hold))
+        if self.values:
             if t >= len(self.values):
                 return self.values[-1], 1 << 62
             lam = self.values[t]
@@ -113,18 +106,13 @@ class FugacitySchedule:
             if t + hold == len(self.values) and self.values[-1] == lam:
                 hold = 1 << 62
             return lam, hold
-        if self.kind == "geometric":
-            try:
-                lam = self.start * self.factor ** (t // self.block)
-            except OverflowError:  # past the largest float: no removals, for ever
-                lam = INF
-            if lam >= self.cap:
-                return min(lam, self.cap), 1 << 62
-            return lam, self.block - (t % self.block)
-        if self.kind == "adaptive":
-            lam, hold = ADAPTIVE_RULES[self.rule](t, max_size, step_of_max)
-            return check_lambda(lam), max(1, int(hold))
-        raise InvalidFugacity(f"unknown schedule kind {self.kind!r}")
+        try:
+            lam = self.start * self.factor ** (t // self.block)
+        except OverflowError:  # past the largest float: no removals, for ever
+            lam = INF
+        if lam >= self.cap:
+            return min(lam, self.cap), 1 << 62
+        return lam, self.block - (t % self.block)
 
 
 def parse_schedule(text: str) -> FugacitySchedule:
@@ -143,7 +131,7 @@ def parse_schedule(text: str) -> FugacitySchedule:
 
 def _parse_schedule(text: str) -> FugacitySchedule:
     if text == "greedy":
-        return FugacitySchedule.infinite()
+        return FugacitySchedule.fixed(INF)
     head, _, rest = text.partition(":")
     if head == "fixed":
         return FugacitySchedule.fixed(float(rest))

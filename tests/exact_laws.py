@@ -8,6 +8,9 @@ a handful (Kemeny & Snell, *Finite Markov Chains*, 1960), so ``lumped_law``
 gives them exactly.  ``test_oracles.py`` checks them against the full
 ``2^n``-state chain on small instances.
 
+``multicopy_greedy_law`` is the closed-form law of randomized greedy's size
+on the same multicopy instance (gate 8a).
+
 ``hardcore_distribution`` is the stationary law of the discrete chain at
 a fixed fugacity, by enumeration of the ``2^n`` states.
 ``weighted_chain`` and ``weighted_law`` are the full ``2^n``-state embedded
@@ -172,6 +175,23 @@ def multicopy_unit_law(n: int, s: int, lam: float, steps: int) -> np.ndarray:
     return np.array([law.get(j, 0.0) for j in range(s + 2)])
 
 
+def multicopy_greedy_law(n: int, s: int) -> np.ndarray:
+    """Law of the size randomized greedy reaches on the ``n`` units of
+    ``gen_appendix_multicopy`` (an ``s``-block joined to an ``n``-clique).
+
+    Greedy takes a unit's whole block when a block vertex comes first among
+    the unit's ``n + s`` vertices, and one clique vertex otherwise.  The
+    relative orders of disjoint units in a uniform permutation are
+    independent, so the size is ``n + (s - 1) * Binomial(n, s / (n + s))``.
+    Index ``m`` is the probability of size ``m``.
+    """
+    q = s / (n + s)
+    law = np.zeros(n * s + 1)
+    for b in range(n + 1):
+        law[n + (s - 1) * b] = math.comb(n, b) * q**b * (1 - q) ** (n - b)
+    return law
+
+
 def weighted_chain(g, rates, multipliers, lam: float) -> np.ndarray:
     """One-proposal transition matrix of the weighted chain on every subset
     of ``g`` (state = occupancy bitmask).
@@ -242,7 +262,7 @@ def weighted_law(g, rates, multipliers, spec: str, steps: int) -> np.ndarray:
     n = g.n
     chain = functools.cache(functools.partial(weighted_chain, g, rates, multipliers))
 
-    if sched.kind != "adaptive":
+    if not sched.rule:
         law = np.zeros(1 << n)
         law[0] = 1.0
         return _fold(law, chain, sched, steps)

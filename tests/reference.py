@@ -203,9 +203,15 @@ def graph_from_text_reference(text: str) -> Graph:
             elif tag == "l":
                 if args[1] not in ("L", "R"):
                     raise ValueError(f"side {args[1]!r} is not L or R")
-                labels[as_int(args[0], n)] = SIDE_L if args[1] == "L" else SIDE_R
+                v = as_int(args[0], n)
+                if v in labels:
+                    raise ValueError(f"second 'l' line for vertex {v}")
+                labels[v] = SIDE_L if args[1] == "L" else SIDE_R
             else:
-                groups[as_int(args[0], n)] = as_int(args[1])
+                group, v = as_int(args[1]), as_int(args[0], n)
+                if v in groups:
+                    raise ValueError(f"second 'g' line for vertex {v}")
+                groups[v] = group
         except ValueError as exc:
             raise InvalidEdge(f"line {lineno}: {exc}: {raw.strip()!r}") from None
     if n is None:

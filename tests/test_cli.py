@@ -474,6 +474,29 @@ def test_run_rejects_a_watch_vertex_outside_the_graph(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_a_chain_on_a_graph_with_no_vertices_exits_2(tmp_path, capsys):
+    graph = tmp_path / "empty.graph"
+    graph.write_text("p is 0 0\n")
+    out_csv = tmp_path / "e.csv"
+    assert main(["run", "--graph", str(graph), "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ump runs a chain, which needs a graph with a vertex\n"
+    assert not out_csv.exists()
+    assert main(["run", "--graph", str(graph), "--algorithm", "greedy", "--out", str(out_csv)]) == 0
+    assert read_csv(out_csv)[0]["max_size"] == "0"
+
+
+def test_a_ladder_cap_below_its_start_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    text = GOOD_CFG.format(out=tmp_path / "out").replace("algorithm = greedy", "algorithm = ump")
+    cfg.write_text(text + "steps = 100\n\n[schedules]\nspecs = geometric:4:2:10:2\n")
+    assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "geometric:4:2:10:2" in err and "cap 2.0 lies below its start 4.0" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

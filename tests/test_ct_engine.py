@@ -276,7 +276,7 @@ def test_greedy_saturates_then_skips_to_the_budget():
     keep = dy.RecorderConfig(keep_final_state=True, snapshot_every=10**11)
     adj = base.neighbor_lists
     for chain in CHAINS:
-        rec = run(chain, base, cfg, FugacitySchedule.infinite(), 6, keep)
+        rec = run(chain, base, cfg, FugacitySchedule.fixed(math.inf), 6, keep)
         assert rec.steps == 10**12
         final = rec.final_state
         assert gc.is_independent(base, final) and len(final) == rec.final_size == rec.max_size

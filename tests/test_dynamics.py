@@ -4,7 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
 from annealbench.errors import InvalidEdge, InvalidFugacity, InvalidRate, NotIndependent
 from annealbench.schedules import ADAPTIVE_RULES, FugacitySchedule, parse_schedule
-from exact_laws import hardcore_distribution
+from exact_laws import hardcore_distribution, multicopy_greedy_law
 from reference import (
     IndependentSetState,
     coupling_instance,
@@ -26,7 +26,7 @@ from reference import (
 )
 
 FIX2 = FugacitySchedule.fixed(2.0)
-GREEDY = FugacitySchedule.infinite()
+GREEDY = FugacitySchedule.fixed(math.inf)
 
 
 def path3():
@@ -93,7 +93,7 @@ ENGINE_GRAPHS = [
 ENGINE_SCHEDULES = [
     FugacitySchedule.fixed(1.0),
     FugacitySchedule.fixed(2.5),
-    FugacitySchedule.infinite(),
+    FugacitySchedule.fixed(math.inf),
     FugacitySchedule.geometric(1.0, 2.0, 100, cap=64.0),
     FugacitySchedule.sequence([1.0] * 50 + [4.0] * 50 + [2.0]),
     FugacitySchedule.adaptive("plateau"),
@@ -374,6 +374,29 @@ def test_randomized_greedy_matches_infinite_fugacity_distribution():
         abs(greedy_counts[k] / trials - chain_counts[k] / trials) for k in keys
     )
     assert tv <= 0.02
+
+
+# Gate 8a's instance (multicopy_greedy.cfg): 64 units, each an 8-block joined
+# to a 64-clique.  The TV of 2000 draws from the exact law itself stayed
+# below 0.062 in 2*10^4 resamples.
+MULTICOPY_GREEDY_TRIALS = 2000
+MULTICOPY_GREEDY_TV = 0.065
+
+
+def test_randomized_greedy_matches_the_multicopy_law():
+    n, s = 64, 8
+    g = ig.gen_appendix_multicopy(n, 0.5)
+    law = multicopy_greedy_law(n, s)
+    sizes = np.arange(len(law))
+    assert abs((sizes * law).sum() - n * (1 + (s - 1) * s / (n + s))) < 1e-9  # 113.78
+    assert abs(law[sizes > 144].sum() - 0.04777) < 1e-5
+    counts = np.zeros(len(law))
+    for seed in range(MULTICOPY_GREEDY_TRIALS):
+        size = dy.run_randomized_greedy(g, seed)[1].max_size
+        assert size % (s - 1) == n % (s - 1), size  # n units, s - 1 more for each block
+        counts[size] += 1
+    tv = 0.5 * float(np.abs(counts / MULTICOPY_GREEDY_TRIALS - law).sum())
+    assert tv <= MULTICOPY_GREEDY_TV, f"TV {tv:.4f} > {MULTICOPY_GREEDY_TV}"
 
 
 def test_randomized_greedy_anchor_mean_matches_conditioning_oracle():
@@ -729,8 +752,8 @@ def test_cloud_deload_under_heavy_removal():
 
 
 def test_parse_schedule_forms(tmp_path):
-    assert parse_schedule("fixed:2.5").lam == 2.5
-    assert parse_schedule("greedy").kind == "infinite"
+    assert parse_schedule("fixed:2.5").segment(0) == (2.5, 1 << 62)
+    assert parse_schedule("greedy") == FugacitySchedule.fixed(math.inf)
     assert parse_schedule("adaptive:plateau").rule == "plateau"
     geo = parse_schedule("geometric:1:2:100:1e6")
     assert geo.cap == 1e6
@@ -785,8 +808,42 @@ def test_schedule_rejects_bad_values():
     [
         "geometric:1:2", "fixed:abc", "geometric:a:2:3",
         "geometric:1:2:10:0.5", "geometric:1:2:10:nan", "geometric:1:nan:10",
+        "geometric:4:2:10:2",
     ],
 )
 def test_parse_schedule_names_a_malformed_spec(spec):
     with pytest.raises(InvalidFugacity, match=spec):
         parse_schedule(spec)
+
+
+def test_a_schedule_is_a_ladder_a_sequence_or_a_rule():
+    assert [f.name for f in fields(FugacitySchedule)] == [
+        "start", "factor", "block", "cap", "values", "rule"
+    ]
+    for lam in (1.0, 2.5, 1e300, math.inf):
+        assert FugacitySchedule.fixed(lam) == FugacitySchedule.geometric(lam, 1, 1, lam)
+        assert FugacitySchedule.fixed(lam).segment(10**12) == (lam, 1 << 62)
+
+
+@pytest.mark.parametrize("lam", ["1", "2.5", "inf"])
+def test_fixed_a_one_value_sequence_and_a_one_rung_ladder_run_alike(tmp_path, lam):
+    one = tmp_path / "one.txt"
+    one.write_text(f"{lam}\n")
+    scheds = [parse_schedule(s) for s in (f"fixed:{lam}", f"seq:{one}", f"geometric:{lam}:1:1:{lam}")]
+    base = ig.gen_base_bipartite(8, 3, 0.3, seed=5)
+    ct = dy.WeightedCTConfig.blowup_implicit(base, 10, events=5000)
+    keep = dy.RecorderConfig(keep_final_state=True, thresholds=(3, 6), snapshot_every=500)
+    for run in (lambda s: dy.run_ump(base, s, 5000, seed=4, recorder=keep),
+                lambda s: dy.run_ct_ump(base, ct, s, 4, recorder=keep)):
+        fixed, *others = [run(s) for s in scheds]
+        assert fixed.steps == 5000 and all(rec == fixed for rec in others)
+
+
+def test_a_chain_on_a_graph_with_no_vertices_is_an_error():
+    g = gc.build_graph(0, np.zeros((0, 2), dtype=np.int64), labels={}, bipartite=True)
+    ct = dy.WeightedCTConfig.blowup_implicit(g, 3, events=10)
+    with pytest.raises(ValueError, match="the chain needs a graph with a vertex"):
+        dy.run_ump(g, FIX2, 10, seed=1)
+    with pytest.raises(ValueError, match="the chain needs a graph with a vertex"):
+        dy.run_ct_ump(g, ct, FIX2, 1)
+    assert dy.run_randomized_greedy(g, seed=1)[1].max_size == 0

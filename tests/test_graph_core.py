@@ -516,12 +516,16 @@ P = "p is 3 1\n"
         (P + "e 0 99999999999999999999\n", 2),
         (P + "e 0 9223372036854775808\n", 2),
         (P + "e 1 -0\ne 2 3\n", 3),
+        (P + "e 0 1\nl 0 L\nl 1 R\nl 0 R\n", 5),
+        (P + "e 0 1\ng 0 1\ng 0 2\n", 4),
+        (P + "e 0 1\ng 1 7\nl 1 L\ng 1 7\n", 5),
     ],
     ids=["bad-side", "e-three-args", "e-one-arg", "g-one-arg", "l-out-of-range",
          "g-out-of-range", "e-not-int", "e-out-of-range", "e-negative", "e-self-loop",
          "e-plus-sign", "cheese", "second-p", "unknown-tag", "p-not-int", "p-short",
          "p-not-is", "p-negative", "edge-before-p", "bad-e-before-bad-l",
-         "bad-e-before-cheese", "e-past-int64", "e-at-int64", "e-after-a-signed-zero"],
+         "bad-e-before-cheese", "e-past-int64", "e-at-int64", "e-after-a-signed-zero",
+         "second-l", "second-g", "same-g-twice"],
 )
 def test_graph_from_text_names_the_bad_line(text, line):
     """The edge lines are checked in bulk; a failed check names the first bad

@@ -534,6 +534,36 @@ def test_pool_under_spawn_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text,names",
+    [(TINY_CFG.replace("seed = 99", "seed = 99\nsnapshot_every = 37"),
+      ("run.csv", "stats.csv", "traj.csv")),
+     (GREEDY_CFG, ("run.csv", "stats.csv"))],
+    ids=["chain", "greedy"],
+)
+def test_pool_chunk_size_moves_no_byte(tmp_path, monkeypatch, text, names):
+    """Tasks of 1, of 5 and of every trial at once give the serial run's bytes."""
+    import multiprocessing.pool
+
+    serial = hz.loads_config(text.format(out=tmp_path / "serial"))
+    hz.run_experiment(serial, workers=1)
+    pool_map = multiprocessing.pool.Pool.map
+    for size in (1, 5, None):
+        used = []
+
+        def forced_map(self, func, ids, chunksize=None, size=size):
+            used.append(size or len(ids))
+            return pool_map(self, func, ids, size or len(ids))
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map", forced_map)
+        cfg = hz.loads_config(text.format(out=tmp_path / f"chunk{size}"))
+        hz.run_experiment(cfg, workers=2)
+        assert used == [size or cfg.total_trials]
+        for name in names:
+            got = (Path(cfg.out_dir) / name).read_bytes()
+            assert got == (Path(serial.out_dir) / name).read_bytes(), (size, name)
+
+
+@pytest.mark.parametrize(
     "algorithm,built", [("ump", True), ("degree-greedy", True), ("greedy", False)]
 )
 def test_neighbor_lists_are_built_only_for_trials_that_read_them(
