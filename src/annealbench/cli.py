@@ -57,7 +57,7 @@ def _cmd_alpha(args) -> int:
             if name == names[-1]:
                 raise
     print(f"alpha = {cert.alpha} ({cert.method})")
-    if args.witness and cert.witness is not None:
+    if args.witness:
         print("witness =", " ".join(str(v) for v in sorted(cert.witness)))
     return 0
 

@@ -56,12 +56,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.adj_offsets[-1]) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.adj_offsets[v + 1] - self.adj_offsets[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj_targets[self.adj_offsets[v] : self.adj_offsets[v + 1]]
-
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Python-list adjacency for tight loops, built once; vertex ints are shared."""
@@ -228,12 +222,10 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
 @dataclass(frozen=True)
 class AlphaCertificate:
     alpha: int
-    witness: frozenset[int] | None
+    witness: frozenset[int]
     method: str
 
     def verify(self, g: Graph) -> bool:
-        if self.witness is None:
-            return True
         return len(self.witness) == self.alpha and is_independent(g, self.witness)
 
 
@@ -252,8 +244,8 @@ def alpha_bruteforce(g: Graph) -> AlphaCertificate:
     closed = []  # closed neighborhood masks
     for v in range(g.n):
         mask = 1 << v
-        for w in g.neighbors(v):
-            mask |= 1 << int(w)
+        for w in g.neighbor_lists[v]:
+            mask |= 1 << w
         closed.append(mask)
 
     full = (1 << g.n) - 1

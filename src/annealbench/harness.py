@@ -172,7 +172,7 @@ def load_config(path: str | Path, out_dir: str | None = None) -> ExperimentConfi
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     return loads_config(text, out_dir)
 
 

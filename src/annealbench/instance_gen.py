@@ -15,7 +15,7 @@ both read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -216,16 +216,15 @@ def gen_bipartite_blowup(base: Graph, cloud_size: int, copies: int) -> Graph:
 
 
 def gen_star_tree(k: int) -> Graph:
-    """Spider with root 0, mid vertices 1..k, and leaf i+k below mid i.
+    """Spider with root 0, mid vertices 1..k, and leaf i+k below mid i: the
+    one-copy :func:`gen_hard_tree` forest, with no apex and no group ids.
 
     The unique maximum independent set is the root plus all leaves
     (size k+1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    edges = [(0, i) for i in range(1, k + 1)]
-    edges += [(i, k + i) for i in range(1, k + 1)]
-    return build_graph(2 * k + 1, edges)
+    return replace(gen_hard_tree(k, 1, apex=False), group=None)
 
 
 def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
@@ -238,18 +237,15 @@ def gen_hard_tree(k: int, copies: int, apex: bool = True) -> Graph:
     if k < 1 or copies < 1:
         raise ValueError("k and copies must be >= 1")
     span = 2 * k + 1
-    edges: list[tuple[int, int]] = []
-    for c in range(copies):
-        base = c * span
-        edges += [(base, base + i) for i in range(1, k + 1)]
-        edges += [(base + i, base + k + i) for i in range(1, k + 1)]
-    n = copies * span + (1 if apex else 0)
+    roots = np.arange(copies, dtype=np.int64) * span
+    mids = (roots[:, None] + np.arange(1, k + 1)).ravel()
+    edges = [np.stack([np.repeat(roots, k), mids], 1), np.stack([mids, mids + k], 1)]
     group = np.repeat(np.arange(copies, dtype=np.int64), span)
     if apex:
         apex_v = copies * span
-        edges += [(apex_v, c * span) for c in range(copies)]
+        edges.append(np.stack([np.full(copies, apex_v), roots], 1))
         group = np.concatenate([group, np.array([NO_GROUP], np.int64)])
-    return build_graph(n, edges, groups=group)
+    return build_graph(group.size, np.concatenate(edges), groups=group)
 
 
 def balanced_edge_prob(n: int, d: float) -> float:

@@ -9,7 +9,9 @@ gives them exactly.  ``test_oracles.py`` checks them against the full
 ``2^n``-state chain on small instances.
 
 ``multicopy_greedy_law`` is the closed-form law of randomized greedy's size
-on the same multicopy instance (gate 8a).
+on the same multicopy instance (gate 8a).  ``gate_false_fail`` turns a
+gate's exact per-trial success probability into the chance that a correct
+program fails it.
 
 ``hardcore_distribution`` is the stationary law of the discrete chain at
 a fixed fugacity, by enumeration of the ``2^n`` states.
@@ -34,6 +36,18 @@ def one_sided_gate(p: float, trials: int, z: float) -> float:
     """Fraction target that a chain with per-trial success ``p`` misses
     with probability about ``Phi(-z)``, rounded down to two decimals."""
     return math.floor(100 * (p - z * math.sqrt(p * (1 - p) / trials))) / 100
+
+
+def gate_false_fail(p: float, trials: int, target: float) -> float:
+    """Chance that a correct program fails the gate ``frac >= target``, where
+    each of ``trials`` trials succeeds with exact probability ``p``: the
+    Binomial(trials, p) mass of the counts ``c`` with ``c / trials < target``,
+    the verdict's own comparison."""
+    return sum(
+        math.comb(trials, c) * p**c * (1 - p) ** (trials - c)
+        for c in range(trials + 1)
+        if c / trials < target
+    )
 
 
 def _fold(law: np.ndarray, chain, sched: FugacitySchedule, steps: int) -> np.ndarray:

@@ -6,6 +6,8 @@
   proposal reads one real ``u`` of the trial's stream: the vertex is
   ``floor(u*n)`` and the removal coin is the fractional part of ``u*n``.
 * A set-based graph builder, the reference of ``graph_core.build_graph``.
+* The spider forest from plain edge lists, the reference of the numpy
+  edges of ``instance_gen.gen_hard_tree`` and so of ``gen_star_tree``.
 * The graph file parser that checks one line at a time, the reference of
   ``graph_core.graph_from_text``, which checks the edge lines in bulk:
   the same ``Graph`` arrays, and the same message for the same bad line.
@@ -13,6 +15,9 @@
   in order, one bool-mask assignment per added vertex.  It is what
   ``dynamics.run_randomized_greedy`` is held to, set and ``TrialRecord``
   alike; the fast path skips blocked positions a block at a time.
+* Minimum-degree greedy as a scan of the alive vertices for the fewest
+  alive neighbours, the reference of ``dynamics.run_degree_greedy``'s
+  heap, which may pop entries that are out of date.
 * The projection of an independent set of an explicit clique blowup onto
   its base graph, which criterion 2 compares with the implicit blowup.
 * Kuhn's augmenting-path matcher, the reference of the size of
@@ -164,6 +169,20 @@ def build_graph_reference(n: int, edges) -> Graph:
     return Graph(n, offsets, targets)
 
 
+def spider_forest_reference(k: int, copies: int, apex: bool) -> Graph:
+    """Copy roots ``0, 2k+1, ...``; each root joins its mids ``root+1..root+k``
+    and mid ``root+i`` its leaf ``root+k+i``; the apex, last, joins every root."""
+    span = 2 * k + 1
+    n = copies * span
+    edges = []
+    for root in range(0, n, span):
+        edges += [(root, root + i) for i in range(1, k + 1)]
+        edges += [(root + i, root + k + i) for i in range(1, k + 1)]
+    if apex:
+        edges += [(n, root) for root in range(0, n, span)]
+    return build_graph(n + apex, edges)
+
+
 def graph_from_text_reference(text: str) -> Graph:
     """``graph_core.graph_from_text`` one line at a time: every token of every
     line is checked with a regex as it comes, and the first bad line raises."""
@@ -257,6 +276,18 @@ def run_randomized_greedy_reference(g: Graph, seed: int) -> tuple[frozenset[int]
     size = len(chosen)
     record = TrialRecord(g.n, size, last_add_pos, size)
     return frozenset(chosen), record
+
+
+def degree_greedy_reference(g: Graph) -> frozenset[int]:
+    """Take the alive vertex with the fewest alive neighbours (lowest index
+    on ties), delete it and its neighbours, and repeat until none is alive."""
+    alive = set(range(g.n))
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda u: (sum(w in alive for w in g.neighbor_lists[u]), u))
+        chosen.append(v)
+        alive -= {v, *g.neighbor_lists[v]}
+    return frozenset(chosen)
 
 
 def phi_project(

@@ -26,6 +26,9 @@ Two chain gates are judged against the exact law of their chain
   1.3e-17; the gate is the one-sided bound 0.33, and p* must lie in the
   z = 3.29 Wilson interval of the observed count.
 
+Gates 4b, 7b and 8a each show the exact chance that a correct program
+fails them (``exact_laws.gate_false_fail``): 1.86e-4, 2.24e-4 and 0.357.
+
 One check is implemented exactly as specified although its configured step
 budget is too small, and reports FAIL honestly:
 
@@ -60,7 +63,9 @@ from annealbench import rng as rngmod
 from annealbench.schedules import FugacitySchedule, parse_schedule
 from exact_laws import (
     anchor_law,
+    gate_false_fail,
     hardcore_distribution,
+    multicopy_greedy_law,
     multicopy_unit_law,
     one_sided_gate,
     spider_mid_law,
@@ -268,6 +273,7 @@ def test_criterion_4_early_mid_occupancy(tree_run):
     mean_obs = sum(probes) / total
     lo, hi = oc.wilson_interval(successes, total, z=GATE_Z)
     gate = one_sided_gate(p_star, total, GATE_Z)
+    false_fail = gate_false_fail(p_star, total, row.target)
     ok = (
         row.passed
         and row.target == gate
@@ -279,7 +285,8 @@ def test_criterion_4_early_mid_occupancy(tree_run):
         ok,
         f"frac(count>={x:g})={row.observed:.4f} target>={row.target:.2f} "
         f"(exact p*={p_star:.4f}, Wilson [{lo:.3f},{hi:.3f}]); mean count "
-        f"{mean_obs:.2f} vs exact {mean:.2f} +- {GATE_Z * se:.2f}",
+        f"{mean_obs:.2f} vs exact {mean:.2f} +- {GATE_Z * se:.2f}; "
+        f"P(a correct chain fails)={false_fail:.3g}",
         elapsed,
     )
     assert row.target == gate, (
@@ -296,7 +303,10 @@ def test_criterion_4_early_mid_occupancy(tree_run):
     assert row.interval == oc.wilson_interval(successes, total), (
         f"verdict interval {row.interval} is not the 95% Wilson interval of {successes}/{total}"
     )
-    assert row.passed, f"frac {row.observed:.4f} below the gate {row.target}"
+    assert row.passed, (
+        f"frac {row.observed:.4f} below the gate {row.target}, which a correct chain "
+        f"fails with probability {false_fail:.3g}"
+    )
 
 
 # -- criterion 5: forest approximation ----------------------------------------
@@ -405,12 +415,13 @@ def test_criterion_7_chain_reaches_block(anchor_run):
     successes = sum(int(r["max_size"]) >= n for r in manifest.rows)
     lo, hi = oc.wilson_interval(successes, total, z=GATE_Z)
     gate = one_sided_gate(p_star, total, GATE_Z)
+    false_fail = gate_false_fail(p_star, total, row.target)
     _report(
         "criterion 7b (chain reaches the block)",
         row.passed and row.target == gate and lo <= p_star <= hi,
         f"frac(max>={n} within {cfg.steps} steps)={row.observed:.4f} "
         f"target>={row.target:.2f} (exact p*={p_star:.5f}, "
-        f"Wilson [{lo:.3f},{hi:.3f}])",
+        f"Wilson [{lo:.3f},{hi:.3f}]); P(a correct chain fails)={false_fail:.3g}",
         elapsed,
     )
     _check_budget("criterion 7", elapsed, 300.0)
@@ -424,7 +435,10 @@ def test_criterion_7_chain_reaches_block(anchor_run):
     assert row.interval == oc.wilson_interval(successes, total), (
         f"verdict interval {row.interval} is not the 95% Wilson interval of {successes}/{total}"
     )
-    assert row.passed, f"frac {row.observed:.4f} below the gate {row.target}"
+    assert row.passed, (
+        f"frac {row.observed:.4f} below the gate {row.target}, which a correct chain "
+        f"fails with probability {false_fail:.3g}"
+    )
 
 
 # -- criterion 8: block-plus-clique units --------------------------------------
@@ -445,17 +459,23 @@ def test_criterion_8_greedy_stays_small(multicopy_greedy_run):
     report = hz.verdict(cfg, manifest.rows)
     per_trial = next(r for r in report.rows if r.kind == "frac_max_le")
     mean_row = next(r for r in report.rows if r.kind == "mean_max_le")
+    n = int(cfg.instance["n"])
+    law = multicopy_greedy_law(n, ig.multicopy_block_size(n, float(cfg.instance["eps"])))
+    p_small = float(law[:145].sum())  # P(size <= 144)
+    false_fail = gate_false_fail(p_small, len(manifest.rows), per_trial.target)
     _report(
         "criterion 8a (randomized greedy small)",
         per_trial.passed and mean_row.passed,
         f"frac(size<=144)={per_trial.observed:.4f} target>=0.95; "
-        f"mean={mean_row.observed:.2f} target<=144",
+        f"mean={mean_row.observed:.2f} target<=144; "
+        f"P(a correct greedy fails)={false_fail:.3g}",
         elapsed,
     )
     _check_budget("criterion 8a", elapsed, 900.0)
     assert mean_row.passed
     assert per_trial.passed, (
-        "per-trial exceedance probability is ~0.048 against a 0.05 allowance; "
+        f"per-trial exceedance probability is {1 - p_small:.5f} against a 0.05 allowance, "
+        f"so a correct greedy fails this gate with probability {false_fail:.3g}; "
         f"this seed observed {per_trial.observed:.4f}"
     )
 

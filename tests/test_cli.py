@@ -370,21 +370,39 @@ trials = 2
 """
 
 
+STAR_RUN = "family = star-tree\nk = 3\n\n[run]\nalgorithm = greedy"
+IMPLICIT = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
+RUNS_ONLY_CT = ("an implicit clique-blowup runs only ct: "
+                "ump, greedy and degree-greedy need mode = explicit")
+
+
 @pytest.mark.parametrize(
-    "old,new,line",
+    "old,new,message",
     [
         ("k = 3\n", "k = 3\nk = 4\n", "[line 8]"),  # a duplicate key
         ("k = 3\n", "k = 3\nk4\n", "[line 8]: 'k4'"),  # a line with no =
         ("[experiment]", "name = t\n[experiment]", "line: 1 'name = t'"),  # before a section
+        ("family = star-tree\n", "", "[instance] must set family"),
+        ("algorithm = greedy", "algorithm = ump\nsteps = 10", "no schedules configured"),
+        ("[run]\nalgorithm = greedy",
+         "[schedules]\nspecs = fixed:2\n\n[run]\nalgorithm = ct\nevents = 10",
+         "ct runs need an implicit clique-blowup instance"),
+        (STAR_RUN,
+         IMPLICIT + "\n\n[schedules]\nspecs = fixed:2\n\n[run]\nalgorithm = ump\nsteps = 10",
+         RUNS_ONLY_CT),
+        ("family = star-tree\nk = 3", IMPLICIT, RUNS_ONLY_CT),
+        (STAR_RUN, IMPLICIT + "\n\n[run]\nalgorithm = degree-greedy", RUNS_ONLY_CT),
     ],
-    ids=["duplicate-key", "no-equals", "before-section"],
+    ids=["duplicate-key", "no-equals", "before-section", "no-family", "no-schedules",
+         "ct-on-a-star-tree", "ump-on-an-implicit-blowup", "greedy-on-an-implicit-blowup",
+         "degree-greedy-on-an-implicit-blowup"],
 )
-def test_a_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, old, new, line):
+def test_a_malformed_config_file_exits_2_without_a_traceback(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(GOOD_CFG.format(out=tmp_path / "out").replace(old, new, 1))
     assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and line in err and err.count("\n") == 1
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -504,8 +522,9 @@ def test_a_ladder_cap_below_its_start_exits_2(tmp_path, capsys):
         ["alpha", "--graph", "{tmp}/missing.graph"],
         ["run", "--graph", "{tmp}/missing.graph", "--out", "{tmp}/run.csv"],
         ["report", "--run", "{tmp}/missing.csv", "--out", "{tmp}/report.txt"],
+        ["experiment", "--config", "{tmp}/missing.cfg"],
     ],
-    ids=["gen", "alpha", "run", "report"],
+    ids=["gen", "alpha", "run", "report", "experiment"],
 )
 def test_an_os_error_exits_2_without_a_traceback(tmp_path, capsys, argv):
     code = main([a.format(tmp=tmp_path) for a in argv])

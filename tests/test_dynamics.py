@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from exact_laws import hardcore_distribution, multicopy_greedy_law
 from reference import (
     IndependentSetState,
     coupling_instance,
+    degree_greedy_reference,
     phi_project,
     run_coupled_monotone_reference,
     run_randomized_greedy_reference,
@@ -318,7 +320,7 @@ def test_randomized_greedy_is_maximal_independent():
         # maximality: every vertex outside has an occupied neighbor
         for v in range(g.n):
             if v not in s:
-                assert any(int(w) in s for w in g.neighbors(v))
+                assert any(w in s for w in g.neighbor_lists[v])
 
 
 def random_graph(n, m, seed, among=None):
@@ -433,6 +435,19 @@ def test_degree_greedy_c5_lowest_index_ties():
     assert len(out) == gc.alpha_bruteforce(g).alpha
 
 
+def test_degree_greedy_matches_the_plain_reference():
+    # Taking 1 deletes 0, which leaves an entry (1, 2) on the heap; 2 is
+    # then taken at degree 0, and the entry is popped out of date.
+    graphs = [gc.build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])]
+    rnd = random.Random(1)
+    for _ in range(300):
+        n = rnd.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.3]
+        graphs.append(gc.build_graph(n, pairs))
+    for g in graphs:
+        assert dy.run_degree_greedy(g) == degree_greedy_reference(g), g.edge_array().tolist()
+
+
 # -- continuous-time chain ---------------------------------------------------
 
 
@@ -495,6 +510,8 @@ def test_ct_uniform_rates_match_discrete_chain():
 
 def test_ct_requires_positive_rates():
     g = labeled_path3()
+    with pytest.raises(InvalidRate, match="needs a labeled graph"):
+        dy.WeightedCTConfig.for_sides(path3(), 1.0, 1.0, horizon=1.0)
     with pytest.raises(InvalidRate):
         dy.WeightedCTConfig.for_sides(g, 0.0, 1.0, horizon=1.0)
     with pytest.raises(InvalidRate, match="overflows"):  # each rate finite, their sum not
@@ -515,6 +532,8 @@ def test_ct_requires_positive_rates():
         {"horizon": math.inf},
         {"events": -5},
         {"events": 0},
+        {"horizon": None},  # "set exactly one of horizon or events"
+        {"horizon": 1.0, "events": 5},
     ],
 )
 def test_ct_rejects_bad_horizon_and_events(kwargs):
@@ -561,6 +580,17 @@ def test_phi_project_rejects_dependent_input():
 
 
 # -- coupled monotone run ----------------------------------------------------
+
+
+def test_coupled_run_rejects_an_unlabeled_graph_or_a_dependent_start():
+    g, upper, lower = coupling_instance(0)
+    edge = g.edge_array()[0].tolist()
+    with pytest.raises(InvalidRate, match="coupled run expects a labeled graph"):
+        dy.run_coupled_monotone(path3(), [], [], 2.0, 10, seed=1)
+    with pytest.raises(NotIndependent, match="upper start is not independent"):
+        dy.run_coupled_monotone(g, edge, lower, 2.0, 10, seed=1)
+    with pytest.raises(NotIndependent, match="lower start is not independent"):
+        dy.run_coupled_monotone(g, upper, edge, 2.0, 10, seed=1)
 
 
 def test_coupled_run_preserves_order():
@@ -667,6 +697,13 @@ def test_decoupled_control_breaks_order():
 
 
 # -- greedy chain ------------------------------------------------------------
+
+
+def test_run_ump_and_the_greedy_chain_reject_an_argument_out_of_range():
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        dy.run_ump(path3(), FIX2, 0, seed=1)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        dy.run_greedy_chain(10, 1.5, seed=1)
 
 
 def test_greedy_chain_p0_always_grows():
@@ -801,6 +838,8 @@ def test_schedule_rejects_bad_values():
         FugacitySchedule.sequence([2.0, 0.1])
     with pytest.raises(InvalidFugacity):
         FugacitySchedule.adaptive("missing-rule")
+    with pytest.raises(InvalidFugacity, match="at least one value"):
+        FugacitySchedule.sequence([])
 
 
 @pytest.mark.parametrize(
@@ -808,7 +847,7 @@ def test_schedule_rejects_bad_values():
     [
         "geometric:1:2", "fixed:abc", "geometric:a:2:3",
         "geometric:1:2:10:0.5", "geometric:1:2:10:nan", "geometric:1:nan:10",
-        "geometric:4:2:10:2",
+        "geometric:4:2:10:2", "warp:3",
     ],
 )
 def test_parse_schedule_names_a_malformed_spec(spec):

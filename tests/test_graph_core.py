@@ -48,7 +48,7 @@ def exhaustive_alpha(g):
 
 def test_build_path_degree_sequence():
     g = path_graph(3)
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert np.diff(g.adj_offsets).tolist() == [1, 2, 1]
     assert g.num_edges == 2
 
 
@@ -60,7 +60,7 @@ def test_build_dedupes_reversed_duplicates():
 def test_build_empty_graph():
     g = gc.build_graph(5, [])
     assert g.num_edges == 0
-    assert all(g.degree(v) == 0 for v in range(5))
+    assert g.adj_offsets.tolist() == [0] * 6
 
 
 def test_build_rejects_self_loop():
@@ -184,7 +184,7 @@ def test_neighbor_arrays_are_readonly_views_of_the_neighbor_lists():
     for g in (built, plain, gc.build_graph(0, []), complete_graph(5)):
         assert len(g.neighbor_arrays) == g.n
         for v, nbrs in enumerate(g.neighbor_arrays):
-            assert np.array_equal(nbrs, g.neighbors(v))
+            assert np.array_equal(nbrs, g.adj_targets[g.adj_offsets[v] : g.adj_offsets[v + 1]])
             assert nbrs.tolist() == g.neighbor_lists[v]
             assert not nbrs.flags.writeable
             with pytest.raises(ValueError):
@@ -384,6 +384,9 @@ def test_alpha_bipartite_searching_from_the_right_side_is_pinned():
 def test_alpha_bipartite_requires_labels():
     with pytest.raises(NotBipartite):
         gc.alpha_bipartite(path_graph(3))
+    partly = gc.build_graph(3, [(0, 1)], labels={0: gc.SIDE_L, 1: gc.SIDE_R})
+    with pytest.raises(NotBipartite, match="unlabeled vertices present"):
+        gc.alpha_bipartite(partly)
 
 
 def test_alpha_bipartite_rejects_same_side_edge():
@@ -477,6 +480,13 @@ def test_graph_file_round_trip(tmp_path):
 def test_graph_from_text_checks_edge_count():
     with pytest.raises(InvalidEdge):
         gc.graph_from_text("p is 2 5\ne 0 1\n")
+
+
+@pytest.mark.parametrize("text", ["", "c no problem line\n\n"], ids=["empty", "comments-only"])
+def test_graph_from_text_needs_a_problem_line(text):
+    for parse in (gc.graph_from_text, graph_from_text_reference):
+        with pytest.raises(InvalidEdge, match="^missing problem line$"):
+            parse(text)
 
 
 def test_graph_from_text_skips_comments_and_blank_lines():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from annealbench import graph_core as gc
 from annealbench import instance_gen as ig
-from annealbench.errors import InvalidDenseParams
+from annealbench.errors import InvalidDenseParams, NotBipartite
+from reference import spider_forest_reference
 
 
 def _table_alpha(name, seed=0, **params):
@@ -171,6 +173,14 @@ def test_bipartite_blowup_path3():
     assert gc.alpha_bruteforce(base).alpha == 2
 
 
+def test_a_blowup_rejects_a_base_it_cannot_use():
+    params = ig.BlowupParams(n=3, k=2, ell=2, p=0.5)  # a base of 3 + 6 vertices
+    with pytest.raises(ValueError, match="base graph does not match blowup parameters"):
+        ig.gen_clique_blowup(params, base=_labeled_path(4))
+    with pytest.raises(NotBipartite, match="bipartite blowup needs a labeled base"):
+        ig.gen_bipartite_blowup(gc.build_graph(2, [(0, 1)]), cloud_size=2, copies=1)
+
+
 def test_bipartite_blowup_cloud_structure():
     base = _labeled_path(3)
     g = ig.gen_bipartite_blowup(base, cloud_size=4, copies=3)
@@ -188,7 +198,7 @@ def test_star_tree_shape_and_alpha():
     g = ig.gen_star_tree(3)
     assert g.n == 7
     assert g.num_edges == 6
-    assert g.degree(0) == 3
+    assert len(g.neighbor_lists[0]) == 3
     assert gc.alpha_tree(g).alpha == 4
 
 
@@ -204,6 +214,21 @@ def test_star_tree_unique_optimum_contains_root():
     assert 0 in cert.witness
     leaves = set(range(6, 11))
     assert cert.witness == frozenset({0}) | leaves
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 50])
+def test_spider_generators_match_the_plain_edge_lists(k):
+    span = 2 * k + 1
+    for copies, apex in itertools.product((1, 2, 20), (False, True)):
+        g, want = ig.gen_hard_tree(k, copies, apex=apex), spider_forest_reference(k, copies, apex)
+        assert np.array_equal(g.adj_offsets, want.adj_offsets)
+        assert np.array_equal(g.adj_targets, want.adj_targets)
+        groups = [c for c in range(copies) for _ in range(span)]
+        assert g.group.tolist() == groups + [gc.NO_GROUP] * apex
+    star, want = ig.gen_star_tree(k), spider_forest_reference(k, 1, False)
+    assert star.side is None and star.group is None
+    assert np.array_equal(star.adj_offsets, want.adj_offsets)
+    assert np.array_equal(star.adj_targets, want.adj_targets)
 
 
 def test_hard_tree_counts():
@@ -267,10 +292,10 @@ def test_balanced_bipartite_oracle_agreement_at_desk_scale():
 
 def test_anchor_degrees():
     n = 6
-    g = ig.gen_appendix_anchor(n)
-    assert g.degree(2 * n) == n
-    assert all(g.degree(i) == n + 1 for i in range(n))
-    assert all(g.degree(n + c) == 2 * n - 1 for c in range(n))
+    deg = np.diff(ig.gen_appendix_anchor(n).adj_offsets)
+    assert deg[2 * n] == n
+    assert all(deg[:n] == n + 1)
+    assert all(deg[n : 2 * n] == 2 * n - 1)
 
 
 def test_anchor_alpha_is_block():

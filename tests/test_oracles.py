@@ -28,6 +28,7 @@ from annealbench.schedules import FugacitySchedule, parse_schedule
 import exact_laws
 from exact_laws import (
     anchor_law,
+    gate_false_fail,
     hardcore_distribution,
     lumped_law,
     multicopy_unit_law,
@@ -406,3 +407,14 @@ def test_one_sided_gate_rounds_down():
     assert one_sided_gate(0.5, 100, 0.0) == 0.5
     assert one_sided_gate(0.5, 100, 2.0) == 0.4
     assert one_sided_gate(0.7056, 200, 3.29) == 0.59
+
+
+def test_gate_false_fail_probabilities_are_pinned():
+    """The chance that a correct program fails each gate with an exact law:
+    4b (200 trials, p* = 0.7056, target 0.59), 7b (100 trials, p* = 0.49876,
+    target 0.33) and 8a (500 trials, P(size > 144) = 0.04777, target 0.95)."""
+    assert gate_false_fail(0.5, 2, 0.5) == 0.25  # fails only on no success
+    assert gate_false_fail(0.5, 2, 0.0) == 0.0
+    assert f"{gate_false_fail(0.7056, 200, 0.59):.3g}" == "0.000186"
+    assert f"{gate_false_fail(0.49876, 100, 0.33):.3g}" == "0.000224"
+    assert f"{gate_false_fail(1 - 0.04777, 500, 0.95):.3g}" == "0.357"
