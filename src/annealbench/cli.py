@@ -73,8 +73,7 @@ def _cmd_run(args) -> int:
     )
     inst = ig.Instance(gc.read_graph_file(args.graph), None, watch=args.watch)
     bundle = hz.bundle_for(cfg, inst, None)
-    rows = [hz.run_one_trial(cfg, bundle, i) for i in range(args.trials)]
-    hz.write_csv(Path(args.out), hz.RUN_CSV_COLUMNS, rows)
+    rows = hz.run_trials(cfg, bundle, {Path(args.out): hz.RUN_CSV_COLUMNS})
     print(f"wrote {args.out} ({len(rows)} trials)")
     return 0
 

@@ -3,7 +3,10 @@
 An experiment is one INI-style text file (diff-able and hashable).  Its
 ``[run] algorithm`` is a row of ``_ALGORITHMS``: the trial function and the keys
 it reads, so setting any other key is a ConfigError.  Running it generates the
-instance, fans trials out over a worker pool, and writes:
+instance, and ``run_trials`` fans the trials out over a worker pool and writes
+each row as it arrives.  Each file below is written to a temp file beside it,
+which replaces it whole, so a run cut short leaves an earlier run's files as
+they were:
 
 * ``run.csv``      the per-trial table with the fixed column order
                    trial_id, seed, steps, max_size, step_of_max, alpha,
@@ -26,13 +29,14 @@ config with its rate classes; a trial only indexes them and calls an engine.
 
 Determinism contract: everything flows from the master seed through
 counter-based per-trial streams, so the CSV bytes are identical for any
-worker count and any multiprocessing start method.  Pool workers receive
-the config and the built bundle once, through the pool initializer.
+worker count, pool chunk size and multiprocessing start method.  Pool workers
+receive the config and the built bundle once, through the pool initializer.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
@@ -186,9 +190,14 @@ def loads_config(text: str, out_dir: str | None = None) -> ExperimentConfig:
     for name in ("experiment", "instance"):
         if name not in sec:
             raise ConfigError(f"missing config section: [{name}]")
+    unknown = sorted(set(sec) - {"experiment", "instance", "schedules", "run", "acceptance"})
+    if unknown:
+        raise ConfigError(f"unknown config section [{unknown[0]}]")
     family = sec["instance"].pop("family", None)
     if family is None:
         raise ConfigError("[instance] must set family")
+    for name, keys in (("experiment", ("name", "out_dir")), ("schedules", ("specs",))):
+        ig.parse_params(dict.fromkeys(keys, (str, None)), sec.get(name, {}), f"[{name}]")
     run = ig.parse_params({k: (t, None) for k, t in _RUN_TYPES.items()}, sec.get("run", {}),
                           "[run]")
     return ExperimentConfig(
@@ -422,28 +431,15 @@ def run_experiment(
     if neighbor_lists:
         bundle.graph.neighbor_lists  # its trials read it: build once, hand to every worker
 
-    ids = list(range(cfg.total_trials))
-    if nworkers > 1 and len(ids) > 1:
-        with mp.Pool(min(nworkers, len(ids)), _init_worker, (cfg, bundle)) as pool:
-            rows = pool.map(_pool_trial, ids, chunksize=-(-len(ids) // (8 * nworkers)))
-    else:
-        rows = [run_one_trial(cfg, bundle, i) for i in ids]
-
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output dir {out}: {exc}") from exc
-
-    files = [out / "run.csv", out / "stats.csv"]
-    write_csv(files[0], RUN_CSV_COLUMNS, rows)
-    write_csv(files[1], STATS_CSV_COLUMNS, rows)
+    tables = {out / "run.csv": RUN_CSV_COLUMNS, out / "stats.csv": STATS_CSV_COLUMNS}
     if cfg.snapshot_every:
-        files.append(out / "traj.csv")
-        with open(files[2], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJ_CSV_COLUMNS)
-            writer.writerows((r["trial_id"], *s) for r in rows for s in r.get("snapshots", ()))
+        tables[out / "traj.csv"] = TRAJ_CSV_COLUMNS
+    rows = run_trials(cfg, bundle, tables, nworkers)
 
     manifest = ExperimentManifest(
         config_hash=config_hash(cfg),
@@ -452,21 +448,50 @@ def run_experiment(
         alpha=bundle.alpha,
         alpha_method=bundle.alpha_method,
         engine=dy.engine(bundle.recorder) if trial is _chain_trial else None,
-        trial_seeds=[trial_seed(cfg.seed, i) for i in ids],
+        trial_seeds=[trial_seed(cfg.seed, i) for i in range(cfg.total_trials)],
         wall_clock=time.time() - started,
-        files=[str(f) for f in files],
+        files=[str(f) for f in tables],
         rows=rows,
     )
     _write_manifest(out / "manifest.txt", manifest)
     return manifest
 
 
-def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in columns])
+def run_trials(cfg: ExperimentConfig, bundle: InstanceBundle, tables: dict[Path, tuple],
+               workers: int = 1) -> list[dict]:
+    """Run every trial, serially or on a pool of ``workers``, and return the rows in
+    trial-id order.  Each row is written as it arrives to every table (path ->
+    columns; the ``TRAJ_CSV_COLUMNS`` table gets one line per snapshot)."""
+    ids, rows = range(cfg.total_trials), []
+    pooled = workers > 1 and len(ids) > 1
+    # The pool forks before any output file is open, so no worker holds one.
+    with (mp.Pool(min(workers, len(ids)), _init_worker, (cfg, bundle)) if pooled
+          else contextlib.nullcontext()) as pool, contextlib.ExitStack() as stack:
+        writers = [(csv.writer(stack.enter_context(_landing(p))), c) for p, c in tables.items()]
+        for writer, columns in writers:
+            writer.writerow(columns)
+        for row in (pool.imap(_pool_trial, ids, -(-len(ids) // (8 * workers))) if pooled
+                    else (run_one_trial(cfg, bundle, i) for i in ids)):
+            rows.append(row)
+            for writer, columns in writers:
+                if columns == TRAJ_CSV_COLUMNS:
+                    writer.writerows((row["trial_id"], *s) for s in row.get("snapshots", ()))
+                else:
+                    writer.writerow([row.get(col, "") for col in columns])
+    return rows
+
+
+@contextlib.contextmanager
+def _landing(path: Path):
+    """A file open on a temp file beside ``path``, which lands on it whole after the
+    block; if the block raises, the temp file goes and ``path`` keeps what it held."""
+    fh = open(f"{path}.tmp", "w", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(fh.name, path)
+    finally:
+        Path(fh.name).unlink(missing_ok=True)
 
 
 def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
@@ -482,7 +507,8 @@ def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
     if manifest.engine is not None:
         lines.append(f"engine = {manifest.engine}")
     lines += ["trial_seeds:", *[f"  {i} {s}" for i, s in enumerate(manifest.trial_seeds)]]
-    path.write_text("\n".join(lines) + "\n")
+    with _landing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

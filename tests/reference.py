@@ -31,7 +31,8 @@
   loop, report for report; ``coupling_instance`` is the start that the
   coupled-chain tests share.
 * ``read_csv``: the rows of any CSV a run writes, as dicts of strings,
-  without the trial_id checks of ``harness.read_trials``.
+  without the trial_id checks of ``harness.read_trials``; ``write_csv``
+  writes such rows, for ``report`` tests that need a hand-made table.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def read_csv(path) -> list[dict]:
     """Rows of a ``run.csv``, ``stats.csv`` or ``traj.csv`` file, as dicts of strings."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write dict ``rows`` as a CSV table of ``columns``; a missing cell is empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 class IndependentSetState:

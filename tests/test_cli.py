@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from annealbench import dynamics as dy
 from annealbench import harness as hz
 from annealbench.cli import main
-from reference import read_csv
+from reference import read_csv, write_csv
 
 
 def test_gen_alpha_run_report_pipeline(tmp_path, capsys):
@@ -272,7 +273,7 @@ def test_experiment_out_dir_opens_a_seq_file_once(tmp_path, capsys, monkeypatch)
     seq.write_text("1.5\n3\n8\n")
     cfg = tmp_path / "seq.cfg"
     cfg.write_text(GOOD_CFG.format(out=tmp_path / "own").replace(
-        "algorithm = greedy", f"algorithm = ump\nsteps = 20\n\n[schedules]\nspecs = seq:{seq}"))
+        "[run]\nalgorithm = greedy", UMP_RUN.replace("fixed:2", f"seq:{seq}")))
     reads, real_open = [], builtins.open
 
     def counted(file, *args, **kwargs):
@@ -371,6 +372,7 @@ trials = 2
 
 
 STAR_RUN = "family = star-tree\nk = 3\n\n[run]\nalgorithm = greedy"
+UMP_RUN = "[schedules]\nspecs = fixed:2\n\n[run]\nalgorithm = ump\nsteps = 20"
 IMPLICIT = "family = clique-blowup\nn = 5\nk = 2\np = 0.2\nell = 3"
 RUNS_ONLY_CT = ("an implicit clique-blowup runs only ct: "
                 "ump, greedy and degree-greedy need mode = explicit")
@@ -452,7 +454,7 @@ def test_report_rejects_a_cell_that_is_not_a_number(tmp_path, capsys, col, value
     row = {"trial_id": "3", "seed": "1", "steps": "5", "max_size": "4", "alpha": "4"}
     run_csv = tmp_path / "run.csv"
     # the bad cell is in the first row
-    hz.write_csv(run_csv, hz.RUN_CSV_COLUMNS, [{**row, "trial_id": "7", col: value}, row])
+    write_csv(run_csv, hz.RUN_CSV_COLUMNS, [{**row, "trial_id": "7", col: value}, row])
     code = main(["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")])
     assert code == 2
     err = capsys.readouterr().err
@@ -470,7 +472,7 @@ def test_report_rejects_a_cell_that_is_not_a_number(tmp_path, capsys, col, value
 def test_report_checks_the_alpha_of_every_row(tmp_path, capsys, second, message):
     row = {"trial_id": "3", "seed": "1", "steps": "5", "max_size": "4", "alpha": "4"}
     run_csv = tmp_path / "run.csv"
-    hz.write_csv(run_csv, hz.RUN_CSV_COLUMNS, [row, {**row, "trial_id": "7", "alpha": second}])
+    write_csv(run_csv, hz.RUN_CSV_COLUMNS, [row, {**row, "trial_id": "7", "alpha": second}])
     code = main(["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")])
     assert code == 2
     err = capsys.readouterr().err
@@ -536,7 +538,8 @@ def test_an_os_error_exits_2_without_a_traceback(tmp_path, capsys, argv):
 
 
 def test_the_cli_reads_no_oracle_and_no_private_harness_name():
-    """The CLI is a shell over the harness: statistics and instance checks live there."""
+    """The CLI is a shell over the harness: statistics and instance checks live there,
+    and so do the trial loop and the table writer (no ``hz.run_one_trial``, no ``csv``)."""
     import ast
 
     import annealbench.cli
@@ -545,8 +548,50 @@ def test_the_cli_reads_no_oracle_and_no_private_harness_name():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names = [node.module or "", *(a.name for a in node.names)]
-            assert not any(n.split(".")[-1] == "oracles" for n in names), ast.dump(node)
+            assert not any(n.split(".")[-1] in ("oracles", "csv") for n in names), ast.dump(node)
         elif isinstance(node, ast.Import):
-            assert not any(a.name.split(".")[-1] == "oracles" for a in node.names)
+            assert not any(a.name.split(".")[-1] in ("oracles", "csv") for a in node.names)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            assert not (node.value.id == "hz" and node.attr.startswith("_")), node.attr
+            assert not (node.value.id == "hz" and (node.attr.startswith("_")
+                                                   or node.attr == "run_one_trial")), node.attr
+
+
+@pytest.mark.parametrize("command", ["experiment", "run"])
+def test_a_bad_output_location_fails_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    """An out dir under a regular file, or a --out in a missing dir, exits 2 with no
+    engine call made and nothing written."""
+    graph, cfg = tmp_path / "star.graph", tmp_path / "t.cfg"
+    main(["gen", "--family", "star-tree", "--param", "k=3", "--out", str(graph)])
+    (tmp_path / "file").write_text("")
+    cfg.write_text(GOOD_CFG.format(out=tmp_path / "file" / "out")
+                   .replace("[run]\nalgorithm = greedy", UMP_RUN))
+    argv = {"experiment": ["experiment", "--config", str(cfg), "--workers", "1"],
+            "run": ["run", "--graph", str(graph), "--trials", "3",
+                    "--out", str(tmp_path / "nodir" / "x.csv")]}[command]
+    made = sorted(tmp_path.iterdir())
+    calls, run_ump = [], dy.run_ump
+    monkeypatch.setattr(dy, "run_ump", lambda *a, **k: calls.append(a) or run_ump(*a, **k))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert calls == [] and sorted(tmp_path.iterdir()) == made
+
+
+def test_an_interrupted_run_leaves_its_old_out_file_whole(tmp_path, monkeypatch):
+    graph, out = tmp_path / "star.graph", tmp_path / "run.csv"
+    main(["gen", "--family", "star-tree", "--param", "k=3", "--out", str(graph)])
+    argv = ["run", "--graph", str(graph), "--trials", "4", "--out", str(out)]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    third, run_ump = hz.trial_seed(0, 2), dy.run_ump
+
+    def raising(graph, sched, steps, seed, **kwargs):
+        if seed == third:
+            raise RuntimeError("trial 2 stops")
+        return run_ump(graph, sched, steps, seed, **kwargs)
+
+    monkeypatch.setattr(dy, "run_ump", raising)
+    with pytest.raises(RuntimeError, match="trial 2 stops"):
+        main(argv)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before

@@ -151,6 +151,32 @@ def test_run_experiment_deterministic_across_workers(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_run_leaves_the_old_outputs_whole(tmp_path, monkeypatch, workers):
+    """A trial that raises (the third of six) leaves a complete earlier run in the
+    same directory as it was, and no temp file: every table lands whole or not at all."""
+    import multiprocessing
+
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the pool's workers see the raising engine only when forked")
+    cfg = _cfg(tmp_path, TINY_CFG.replace("seed = 99", "seed = 99\nsnapshot_every = 37"))
+    hz.run_experiment(cfg, workers=1)
+    out = Path(cfg.out_dir)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(before) == ["manifest.txt", "run.csv", "stats.csv", "traj.csv"]
+    third, run_ump = hz.trial_seed(cfg.seed, 2), dy.run_ump
+
+    def raising(graph, sched, steps, seed, **kwargs):
+        if seed == third:
+            raise RuntimeError("trial 2 stops")
+        return run_ump(graph, sched, steps, seed, **kwargs)
+
+    monkeypatch.setattr(dy, "run_ump", raising)
+    with pytest.raises(RuntimeError, match="trial 2 stops"):
+        hz.run_experiment(cfg, workers=workers)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_snapshots_are_written_to_traj_csv(tmp_path):
     plain = replace(_cfg(tmp_path), out_dir=str(tmp_path / "plain"))
     hz.run_experiment(plain, workers=1)
@@ -387,6 +413,12 @@ def test_bundled_configs_parse():
         ("seed = 99", "seed = 99\nearly_stop_size = 0", "early_stop_size"),
         ("thresholds = 2,3", "thresholds = 0,-2", "thresholds"),
         ("thresholds = 2,3", "thresholds = 2,0", "thresholds"),
+        # a section or key the config does not read was once dropped without a word
+        ("[acceptance]", "[acceptence]", r"unknown config section \[acceptence\]"),
+        ("[run]", "[Run]", r"unknown config section \[Run\]"),
+        ("out_dir = ", "out_dri = ", r"\[experiment\]: unknown keys \['out_dri'\]"),
+        ("specs = fixed:2, greedy", "specs = fixed:2, greedy\nspec = fixed:3",
+         r"\[schedules\]: unknown keys \['spec'\]"),
     ],
 )
 def test_run_and_acceptance_sections_are_parsed_strictly(tmp_path, old, new, match):
@@ -546,15 +578,15 @@ def test_pool_chunk_size_moves_no_byte(tmp_path, monkeypatch, text, names):
 
     serial = hz.loads_config(text.format(out=tmp_path / "serial"))
     hz.run_experiment(serial, workers=1)
-    pool_map = multiprocessing.pool.Pool.map
+    pool_imap = multiprocessing.pool.Pool.imap
     for size in (1, 5, None):
         used = []
 
-        def forced_map(self, func, ids, chunksize=None, size=size):
+        def forced_imap(self, func, ids, chunksize=1, size=size):
             used.append(size or len(ids))
-            return pool_map(self, func, ids, size or len(ids))
+            return pool_imap(self, func, ids, size or len(ids))
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "map", forced_map)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", forced_imap)
         cfg = hz.loads_config(text.format(out=tmp_path / f"chunk{size}"))
         hz.run_experiment(cfg, workers=2)
         assert used == [size or cfg.total_trials]
