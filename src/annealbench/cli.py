@@ -36,8 +36,9 @@ def _cmd_gen(args) -> int:
     # A graph file holds the explicit graph, also of an implicit clique blowup.
     g = inst.graph if inst.blowup is None else ig.gen_clique_blowup(inst.blowup, base=inst.graph)
     alpha = inst.alpha() if family.alpha_method == ig.CLOSED_FORM else None
-    gc.write_graph_file(g, args.out)
-    Path(args.out + ".meta").write_text(ig.sidecar_text(args.family, params, args.seed, alpha))
+    with hz.landing(args.out) as graph_file, hz.landing(args.out + ".meta") as meta_file:
+        graph_file.write(gc.graph_to_text(g))
+        meta_file.write(ig.sidecar_text(args.family, params, args.seed, alpha))
     print(f"wrote {args.out} ({g.n} vertices, {g.num_edges} edges)")
     return 0
 
@@ -93,8 +94,10 @@ def _judge(cfg: hz.ExperimentConfig, rows: list[dict], out: Path | None = None) 
         return 0
     report = hz.verdict(cfg, rows)
     if out is not None:
-        (out / "verdict.csv").write_text(report.to_csv_text())
-        (out / "verdict.txt").write_text(report.to_text())
+        with (hz.landing(out / "verdict.csv") as csv_file,
+              hz.landing(out / "verdict.txt") as txt_file):
+            csv_file.write(report.to_csv_text())
+            txt_file.write(report.to_text())
     print(report.to_text(), end="")
     return 0 if report.all_passed else 1
 
@@ -113,7 +116,8 @@ def _cmd_report(args) -> int:
     text = hz.report_text(rows, args.alpha, thresholds)
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text)
+        with hz.landing(args.out) as fh:
+            fh.write(text)
     return _judge(hz.load_config(args.config), rows) if args.config else 0
 
 

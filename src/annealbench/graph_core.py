@@ -550,11 +550,6 @@ def graph_from_text(text: str) -> Graph:
     return g
 
 
-def write_graph_file(g: Graph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(graph_to_text(g))
-
-
 def read_graph_file(path: str) -> Graph:
     with open(path) as fh:
         return graph_from_text(fh.read())

@@ -4,9 +4,12 @@ An experiment is one INI-style text file (diff-able and hashable).  Its
 ``[run] algorithm`` is a row of ``_ALGORITHMS``: the trial function and the keys
 it reads, so setting any other key is a ConfigError.  Running it generates the
 instance, and ``run_trials`` fans the trials out over a worker pool and writes
-each row as it arrives.  Each file below is written to a temp file beside it,
-which replaces it whole, so a run cut short leaves an earlier run's files as
-they were:
+each row as it arrives.  ``landing`` is the package's one writer, also of the
+CLI's verdicts, reports and graph files: each file goes to a temp file beside
+it, which replaces it whole, so a run cut short leaves an earlier run's files
+as they were.  A target that is a directory or lies in a missing one fails
+when its landing is entered, and every landing of a run, the manifest's
+first, is entered before the first trial.  A run writes:
 
 * ``run.csv``      the per-trial table with the fixed column order
                    trial_id, seed, steps, max_size, step_of_max, alpha,
@@ -38,6 +41,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -439,21 +443,23 @@ def run_experiment(
     tables = {out / "run.csv": RUN_CSV_COLUMNS, out / "stats.csv": STATS_CSV_COLUMNS}
     if cfg.snapshot_every:
         tables[out / "traj.csv"] = TRAJ_CSV_COLUMNS
-    rows = run_trials(cfg, bundle, tables, nworkers)
-
-    manifest = ExperimentManifest(
-        config_hash=config_hash(cfg),
-        version=__version__,
-        master_seed=cfg.seed,
-        alpha=bundle.alpha,
-        alpha_method=bundle.alpha_method,
-        engine=dy.engine(bundle.recorder) if trial is _chain_trial else None,
-        trial_seeds=[trial_seed(cfg.seed, i) for i in range(cfg.total_trials)],
-        wall_clock=time.time() - started,
-        files=[str(f) for f in tables],
-        rows=rows,
-    )
-    _write_manifest(out / "manifest.txt", manifest)
+    # Entered first, so a bad manifest target fails before any trial; its temp file
+    # is still empty when the pool forks.
+    with landing(out / "manifest.txt") as fh:
+        rows = run_trials(cfg, bundle, tables, nworkers)
+        manifest = ExperimentManifest(
+            config_hash=config_hash(cfg),
+            version=__version__,
+            master_seed=cfg.seed,
+            alpha=bundle.alpha,
+            alpha_method=bundle.alpha_method,
+            engine=dy.engine(bundle.recorder) if trial is _chain_trial else None,
+            trial_seeds=[trial_seed(cfg.seed, i) for i in range(cfg.total_trials)],
+            wall_clock=time.time() - started,
+            files=[str(f) for f in tables],
+            rows=rows,
+        )
+        fh.write(_manifest_text(manifest))
     return manifest
 
 
@@ -464,10 +470,10 @@ def run_trials(cfg: ExperimentConfig, bundle: InstanceBundle, tables: dict[Path,
     columns; the ``TRAJ_CSV_COLUMNS`` table gets one line per snapshot)."""
     ids, rows = range(cfg.total_trials), []
     pooled = workers > 1 and len(ids) > 1
-    # The pool forks before any output file is open, so no worker holds one.
+    # The pool forks before any table is open, so no worker holds a written buffer.
     with (mp.Pool(min(workers, len(ids)), _init_worker, (cfg, bundle)) if pooled
           else contextlib.nullcontext()) as pool, contextlib.ExitStack() as stack:
-        writers = [(csv.writer(stack.enter_context(_landing(p))), c) for p, c in tables.items()]
+        writers = [(csv.writer(stack.enter_context(landing(p))), c) for p, c in tables.items()]
         for writer, columns in writers:
             writer.writerow(columns)
         for row in (pool.imap(_pool_trial, ids, -(-len(ids) // (8 * workers))) if pooled
@@ -482,19 +488,31 @@ def run_trials(cfg: ExperimentConfig, bundle: InstanceBundle, tables: dict[Path,
 
 
 @contextlib.contextmanager
-def _landing(path: Path):
+def landing(path: str | Path):
     """A file open on a temp file beside ``path``, which lands on it whole after the
-    block; if the block raises, the temp file goes and ``path`` keeps what it held."""
-    fh = open(f"{path}.tmp", "w", newline="")
+    block; if the block raises, the temp file goes and ``path`` keeps what it held.
+    The one writer of the package.  A target that is a directory or lies in a missing
+    one fails on entry, before the block runs; an open or replace that fails raises
+    IoError naming ``path``."""
+    tmp = f"{path}.tmp"
+    try:
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with fh:
             yield fh
-        os.replace(fh.name, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
-        Path(fh.name).unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
 
 
-def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
+def _manifest_text(manifest: ExperimentManifest) -> str:
     lines = [
         f"config_hash = {manifest.config_hash}",
         f"version = {manifest.version}",
@@ -507,8 +525,7 @@ def _write_manifest(path: Path, manifest: ExperimentManifest) -> None:
     if manifest.engine is not None:
         lines.append(f"engine = {manifest.engine}")
     lines += ["trial_seeds:", *[f"  {i} {s}" for i, s in enumerate(manifest.trial_seeds)]]
-    with _landing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

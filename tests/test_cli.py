@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import builtins
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
 from annealbench import dynamics as dy
 from annealbench import harness as hz
+from annealbench import instance_gen as ig
 from annealbench.cli import main
 from reference import read_csv, write_csv
 
@@ -556,26 +559,64 @@ def test_the_cli_reads_no_oracle_and_no_private_harness_name():
                                                    or node.attr == "run_one_trial")), node.attr
 
 
-@pytest.mark.parametrize("command", ["experiment", "run"])
-def test_a_bad_output_location_fails_before_any_trial(tmp_path, capsys, monkeypatch, command):
-    """An out dir under a regular file, or a --out in a missing dir, exits 2 with no
-    engine call made and nothing written."""
-    graph, cfg = tmp_path / "star.graph", tmp_path / "t.cfg"
+def test_only_harness_landing_writes_a_file():
+    """Every output file lands whole through ``harness.landing``: nothing else in the
+    package opens a file with a w, a or x mode or calls write_text or write_bytes."""
+    import ast
+
+    import annealbench
+
+    found = []
+    for path in sorted(Path(annealbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> the innermost def it sits in (ast.walk goes outside in)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            modes = [a.value for a in (*node.args, *(k.value for k in node.keywords))
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                     and set(a.value) <= set("rwaxbt+")]
+            if (name in ("write_text", "write_bytes")
+                    or name == "open" and any(set(m) & set("wax") for m in modes)):
+                if (path.name, owner.get(node)) != ("harness.py", "landing"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [("experiment", "file/out"), ("run", "nodir/x.csv"), ("run", "dir"),
+     ("experiment", "out/run.csv"), ("experiment", "out/manifest.txt")],
+    ids=["experiment", "run", "run-onto-a-dir",
+         "experiment-run.csv-is-a-dir", "experiment-manifest.txt-is-a-dir"],
+)
+def test_a_bad_output_location_fails_before_any_trial(tmp_path, capsys, monkeypatch, command,
+                                                      target):
+    """An out dir under a regular file, a --out in a missing dir, or an output file
+    that is a directory exits 2 naming that path, with no engine call made and
+    nothing written."""
+    graph, cfg, out = tmp_path / "star.graph", tmp_path / "t.cfg", tmp_path / target
     main(["gen", "--family", "star-tree", "--param", "k=3", "--out", str(graph)])
     (tmp_path / "file").write_text("")
-    cfg.write_text(GOOD_CFG.format(out=tmp_path / "file" / "out")
-                   .replace("[run]\nalgorithm = greedy", UMP_RUN))
+    if target in ("dir", "out/run.csv", "out/manifest.txt"):
+        out.mkdir(parents=True)
+    out_dir = out if target == "file/out" else out.parent
+    cfg.write_text(GOOD_CFG.format(out=out_dir).replace("[run]\nalgorithm = greedy", UMP_RUN))
     argv = {"experiment": ["experiment", "--config", str(cfg), "--workers", "1"],
-            "run": ["run", "--graph", str(graph), "--trials", "3",
-                    "--out", str(tmp_path / "nodir" / "x.csv")]}[command]
-    made = sorted(tmp_path.iterdir())
+            "run": ["run", "--graph", str(graph), "--trials", "3", "--out", str(out)]}[command]
+    made = sorted(tmp_path.rglob("*"))
     calls, run_ump = [], dy.run_ump
     monkeypatch.setattr(dy, "run_ump", lambda *a, **k: calls.append(a) or run_ump(*a, **k))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert calls == [] and sorted(tmp_path.iterdir()) == made
+    assert str(out) in err and f"{out}.tmp" not in err
+    assert calls == [] and sorted(tmp_path.rglob("*")) == made
 
 
 def test_an_interrupted_run_leaves_its_old_out_file_whole(tmp_path, monkeypatch):
@@ -595,3 +636,50 @@ def test_an_interrupted_run_leaves_its_old_out_file_whole(tmp_path, monkeypatch)
     with pytest.raises(RuntimeError, match="trial 2 stops"):
         main(argv)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["experiment", "report", "gen"])
+def test_a_failed_write_leaves_the_earlier_files_whole(tmp_path, monkeypatch, command):
+    """A second write of other bytes that fails partway leaves the verdict pair, the
+    report or the graph file and its sidecar as the first write left them, and no
+    temp file."""
+    cfg, out, run_csv = tmp_path / "t.cfg", tmp_path / "out", tmp_path / "run.csv"
+    cfg.write_text(GOOD_CFG.format(out=out) + "\n[acceptance]\nreach = frac_max_ge 3 0.5\n")
+    run_csv.write_text(REPORT_RUN_CSV)
+    argv, kept = {
+        "experiment": (["experiment", "--config", str(cfg), "--workers", "1"],
+                       [out / "verdict.csv", out / "verdict.txt"]),
+        "report": (["report", "--run", str(run_csv), "--out", str(tmp_path / "report.txt")],
+                   [tmp_path / "report.txt"]),
+        "gen": (["gen", "--family", "star-tree", "--param", "k=3", "--out", str(tmp_path / "g")],
+                [tmp_path / "g", tmp_path / "g.meta"]),
+    }[command]
+    assert main(argv) == 0
+    before = [f.read_bytes() for f in kept]
+
+    def fail(*args):
+        raise RuntimeError("stops")
+
+    if command == "experiment":  # verdict.csv is written before to_text is called
+        cfg.write_text(cfg.read_text().replace("0.5", "0.25"))
+        monkeypatch.setattr(hz.VerdictReport, "to_text", fail)
+    elif command == "report":  # the text is made before the file is opened: the write fails
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(hz, "report_text", lambda *a: "trials = 7\n\udcff\n")
+    else:  # the graph file is written before sidecar_text is called
+        argv[4] = "k=4"
+        monkeypatch.setattr(ig, "sidecar_text", fail)
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        main(argv)
+    assert [f.read_bytes() for f in kept] == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_gen_writes_its_graph_and_meta_together(tmp_path, capsys):
+    graph = tmp_path / "g"
+    (tmp_path / "g.meta").mkdir()
+    made = sorted(tmp_path.rglob("*"))
+    assert main(["gen", "--family", "star-tree", "--param", "k=3", "--out", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{graph}.meta: Is a directory" in err
+    assert sorted(tmp_path.rglob("*")) == made
