@@ -6,6 +6,7 @@ Exit code 0 means every acceptance verdict passed (or none were asked for).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -113,12 +114,14 @@ def _cmd_report(args) -> int:
         finite = False
     if not finite:
         raise ConfigError(f"--thresholds must be finite numbers, got {args.thresholds!r}")
-    text = hz.report_text(rows, args.alpha, thresholds)
+    # The config and the --out target are checked before anything is printed.
+    cfg = hz.load_config(args.config) if args.config else None
+    with hz.landing(args.out) if args.out else contextlib.nullcontext() as out_file:
+        text = hz.report_text(rows, args.alpha, thresholds)
+        if out_file:
+            out_file.write(text)
     print(text, end="")
-    if args.out:
-        with hz.landing(args.out) as fh:
-            fh.write(text)
-    return _judge(hz.load_config(args.config), rows) if args.config else 0
+    return _judge(cfg, rows) if cfg is not None else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -62,6 +62,11 @@ _NEVER = 1 << 62
 _ENTER_JUMP = 1 / 8
 _LEAVE_JUMP = 1 / 4
 _GREEDY_BLOCK = 256  # randomized greedy filters this many positions per numpy gather
+# The value an add writes over its neighbours in the greedy's free mask: a 0-d
+# array of the mask's dtype spares numpy converting a Python scalar per write.
+# Shared by every scan, so it is read-only.
+_NO = np.zeros((), dtype=bool)
+_NO.setflags(write=False)
 
 
 def removal_threshold(lam: float) -> float:
@@ -742,26 +747,28 @@ def run_randomized_greedy(
 
     Identical in distribution to the infinite-fugacity chain run to
     saturation: re-draws of decided vertices are no-ops there, so only the
-    first-arrival order matters.  Each block of positions after the first
-    drops its blocked vertices with one gather; the rest are checked again,
-    as an add can block a later vertex of its own block.  Same set and
-    record as the plain scan in ``tests/reference.py``.
+    first-arrival order matters.  A free mask marks the vertices no add has
+    blocked.  Each block of positions after the first keeps its free
+    vertices with one gather of the mask; the rest are checked again, as an
+    add can block a later vertex of its own block.  An add clears its
+    neighbours only: each vertex occurs once in the permutation, so its own
+    entry is never read again.  Same set and record as the plain scan in
+    ``tests/reference.py``.
     """
     perm = rngmod.stream(seed).permutation(g.n)
     nbrs = g.neighbor_arrays
-    # Read one vertex at a time as a bytearray; block a neighbourhood at once
-    # through a numpy view of the same bytes.
-    blocked = bytearray(g.n)
-    scatter = np.frombuffer(blocked, dtype=np.uint8)
+    # Read one vertex at a time as a bytearray; clear a neighbourhood at once
+    # through a bool view of the same bytes.
+    free = bytearray(b"\x01") * g.n
+    view = np.frombuffer(free, dtype=bool)
     chosen: list[int] = []
     last_lo = 0  # first position of the block that made the last add
     for lo in range(0, g.n, _GREEDY_BLOCK):
         block = perm[lo : lo + _GREEDY_BLOCK]
-        for v in (block[scatter[block] == 0] if lo else block).tolist():
-            if not blocked[v]:
+        for v in (block[view[block]] if lo else block).tolist():
+            if free[v]:
                 chosen.append(v)
-                blocked[v] = 1
-                scatter[nbrs[v]] = 1
+                view[nbrs[v]] = _NO
                 last_lo = lo
     block = perm[last_lo : last_lo + _GREEDY_BLOCK].tolist()
     step_of_max = last_lo + block.index(chosen[-1]) + 1 if chosen else 0

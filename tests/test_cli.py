@@ -319,6 +319,26 @@ def test_report_rejects_an_alpha_below_one(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["config", "out"], ids=["missing-config", "out-is-a-dir"])
+def test_report_checks_its_config_and_target_before_it_prints(tmp_path, capsys, bad):
+    """A missing --config or an --out that is a directory fails before the summary is
+    printed, and nothing is written."""
+    run_csv, out = tmp_path / "run.csv", tmp_path / "x.txt"
+    run_csv.write_text(REPORT_RUN_CSV)
+    if bad == "out":
+        out.mkdir()
+    argv = ["report", "--run", str(run_csv), "--out", str(out)]
+    if bad == "config":
+        argv += ["--config", str(tmp_path / "nope.cfg")]
+    made = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert (out.is_dir() if bad == "out" else not out.exists())
+    assert sorted(tmp_path.rglob("*")) == made
+
+
 def test_gen_rejects_a_param_given_twice(tmp_path, capsys):
     graph = tmp_path / "tree.graph"
     code = main(["gen", "--family", "star-tree", "--param", "k=3", "--param", "k=4",
@@ -663,7 +683,7 @@ def test_a_failed_write_leaves_the_earlier_files_whole(tmp_path, monkeypatch, co
     if command == "experiment":  # verdict.csv is written before to_text is called
         cfg.write_text(cfg.read_text().replace("0.5", "0.25"))
         monkeypatch.setattr(hz.VerdictReport, "to_text", fail)
-    elif command == "report":  # the text is made before the file is opened: the write fails
+    elif command == "report":  # a text the file cannot encode: the write itself fails
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         monkeypatch.setattr(hz, "report_text", lambda *a: "trials = 7\n\udcff\n")
     else:  # the graph file is written before sidecar_text is called

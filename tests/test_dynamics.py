@@ -329,12 +329,14 @@ def random_graph(n, m, seed, among=None):
     return gc.build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
 
-# The fast scan filters the permutation in blocks of dy._GREEDY_BLOCK = 256
-# positions: n = 255..513 put the last position on either side of a block
-# edge; 400 isolated vertices after 600 connected ones are always added,
-# also late in the permutation; a dense multicopy leaves few vertices free
-# after its first block; the balanced bipartite graph is bip_greedy's family,
-# degree and master seed at a tenth of its n, over 200 trial seeds.
+# The fast scan keeps a free mask and filters the permutation in blocks of
+# dy._GREEDY_BLOCK = 256 positions, one gather of the mask per block; an add
+# clears only its neighbours' entries: n = 255..513 put the last position on
+# either side of a block edge; 400 isolated vertices after 600 connected ones
+# are always added, also late in the permutation; a dense multicopy leaves few
+# vertices free after its first block; the balanced bipartite graph is
+# bip_greedy's family, degree and master seed at a tenth of its n over 200
+# trial seeds, and its own 10,000-vertex instance over 5.
 @pytest.mark.parametrize(
     "g, seeds",
     [
@@ -346,13 +348,30 @@ def random_graph(n, m, seed, among=None):
         (random_graph(1000, 900, seed=7, among=600), 50),
         (ig.gen_appendix_multicopy(32, 0.5), 50),
         (ig.gen_random_balanced_bipartite(500, 16, seed=20260814), 200),
+        (ig.gen_random_balanced_bipartite(5000, 16, seed=20260814), 5),
     ],
     ids=["anchor", "path", "balanced-bipartite", "empty", "n255", "n256", "n257", "n513",
-         "isolated", "multicopy", "bip-greedy-small"],
+         "isolated", "multicopy", "bip-greedy-small", "bip-greedy-full"],
 )
 def test_randomized_greedy_matches_reference(g, seeds):
     for seed in range(seeds):
         assert dy.run_randomized_greedy(g, seed) == run_randomized_greedy_reference(g, seed)
+
+
+def test_randomized_greedy_shares_no_writable_state():
+    """The scan's fill value is shared by every call in a process, and its
+    neighbour arrays by every trial on a graph: none of them may change."""
+    assert not dy._NO.flags.writeable and dy._NO.shape == () and dy._NO.dtype == bool
+    assert not dy._NO
+    with pytest.raises(ValueError):
+        dy._NO[()] = True
+    g = ig.gen_random_balanced_bipartite(300, 4, seed=2)
+    targets = g.adj_targets.copy()
+    first = [dy.run_randomized_greedy(g, seed) for seed in range(20)]
+    assert g.adj_targets.tobytes() == targets.tobytes()
+    assert not any(a.flags.writeable for a in g.neighbor_arrays)
+    assert [dy.run_randomized_greedy(g, seed) for seed in range(20)] == first
+    assert not dy._NO
 
 
 def test_randomized_greedy_matches_infinite_fugacity_distribution():
