@@ -24,6 +24,11 @@ def _key_value(pair: str) -> tuple[str, str]:
     return key, value
 
 
+def _flag(name: str, kind=gc.parse_int):
+    """The argparse type of flag ``name``: bad text is a config value's one-line ConfigError."""
+    return lambda text: ig.parse_params({name: kind}, {name: text}, "command line")[name]
+
+
 def _cmd_gen(args) -> int:
     params: dict[str, str] = {}
     for key, value in args.param or []:
@@ -31,7 +36,7 @@ def _cmd_gen(args) -> int:
             raise ConfigError(f"--param {key} is given twice")
         params[key] = value
     family = ig.family(args.family)
-    inst = family.make(params, args.seed)
+    inst = family.make(family.parse(params), args.seed)
     for note in inst.notes:
         print(f"note: {note}", file=sys.stderr)
     # A graph file holds the explicit graph, also of an implicit clique blowup.
@@ -134,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("--family", required=True, choices=sorted(ig.FAMILIES))
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_flag("--seed"), default=0)
     p_gen.add_argument("--param", action="append", type=_key_value, metavar="KEY=VALUE")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -150,19 +155,19 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--algorithm", choices=("ump", "greedy", "degree-greedy"), default="ump"
     )
-    p_run.add_argument("--steps", type=int, help="ump only (default 1000)")
-    p_run.add_argument("--trials", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--alpha", type=int)
-    p_run.add_argument("--thresholds", type=ig.int_list, default=())
-    p_run.add_argument("--early-stop", type=int, dest="early_stop")
-    p_run.add_argument("--watch", type=ig.int_list, default=())
+    p_run.add_argument("--steps", type=_flag("--steps"), help="ump only (default 1000)")
+    p_run.add_argument("--trials", type=_flag("--trials"), default=1)
+    p_run.add_argument("--seed", type=_flag("--seed"), default=0)
+    p_run.add_argument("--alpha", type=_flag("--alpha"))
+    p_run.add_argument("--thresholds", type=_flag("--thresholds", ig.int_list), default=())
+    p_run.add_argument("--early-stop", type=_flag("--early-stop"), dest="early_stop")
+    p_run.add_argument("--watch", type=_flag("--watch", ig.int_list), default=())
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--workers", type=int)
+    p_exp.add_argument("--workers", type=_flag("--workers"))
     p_exp.add_argument("--out-dir")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -170,13 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--run", required=True)
     p_rep.add_argument("--stats")
     p_rep.add_argument("--config")
-    p_rep.add_argument("--alpha", type=int)
+    p_rep.add_argument("--alpha", type=_flag("--alpha"))
     p_rep.add_argument("--thresholds")
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=_cmd_report)
 
-    args = parser.parse_args(argv)
-    try:
+    try:  # a flag's value is parsed, and so may raise ConfigError, here
+        args = parser.parse_args(argv)
         return args.func(args)
     except (AnnealBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

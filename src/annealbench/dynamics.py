@@ -263,8 +263,9 @@ def _run_chain(
             watch_arr[v] = 1
 
     if grp_list is not None:
-        # one load per group, and a last slot that NO_GROUP = -1 indexes
-        loads = [0] * (int(max(grp_list)) + 2)
+        if min(grp_list) < 0:
+            raise ValueError("tracking clouds needs a group id >= 0 on every vertex")
+        loads = [0] * (max(grp_list) + 1)  # one load per group
         deloaded = bytearray(len(loads))  # groups whose load returned to 0
 
     # Touched vertices are marked per block of stepped proposals; a recorder
@@ -472,6 +473,8 @@ def _run_chain(
             t = cut  # the change stays pending: marks do not move it
         if t == next_mark:
             next_mark = marks.visit(t, size, sides[SIDE_L], sides[SIDE_R], occ)
+            if next_mark <= t:  # the loop would never reach it
+                raise AssertionError(f"the mark after step {t} is at step {next_mark}")
         if t == window_end and not jumping:
             if touched is None and events - window_events < _ENTER_JUMP * n:
                 jumping = True
@@ -500,7 +503,7 @@ def _run_chain(
         skipped=skipped,
     )
     if grp_list is not None:
-        record.deload_final = sum(deloaded[:-1])
+        record.deload_final = sum(deloaded)
     if touched is not None and g.side is not None:
         record.right_touched = int(np.count_nonzero(touched & (g.side == SIDE_R)))
     if rec.keep_final_state:

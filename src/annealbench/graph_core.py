@@ -483,11 +483,11 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT = re.compile(r"-?[0-9]+")
+_INT = re.compile(r"\s*-?[0-9]+\s*")
 
 
-def _int(tok: str, below: int | None = None) -> int:
-    """``tok`` as a decimal integer; with ``below``, a vertex in [0, below)."""
+def parse_int(tok: str, below: int | None = None) -> int:
+    """``tok`` as ASCII ``-?[0-9]+`` after ``strip()``; with ``below``, a vertex in [0, below)."""
     if not _INT.fullmatch(tok):
         raise ValueError(f"{tok!r} is not an integer")
     val = int(tok)
@@ -513,7 +513,7 @@ def graph_from_text(text: str) -> Graph:
                 if tag == "p":
                     if n is not None or len(args) != 3 or args[0] != "is":
                         raise ValueError("want one problem line 'p is <n> <m>'")
-                    n, claimed_edges = _int(args[1]), _int(args[2])
+                    n, claimed_edges = parse_int(args[1]), parse_int(args[2])
                     if min(n, claimed_edges) < 0:
                         raise ValueError("negative count")
                 elif tag not in ("e", "l", "g") or len(args) != 2:
@@ -521,15 +521,15 @@ def graph_from_text(text: str) -> Graph:
                 elif n is None:
                     raise ValueError("comes before the problem line")
                 elif tag == "e":
-                    if careful and (u := _int(args[0], n)) == _int(args[1], n):
+                    if careful and (u := parse_int(args[0], n)) == parse_int(args[1], n):
                         raise ValueError(f"self-loop at vertex {u}")
                     e_toks += args
                 elif tag == "l" and args[1] not in ("L", "R"):
                     raise ValueError(f"side {args[1]!r} is not L or R")
                 else:
-                    val = _int(args[1]) if tag == "g" else SIDE_L if args[1] == "L" else SIDE_R
+                    val = parse_int(args[1]) if tag == "g" else SIDE_L if args[1] == "L" else SIDE_R
                     table = labels if tag == "l" else groups
-                    if (v := _int(args[0], n)) in table:
+                    if (v := parse_int(args[0], n)) in table:
                         raise ValueError(f"second '{tag}' line for vertex {v}")
                     table[v] = val
             except ValueError as exc:

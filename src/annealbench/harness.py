@@ -1,15 +1,15 @@
 """Configuration-driven batch experiments.
 
-An experiment is one INI-style text file (diff-able and hashable).  Its
-``[run] algorithm`` is a row of ``_ALGORITHMS``: the trial function and the keys
-it reads, so setting any other key is a ConfigError.  Running it generates the
-instance, and ``run_trials`` fans the trials out over a worker pool and writes
-each row as it arrives.  ``landing`` is the package's one writer, also of the
-CLI's verdicts, reports and graph files: each file goes to a temp file beside
-it, which replaces it whole, so a run cut short leaves an earlier run's files
-as they were.  A target that is a directory or lies in a missing one fails
-when its landing is entered, and every landing of a run, the manifest's
-first, is entered before the first trial.  A run writes:
+An experiment is one INI-style text file.  Each value of it is parsed once, when the
+config is made, and ``config_hash`` hashes what was parsed.  Its ``[run] algorithm``
+is a row of ``_ALGORITHMS``: the trial function and the keys it reads, so setting any
+other key is a ConfigError.  Running it generates the instance, and ``run_trials``
+fans the trials out over a worker pool and writes each row as it arrives.  ``landing``
+is the package's one writer, also of the CLI's verdicts, reports and graph files: each
+file goes to a temp file beside it, which replaces it whole, so a run cut short leaves
+an earlier run's files as they were.  A target that is a directory or lies in a
+missing one fails when its landing is entered, and every landing of a run, the
+manifest's first, is entered before the first trial.  A run writes:
 
 * ``run.csv``      the per-trial table with the fixed column order
                    trial_id, seed, steps, max_size, step_of_max, alpha,
@@ -90,19 +90,17 @@ STATS_CSV_COLUMNS = (
 
 TRAJ_CSV_COLUMNS = ("trial_id", "t", "size", "left", "right")
 
-def _horizon(text: str) -> str:
-    if text != "burn":
-        float(text)
-    return text
+def _horizon(text: str) -> str | float:
+    return text if text == "burn" else float(text)
 
 
 # [run] key -> type; a key left unset keeps the ExperimentConfig default.
 # The order is part of config_hash.
 _RUN_TYPES = {
-    "algorithm": str, "steps": int, "events": int, "horizon": _horizon, "trials": int,
-    "seed": int, "thresholds": ig.int_list, "early_stop_size": int, "snapshot_every": int,
-    "watch_root": ig.parse_bool, "probe_step": int, "track_touched": ig.parse_bool,
-    "alpha": int,
+    "algorithm": str, "steps": gc.parse_int, "events": gc.parse_int, "horizon": _horizon,
+    "trials": gc.parse_int, "seed": gc.parse_int, "thresholds": ig.int_list,
+    "early_stop_size": gc.parse_int, "snapshot_every": gc.parse_int, "watch_root": ig.parse_bool,
+    "probe_step": gc.parse_int, "track_touched": ig.parse_bool, "alpha": gc.parse_int,
 }
 
 
@@ -118,7 +116,7 @@ class ExperimentConfig:
     algorithm: str = "ump"
     steps: int | None = None
     events: int | None = None
-    horizon: str | None = None  # float literal or "burn"
+    horizon: float | str | None = None  # a float or "burn"
     trials: int = 1
     seed: int = 0
     out_dir: str = "out"
@@ -150,14 +148,11 @@ class ExperimentConfig:
                     "early_stop_size"):
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.horizon not in (None, "burn") and not 0.0 < float(self.horizon) < math.inf:
+        if self.horizon not in (None, "burn") and not 0.0 < self.horizon < math.inf:
             raise ConfigError("horizon must be a finite number > 0, or burn")
-        self.parsed_schedules  # parses, and so checks, every spec
-        if self.family is not None:
-            family = ig.family(self.family)
-            family.parse(self.instance)
-            if self.algorithm == "chain" and family.chain is None:
-                raise ConfigError(f"family {self.family} has no chain abstraction")
+        self.parsed_schedules, self.params  # parse, and so check, every spec and value
+        if self.algorithm == "chain" and self.family and ig.family(self.family).chain is None:
+            raise ConfigError(f"family {self.family} has no chain abstraction")
         for name, spec in self.acceptance:
             _parse_check(name, spec)
 
@@ -168,6 +163,11 @@ class ExperimentConfig:
             return tuple(parse_schedule(spec) for spec in self.schedules)
         except InvalidFugacity as exc:
             raise ConfigError(f"[schedules] {exc}") from exc
+
+    @cached_property
+    def params(self) -> dict:
+        """The [instance] values, typed once by the family; {} for a graph file."""
+        return ig.family(self.family).parse(self.instance) if self.family else {}
 
     @property
     def total_trials(self) -> int:
@@ -217,15 +217,15 @@ def loads_config(text: str, out_dir: str | None = None) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the semantic fields, a ``seq:`` file's values included: formatting drops out."""
+    """sha256 of the config as parsed: ``instance.family`` and the ``repr`` of each typed
+    ``cfg.params`` value, each parsed schedule (a ``seq:`` file's values with it) and
+    each typed ``[run]`` value.  Formatting drops out, and so do ``experiment.name`` and
+    ``[acceptance]``, which set no byte of ``run.csv``, ``stats.csv`` or ``traj.csv``."""
     parts = [
-        ("experiment.name", cfg.name),
         ("instance.family", cfg.family),
-        *[(f"instance.{k}", str(v)) for k, v in sorted(cfg.instance.items())],
-        *[(f"schedules.{i}", s) for i, s in enumerate(cfg.schedules)],
-        *[(f"seq.{i}", str(p.values)) for i, p in enumerate(cfg.parsed_schedules) if p.values],
-        *[(f"run.{k}", str(getattr(cfg, k))) for k in _RUN_TYPES],
-        *[(f"acceptance.{k}", v) for k, v in cfg.acceptance],
+        *[(f"instance.{k}", repr(v)) for k, v in sorted(cfg.params.items())],
+        *[(f"schedules.{i}", repr(s)) for i, s in enumerate(cfg.parsed_schedules)],
+        *[(f"run.{k}", repr(getattr(cfg, k))) for k in _RUN_TYPES],
     ]
     return hashlib.sha256("".join(f"{k}={v}\n" for k, v in parts).encode()).hexdigest()
 
@@ -251,8 +251,8 @@ def build_instance(cfg: ExperimentConfig) -> InstanceBundle:
     """Build the configured instance through the family table."""
     family = ig.family(cfg.family)
     if cfg.algorithm == "chain":
-        return InstanceBundle(None, None, chain_params=family.chain_params(cfg.instance))
-    return bundle_for(cfg, family.make(cfg.instance, cfg.seed), family)
+        return InstanceBundle(None, None, chain_params=family.chain_params(cfg.params))
+    return bundle_for(cfg, family.make(cfg.params, cfg.seed), family)
 
 
 def bundle_for(
@@ -291,7 +291,7 @@ def bundle_for(
         burn = cfg.horizon == "burn"
         if burn and inst.blowup.p <= 0:
             raise ConfigError("horizon = burn needs p > 0: the burn-in time is 1 / (8 k p n)")
-        horizon = oc.burn_in_time(inst.blowup) if burn else cfg.horizon and float(cfg.horizon)
+        horizon = oc.burn_in_time(inst.blowup) if burn else cfg.horizon
         if horizon == math.inf:  # a subnormal p
             raise ConfigError(
                 f"horizon = burn: the burn-in time 1 / (8 k p n) overflows at p = {inst.blowup.p}"
@@ -401,13 +401,12 @@ def _pool_trial(trial_id: int) -> dict:
 
 
 def worker_count(default: int | None = None) -> int:
-    """Pool size: ``default`` (the ``--workers`` value) if given, else all
-    cores.  ``default`` must be an integer >= 1."""
+    """Pool size: ``default`` (the parsed ``--workers``, an int >= 1) if given, else all cores."""
     if default is None:
         return max(1, os.cpu_count() or 1)
-    if not str(default).isdecimal() or int(default) < 1:
+    if type(default) is not int or default < 1:
         raise ConfigError(f"--workers must be an integer >= 1, got {default!r}")
-    return int(default)
+    return default
 
 
 @dataclass
@@ -610,7 +609,7 @@ def statistic(name: str, kind: str, rows: list[dict], args: list[float]) -> Stat
     return Statistic(successes / total, oc.wilson_interval(successes, total), successes, total)
 
 
-def _cell(row: dict, col: str, kind: type) -> float:
+def _cell(row: dict, col: str, kind) -> float:
     """The ``col`` cell of a trial row as a finite float or an int (``kind``)."""
     try:
         value = kind(row[col])
@@ -618,7 +617,7 @@ def _cell(row: dict, col: str, kind: type) -> float:
             return value
     except (TypeError, ValueError):  # a short csv row reads None
         pass
-    what = "an integer" if kind is int else "a finite number"
+    what = "an integer" if kind is gc.parse_int else "a finite number"
     raise ConfigError(f"trial_id {row.get('trial_id')}: {col} {row[col]!r} is not {what}")
 
 
@@ -662,7 +661,7 @@ def report_text(rows: list[dict], alpha: int | None, thresholds: list[float]) ->
           for q in (0.0, 0.25, 0.5, 0.75, 1.0)),
     ]
     if alpha is None and any(r.get("alpha") for r in rows):
-        alphas = [_cell(r, "alpha", int) for r in rows]
+        alphas = [_cell(r, "alpha", gc.parse_int) for r in rows]
         for r, a in zip(rows, alphas):
             if a != alphas[0]:
                 raise ConfigError(f"trial_id {r.get('trial_id')}: alpha {a} differs from "

@@ -23,13 +23,7 @@ import numpy as np
 from . import graph_core as gc
 from . import rng as rngmod
 from .errors import ConfigError, InvalidDenseParams, NotBipartite
-from .graph_core import (
-    NO_GROUP,
-    SIDE_L,
-    SIDE_R,
-    Graph,
-    build_graph,
-)
+from .graph_core import NO_GROUP, SIDE_L, SIDE_R, Graph, build_graph, parse_int
 
 # Sub-stream tags within DOMAIN_INSTANCE.
 _TAG_BASE_BIPARTITE = 1
@@ -325,15 +319,15 @@ def parse_bool(text: str) -> bool:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return tuple(parse_int(x) for x in text.split(",") if x.strip())
 
 
 def parse_params(schema: dict, raw: Mapping[str, object], where: str) -> dict:
     """Typed values of ``raw`` under ``schema`` (key -> type, or (type,
-    default) when optional).  Each value is parsed from its text, so ``int``
-    rejects ``4.7`` and keeps every digit of a large seed; an empty value
-    counts as missing.  An unknown key, a missing required key or a value
-    its type rejects raises :class:`ConfigError` naming the key.
+    default) when optional).  Each value is parsed from its text, so ``parse_int``
+    rejects ``4.7`` and ``+3``; an empty value counts as missing.  An unknown
+    key, a missing required key or a value its type rejects raises
+    :class:`ConfigError` naming the key.
     """
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -347,7 +341,7 @@ def parse_params(schema: dict, raw: Mapping[str, object], where: str) -> dict:
         try:
             out[key] = kind(text) if text else default
         except ValueError:
-            kind_name = kind.__name__.lstrip("_")
+            kind_name = kind.__name__.removeprefix("parse_").lstrip("_")
             raise ConfigError(f"{where}: {key} = {text!r} is not a valid {kind_name}") from None
     return out
 
@@ -385,18 +379,18 @@ class Family:
     def parse(self, raw: Mapping[str, object]) -> dict:
         return parse_params(self.schema, raw, f"family {self.name}")
 
-    def make(self, raw: Mapping[str, object], seed: int) -> Instance:
-        """The member of parameters ``raw`` and ``seed``; a value out of the
-        generator's range raises :class:`ConfigError` naming the family."""
-        return self._checked(self.build, raw, seed)
+    def make(self, params: dict, seed: int) -> Instance:
+        """The member of typed ``params`` (see ``parse``) and ``seed``; a value out
+        of the generator's range raises :class:`ConfigError` naming the family."""
+        return self._checked(self.build, params, seed)
 
-    def chain_params(self, raw: Mapping[str, object]) -> tuple[int, float]:
-        """(n, p) of the greedy chain of parameters ``raw``, range-checked as ``make``."""
-        return self._checked(self.chain, raw)
+    def chain_params(self, params: dict) -> tuple[int, float]:
+        """(n, p) of the greedy chain of typed ``params``, range-checked as ``make``."""
+        return self._checked(self.chain, params)
 
-    def _checked(self, fn: Callable, raw: Mapping[str, object], *args):
+    def _checked(self, fn: Callable, *args):
         try:
-            return fn(self.parse(raw), *args)
+            return fn(*args)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"family {self.name}: {exc}") from None
 
@@ -460,24 +454,26 @@ def _blowup_mode(text: str) -> str:
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
-    Family("star-tree", {"k": int}, _spider, CLOSED_FORM),
-    Family("hard-tree", {"k": int, "copies": int, "apex": (parse_bool, True)}, _spider_forest,
-           CLOSED_FORM),
-    Family("anchor", {"n": int},
+    Family("star-tree", {"k": parse_int}, _spider, CLOSED_FORM),
+    Family("hard-tree", {"k": parse_int, "copies": parse_int, "apex": (parse_bool, True)},
+           _spider_forest, CLOSED_FORM),
+    Family("anchor", {"n": parse_int},
            lambda p, seed: Instance(gen_appendix_anchor(p["n"]), lambda: p["n"]), CLOSED_FORM),
-    Family("multicopy", {"n": int, "eps": float}, _multicopy, CLOSED_FORM),
-    Family("base-bipartite", {"n": int, "k": int, "p": float},
+    Family("multicopy", {"n": parse_int, "eps": float}, _multicopy, CLOSED_FORM),
+    Family("base-bipartite", {"n": parse_int, "k": parse_int, "p": float},
            lambda p, seed: _matched(gen_base_bipartite(p["n"], p["k"], p["p"], seed=seed)),
            MATCHING),
-    Family("balanced-bipartite", {"n": int, "d": float},
+    Family("balanced-bipartite", {"n": parse_int, "d": float},
            lambda p, seed: _matched(gen_random_balanced_bipartite(p["n"], p["d"], seed=seed),
                                     balanced_bipartite_flags(p["n"], p["d"])),
            MATCHING, chain=lambda p: (p["n"], balanced_edge_prob(p["n"], p["d"]))),
     Family("clique-blowup",
-           {"n": int, "k": int, "p": float, "ell": int, "mode": (_blowup_mode, "implicit")},
+           {"n": parse_int, "k": parse_int, "p": float, "ell": parse_int,
+            "mode": (_blowup_mode, "implicit")},
            _clique_blowup, LOWER_BOUND),
     Family("bipartite-blowup",
-           {"base_n": int, "base_k": int, "base_p": float, "cloud_size": int, "copies": int},
+           {"base_n": parse_int, "base_k": parse_int, "base_p": float, "cloud_size": parse_int,
+            "copies": parse_int},
            _cloud_blowup, CLOSED_FORM, track_clouds=True),
 )}
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidFugacity
+from .graph_core import parse_int
 
 INF = math.inf
 
@@ -145,7 +146,7 @@ def _parse_schedule(text: str) -> FugacitySchedule:
             raise InvalidFugacity("geometric takes START:FACTOR:BLOCK[:CAP]")
         cap = float(parts[3]) if len(parts) > 3 else INF
         return FugacitySchedule.geometric(
-            float(parts[0]), float(parts[1]), int(parts[2]), cap
+            float(parts[0]), float(parts[1]), parse_int(parts[2]), cap
         )
     if head == "adaptive":
         return FugacitySchedule.adaptive(rest)

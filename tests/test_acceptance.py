@@ -692,42 +692,42 @@ FULL_SCALE_PINNED = {
     "blowup_run": (
         "ad069ed5ceea4320eb08513197c8e54923fd4c6afc1a73a1fbb95e03b90ad39b",
         "1d3d9a0922336ff2467cfdc80c5dae33b2208454146c4f8dc75637d11d16569e",
-        "7d6025f97e3886b76568c84d30ced66d5eacfc85c10bb677cba0f2d0b8c276b6",
+        "7e3391e37919f5b635ce3eee790d6a1a8ee262e23c69974a1d2dde80a6aae979",
     ),
     "tree_run": (
         "0d131ece7846bde080e4099c045fd2322361e44d8e3caae4a46df466f1835801",
         "0bb11baff00b0fd07391252ae297e79a25248d7491c175d80f4837d30e6dc4b8",
-        "34da9e068a9606c071a72713110fbdd56804fd93ab30c0d8ef23b36b966baee0",
+        "b7dd368b10c5a382d2024df1c11606f3f88be0e32182ce07768ad003978cefb9",
     ),
     "tree_approx_run": (
         "8d807935ef8c82da6b8a038fad9e12bd560c7596783c936e1b5a981e25a46f6d",
         "affceadff3b4f91689285e6534b763ca09c85c455dde7924b354e35ac49588ee",
-        "a2d3701d0eeb0d8655c5046c919cf8a612f6ae5ee2910c94e1df5223854327a1",
+        "21304fdc985fe3befb54cbad12b54f9c5419ee38160f10be49402de0250bf8b7",
     ),
     "bipartite_greedy_run": (
         "83ca5f0df7b3e869f27cf0a6dbff1274ef10c4713dfa4e440164fa0e893207db",
         "3f5d3c1a11214d7bfb88ca84706c5c9f8c12d4277c58d8235925e17ffc4cd51e",
-        "1d712ecdc4b112c29eed25be9a44544b5a78a20c824686761c29bb9fd92e38fb",
+        "9d11f558ba9b867178c6a5b4680caa418020ed917bbd7695da3813fc321f7db4",
     ),
     "bipartite_chain_run": (
         "7f36dbee7d83018182b4a74e86af5915f2fc44722ceb5f986c7ac9de6985fa51",
         "336e42ae7f55faed3993e55329495f799402806a9d76c97e1160a116a9816896",
-        "2512155a32fc7ccbac3afeda117c4255eef45b5cefb6a24087d1e5631ab8a812",
+        "784092c82f24715b290492687d0309ab15a9def6ec1e97f1f367d4e7a144a639",
     ),
     "anchor_run": (
         "e49a5b4a0a1d2691e7b1d081323bd1330142bf6c9ddd4fab3a723459381bb325",
         "65c001895baf3e8df7e9ad3841fa3dfe0ea0b7486b6c1e847918ae80d6d7d4a4",
-        "5bfd1f4cb3ad073d21f920599445db6c765ef41c46fe1c30ea2bde6b49bd4bd6",
+        "f66698d2376a454aa64754eb8d6e1711e6765d24d831bc99f878bbce1e4c1b2d",
     ),
     "multicopy_greedy_run": (
         "8a02d62a385a972ebf525928e4eb9d9e058d496e359a53c09a441045bac81d32",
         "14726672777e4376dc52df42dc3015fc9c4a6fa389f23897baf84ca273e2b0be",
-        "0b1b04f400004f807f4e1e79157f6672c6848308cd983e297d1513f4ecd4818c",
+        "31da35a0719991563efa74db035bf7b8ad0925f9d553355b8f3b12b965430650",
     ),
     "multicopy_mp_run": (
         "e17c7c7bbf5904c63e5c572f57e0f6a47898e7f06d7952983c1a870433533466",
         "19157deaf3be777c89add27b055d7f1c7f4e732c3d77d36320e815372ed44365",
-        "f96d933efabff948fedb52fc2f27db19b8e15e89c337a6eea8cb62fe325ceca5",
+        "2a78a40b9d46a5dd91d5ba13b4d4291f54ea1461b6527326ce844e497134d955",
     ),
 }
 

@@ -703,3 +703,66 @@ def test_gen_writes_its_graph_and_meta_together(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{graph}.meta: Is a directory" in err
     assert sorted(tmp_path.rglob("*")) == made
+
+
+# Each site that reads an integer from text, as (argv builder, expected message);
+# the value is one that Python's int takes but the one integer grammar does not.
+def _grammar_sites(tmp_path, value):
+    graph = tmp_path / "star.graph"
+    main(["gen", "--family", "star-tree", "--param", "k=3", "--out", str(graph)])
+    cfg = tmp_path / "t.cfg"
+
+    def experiment(old, new):
+        cfg.write_text(GOOD_CFG.format(out=tmp_path / "out").replace(old, new, 1))
+        return ["experiment", "--config", str(cfg), "--workers", "1"]
+
+    v = repr(value)
+    return {
+        "instance-k": (lambda: experiment("k = 3", f"k = {value}"),
+                       f"family star-tree: k = {v} is not a valid int"),
+        "run-trials": (lambda: experiment("trials = 2", f"trials = {value}"),
+                       f"[run]: trials = {v} is not a valid int"),
+        "run-thresholds": (lambda: experiment("trials = 2", f"trials = 2\nthresholds = 2,{value}"),
+                           f"[run]: thresholds = '2,{value}' is not a valid int_list"),
+        "geometric-block": (
+            lambda: experiment("[run]\nalgorithm = greedy",
+                               UMP_RUN.replace("fixed:2", f"geometric:1:2:{value}")),
+            f"schedule spec 'geometric:1:2:{value}': {v} is not an integer"),
+        "run-seed": (lambda: ["run", "--graph", str(graph), "--seed", value,
+                              "--out", str(tmp_path / "out" / "run.csv")],
+                     f"--seed = {v} is not a valid int"),
+        "gen-param": (lambda: ["gen", "--family", "star-tree", "--param", f"k={value}",
+                               "--out", str(tmp_path / "out" / "g")],
+                      f"family star-tree: k = {v} is not a valid int"),
+    }
+
+
+@pytest.mark.parametrize("value", ["+3", "1_000", "٣"], ids=["plus", "underscore", "arabic"])
+def test_an_integer_is_ascii_digits_everywhere(tmp_path, capsys, value):
+    """``+3``, ``1_000`` and an Arabic-Indic 3 all pass Python's ``int``; each site
+    that reads an integer rejects them with one line and exit 2, and writes nothing."""
+    for site, (argv, message) in _grammar_sites(tmp_path, value).items():
+        capsys.readouterr()
+        assert main(argv()) == 2, site
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, (site, err)
+        assert not (tmp_path / "out").exists(), site
+
+
+def test_no_cli_flag_reads_an_integer_with_pythons_int(tmp_path, monkeypatch):
+    """Every integer flag parses through the one integer grammar, not ``type=int``."""
+    import argparse
+
+    types, add_argument = {}, argparse.ArgumentParser.add_argument
+
+    def recording(self, *names, **kwargs):
+        types[f"{self.prog} {names[0]}"] = kwargs.get("type")
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert main(["alpha", "--graph", str(tmp_path / "missing")]) == 2
+    assert [k for k, t in types.items() if t is int] == []
+    flags = ("gen --seed", "run --steps", "run --trials", "run --seed", "run --alpha",
+             "run --thresholds", "run --early-stop", "run --watch", "experiment --workers",
+             "report --alpha")
+    assert all(types[f"annealbench {flag}"] is not None for flag in flags)

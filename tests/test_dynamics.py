@@ -804,6 +804,28 @@ def test_cloud_deload_under_heavy_removal():
     assert rec.deload_final == 1  # counted once per cloud
 
 
+def test_tracking_clouds_needs_a_group_on_every_vertex():
+    """The hard-tree apex has no group: a load slot for it would count nothing."""
+    g = ig.gen_hard_tree(2, 2)
+    assert g.group[-1] == gc.NO_GROUP
+    with pytest.raises(ValueError, match="group id >= 0 on every vertex"):
+        dy.run_ump(g, FIX2, 100, seed=1, recorder=dy.RecorderConfig(track_clouds=True))
+
+
+def test_a_mark_that_does_not_move_forward_raises(monkeypatch):
+    """A mark at or before the step it was visited at would stop the loop from
+    ever reaching it: the engine raises instead of running on for ever."""
+    visit = dy._Marks.visit
+
+    def stuck(self, t, *args):
+        visit(self, t, *args)
+        return t
+
+    monkeypatch.setattr(dy._Marks, "visit", stuck)
+    with pytest.raises(AssertionError, match="the mark after step 10 is at step 10"):
+        dy.run_ump(path3(), FIX2, 100, seed=1, recorder=dy.RecorderConfig(snapshot_every=10))
+
+
 # -- schedules ---------------------------------------------------------------
 
 

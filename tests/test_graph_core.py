@@ -363,7 +363,8 @@ def test_alpha_bipartite_of_the_bundled_greedy_instance_is_pinned():
     """balanced-bipartite n=5000 d=16 at the seed of bipartite_greedy.cfg."""
     from annealbench import instance_gen as ig
 
-    g = ig.family("balanced-bipartite").make({"n": "5000", "d": "16"}, 20260814).graph
+    fam = ig.family("balanced-bipartite")
+    g = fam.make(fam.parse({"n": "5000", "d": "16"}), 20260814).graph
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == 5006
     assert cert.verify(g)
@@ -374,7 +375,8 @@ def test_alpha_bipartite_searching_from_the_right_side_is_pinned():
     matching is searched from R."""
     from annealbench import instance_gen as ig
 
-    g = ig.family("balanced-bipartite").make({"n": "5000", "d": "16"}, 271828).graph
+    fam = ig.family("balanced-bipartite")
+    g = fam.make(fam.parse({"n": "5000", "d": "16"}), 271828).graph
     assert np.count_nonzero(g.side == gc.SIDE_L) > g.n / 2
     cert = gc.alpha_bipartite(g)
     assert cert.alpha == 5064
@@ -558,7 +560,8 @@ def test_graph_from_text_gives_the_arrays_of_the_reference(family, params):
     and signed zero tokens: every array equals the line-by-line parse."""
     from annealbench import instance_gen as ig
 
-    text = gc.graph_to_text(ig.family(family).make(params, 7).graph)
+    fam = ig.family(family)
+    text = gc.graph_to_text(fam.make(fam.parse(params), 7).graph)
     head, *rest = text.splitlines()
     edges = [ln for ln in rest if ln.startswith("e ")]
     flipped = ["e {2} {1}".format(*ln.split()) for ln in edges[::3]]

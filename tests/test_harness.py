@@ -13,6 +13,7 @@ import pytest
 
 from annealbench import dynamics as dy
 from annealbench import harness as hz
+from annealbench import instance_gen as ig
 from annealbench import oracles as oc
 from annealbench.errors import ConfigError, IncompleteRun
 from annealbench.schedules import parse_schedule
@@ -115,13 +116,39 @@ def test_a_config_is_frozen_and_checked_when_made(tmp_path):
         hz.ExperimentConfig("run", None, {}, ("fixed:2",), algorithm="greedy")
 
 
+SEQ_CFG = TINY_CFG.replace("specs = fixed:2, greedy", "specs = seq:{seq}, greedy")
+HORIZON_CFG = CT_CFG.replace("events = 500", "horizon = 1000")
+
+# (config, its line, the line rewritten, True if the hash must stay).  The hash
+# covers what was parsed, so a value written another way keeps it, and so do
+# the name and [acceptance], which set no byte of run.csv, stats.csv or traj.csv.
+HASH_CASES = [
+    (TINY_CFG, "steps = 400", "steps =   400   # comment", True),
+    (TINY_CFG, "steps = 400", "steps = 0400", True),
+    (TINY_CFG, "k = 3", "k = 03", True),
+    (TINY_CFG, "fixed:2,", "fixed:2.0,", True),
+    (HORIZON_CFG, "horizon = 1000", "horizon = 1e3", True),
+    (TINY_CFG, "name = tiny", "name = other", True),
+    (TINY_CFG, "reach2 =", "reach3 = frac_max_ge 3 0.5\nreach2 =", True),
+    (SEQ_CFG, "seq:{seq}", "seq:{seq_reformatted}", True),
+    (TINY_CFG, "steps = 400", "steps = 401", False),
+    (TINY_CFG, "seed = 99", "seed = 100", False),
+    (TINY_CFG, "fixed:2,", "fixed:3,", False),
+    (SEQ_CFG, "seq:{seq}", "seq:{seq_changed}", False),
+]
+
+
 def test_config_hash_ignores_formatting(tmp_path):
-    a = _cfg(tmp_path)
-    spaced = TINY_CFG.replace("steps = 400", "steps =   400   # comment")
-    b = _cfg(tmp_path, spaced)
-    assert hz.config_hash(a) == hz.config_hash(b)
-    changed = _cfg(tmp_path, TINY_CFG.replace("steps = 400", "steps = 401"))
-    assert hz.config_hash(a) != hz.config_hash(changed)
+    files = {"seq": "1.5\n3\n8\n", "seq_reformatted": "1.50\n3.0\n\n8e0\n",
+             "seq_changed": "1.5\n3\n9\n"}
+    for name, values in files.items():
+        (tmp_path / name).write_text(values)
+    paths = {name: tmp_path / name for name in files}
+    for text, old, new, same in HASH_CASES:
+        assert old in text
+        a = hz.loads_config(text.format(out=tmp_path, **paths))
+        b = hz.loads_config(text.replace(old, new).format(out=tmp_path, **paths))
+        assert (hz.config_hash(a) == hz.config_hash(b)) is same, (old, new)
 
 
 def test_run_experiment_writes_expected_files(tmp_path):
@@ -691,6 +718,24 @@ def test_a_seq_file_is_opened_once_per_run_and_its_values_enter_the_hash(tmp_pat
     assert hz.config_hash(_cfg(tmp_path, text)) != manifest.config_hash
     seq.write_text("1.5\n3\n8\n")
     assert hz.config_hash(_cfg(tmp_path, text)) == manifest.config_hash
+
+
+def test_a_bundled_config_parses_its_instance_once(tmp_path, monkeypatch):
+    """Loading parses and checks the [instance] values; the build and the hash read
+    ``cfg.params``."""
+    calls = []
+    parse = ig.Family.parse
+
+    def counted(self, raw):
+        calls.append(self.name)
+        return parse(self, raw)
+
+    monkeypatch.setattr(ig.Family, "parse", counted)
+    cfg = hz.load_config(Path(hz.__file__).parent / "configs" / "multicopy_greedy.cfg",
+                         out_dir=str(tmp_path))
+    manifest = hz.run_experiment(cfg, workers=1)
+    assert len(manifest.rows) == cfg.trials
+    assert calls == ["multicopy"]
 
 
 def test_a_ct_run_builds_its_rate_table_once(tmp_path, monkeypatch):

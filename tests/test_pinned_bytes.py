@@ -30,42 +30,42 @@ PINNED = {
     "anchor_separation": (
         "4a5639497c9b327f93fb70f540465bde05901f7c27ed1cd2e827df282dc2f05f",
         "67a3351c0258ae777f2bbe856c6084c419f7b4547634f268160025c446f17923",
-        "5025b367d44dc22a76d458aed11fd6fc287a78d6235ea6c62e3920b14d50cee0",
+        "e86565e2bb8c87e25e0f2c5f8fd470086249e8105a9bc9e377987d34a9efbd2d",
     ),
     "bipartite_chain": (
         "0d571334bde5cdc7c2d2136606cdb776e1ef0be5692df0c5534c8940e5551682",
         "9449ecdbd7933172326b7899eff5d09c688add0f85de07bb48e4f5c53c171e9c",
-        "607948e9219e4543b5f245d5dcb123242067fbc3a6d7e8abec6e0f2a1d7b16a5",
+        "27d15057f4fe4f96e6d6e231c54c3399048786d776814a3bdc2c8193ca3ba211",
     ),
     "bipartite_greedy": (
         "b5218d33531b428287eda524a2e26b7b7e42b1445e1405343948afc882a8be6f",
         "d565831c46b68112e5ca04c2eeac110b2fc07218eb28a6f9575330af5a10664c",
-        "75c198a1c50ce5e0c96932156db4bd431fe75b11cc93a1ddfe41c002e8572c1f",
+        "8063bd6462dab9b86829a912116af0dc55eeeb3f0377a09c9455134eb588fcd5",
     ),
     "blowup_hardness": (
         "22ed00df2a16737c45ec414886104f5acefa6224d27bc540fbca2c4a7def0f00",
         "d12610e1ce7e4eb6c044b03194dcaccfe463aee29db3f22f4a5cd0a744ae7e1a",
-        "286e318a577c0690db46501820a3ddd27e9dc3dc970db2875643a1ccb9be8cf1",
+        "89c11cf2a7c300c32474181551689e63042b7b924af759a49ae0fec4e434234c",
     ),
     "multicopy_greedy": (
         "2549c7775b7e908d9a116d97b40eb5547c0699b3a3043146fb5f14a8d5321dee",
         "896998f8ed2708e9c7bb5da530edacdd4febea624510c4dc77a2775c56c4004d",
-        "1a6234af76d6026ffd4d3436ec453ce983dc8250f0302abccfde5813b206e7cc",
+        "7bf5335240bf5bd356fae80233fec1f131fefecda333e98e947c30d9286f2e8a",
     ),
     "multicopy_mp": (
         "e4605f2560293e106c6363acc271f2321031e5efeac4faf8f65e9d27ebe048bb",
         "f05deee3a0dfae7d81c2338217f0a01c277412d0c3c39b7bb34321ac983051c8",
-        "b6e2d51f586ea9dcd53c1ee91adca76ef73ebc6adb293f69c759c472016cc80b",
+        "b1090cc005907cce2553fa49246d3bb51ad42526085bf803da4587a518cf7db6",
     ),
     "tree_approx": (
         "f43c88180b2fc73a984e8111e53b614490afb8508f31c08096e011cede1ba2a4",
         "a82c8cf1d98e7c75893e6bda17f38d612d17cfe9059a7c10642be2d043417342",
-        "7c064a08f0ebb3e00cf4f8fa4b539a197a0418a1fb4406ddf4926e6dbe56e8ff",
+        "7eb2913e98dbfbad785ee5e8d5b98100bfce5537a9fe1b47f9b159677a4ab45c",
     ),
     "tree_hardness": (
         "61847c0ecbfc6f2c9435ed105a2e3ff05eff43c5f7420d26aa4fcd4d7f08a501",
         "e8fc4fd7cea688b37860b0800f05605f1caa7504b115d88feb5e76e1c57dc4b3",
-        "b66051ac4ee62e9d57a45b8d8e8ac044cc33916eaa234d02665f30257c0f3ffa",
+        "94ac2fe39dfc647e5c9dbb192e376aab367e0b6f5bf67312db8d6d7fd997c64b",
     ),
 }
 
@@ -139,13 +139,13 @@ PINNED_INLINE = {
         "1cb782c081a633a057d7b148b3476489e431d506750af6b1c1c89db182de39bd",
         "009edd263557adfbd1e588cc1fd202f65826d7add5b28051b128c60628c9b711",
         None,
-        "05c9a20b50f53c11f4eae279aaf04eca14724d6920e14dd5e699972d782758c9",
+        "cb357a3daead4d83d2b91fb2cb5913fbc2d3f754c10a97e6dcf1a1dcb68ad1b1",
     ),
     "ct_sides_traj": (
         "bad33768e1968a77736ac8e59a8f0df4bb8ecd44a262a7c9ad833215fcc3ce01",
         "97942df87687c00c273521d0ddf039108611d5be796843b86a7090e0c050c4f7",
         "8539f1be9677aa56582379d558c7e8344875c7983edf98faba5b498e3493d4fd",
-        "a489332197d04403f3ab613beb19d152a43e1e6d967b155425f01b64939dc354",
+        "ca78b55861f4fece5ba58ea6e7a088e9a05633d220288d3ec9c79f8dba147f8c",
     ),
 }
 
@@ -227,7 +227,7 @@ def _array_sha(arr) -> str | None:
 def test_bundled_instance_graph_arrays_are_pinned(name):
     """The run pins see only what the trials read; these pin the whole graph."""
     cfg = hz.load_config(CONFIGS / f"{name}.cfg")
-    g = ig.family(cfg.family).make(cfg.instance, cfg.seed).graph
+    g = ig.family(cfg.family).make(cfg.params, cfg.seed).graph
     assert (g.adj_offsets.dtype, g.adj_targets.dtype) == (np.int64, np.int64)
     got = tuple(_array_sha(a) for a in (g.adj_offsets, g.adj_targets, g.side, g.group))
     assert got == PINNED_GRAPHS[name]
